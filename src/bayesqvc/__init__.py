@@ -19,10 +19,6 @@ from .samplers import (
     PosteriorSamples,
     PriorConfig,
     fit,
-    run_bqrvc,
-    run_bqrvcss,
-    run_bvc,
-    run_bvcss,
 )
 from .simulate import ScenarioSpec, TrueCurves, simulate_dataset
 
@@ -48,10 +44,6 @@ __all__ = [
     "PosteriorSamples",
     "PriorConfig",
     "fit",
-    "run_bqrvcss",
-    "run_bqrvc",
-    "run_bvcss",
-    "run_bvc",
     "ScenarioSpec",
     "TrueCurves",
     "simulate_dataset",

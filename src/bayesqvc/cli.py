@@ -34,6 +34,7 @@ from .io import (
     write_truth,
 )
 from .samplers import fit as run_fit
+from .samplers.variants import METHODS, method_spec
 from .simulate import (
     COVARIATE_KINDS,
     ERROR_KINDS,
@@ -43,7 +44,6 @@ from .simulate import (
 )
 
 ENV_OUT_DIR = "BAYESQVC_OUT"
-METHODS = ("bqrvcss", "bqrvc", "bvcss", "bvc")
 
 
 def _default_out() -> str:
@@ -123,7 +123,7 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path) -> dict:
         config.method,
         spline_config=config.spline_config(),
         prior=config.prior_config(),
-        tau=config.tau if config.method in ("bqrvcss", "bqrvc") else None,
+        tau=config.tau,
         opts=config.mcmc_options(),
         workers=config.workers,
     )
@@ -322,8 +322,7 @@ def cmd_replicate_study(args) -> int:
     for scenario in study["scenarios"]:
         label = scenario_label(scenario)
         for method in study["methods"]:
-            if method not in METHODS:
-                raise ValueError(f"unknown method {method!r}")
+            method_spec(method)
             rows = []
             for rep in range(replicates):
                 rep_dir = out / label / method / f"rep_{rep:04d}"
@@ -371,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p = sub.add_parser("fit", help="fit one method to a dataset CSV")
     fit_p.add_argument("--data", required=True)
     fit_p.add_argument("--config", default=None, help="RunConfig JSON (flags override)")
-    fit_p.add_argument("--method", choices=METHODS, default=None)
+    fit_p.add_argument("--method", choices=tuple(METHODS), default=None)
     fit_p.add_argument("--tau", type=float, default=None)
     fit_p.add_argument("--degree", type=int, default=None)
     fit_p.add_argument("--interior-knots", type=int, default=None)

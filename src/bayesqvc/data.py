@@ -26,6 +26,13 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
+        if self.e is not None:
+            self.e = np.asarray(self.e, dtype=float)
+        # NaN fails every comparison, so it would pass the range check on v.
+        for name in ("y", "x", "v", "e"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} contains NaN or infinite values")
         if self.y.ndim != 1:
             raise ValueError("y must be a vector")
         n = self.y.size
@@ -36,7 +43,6 @@ class Dataset:
         if np.any(self.v < 0.0) or np.any(self.v > 1.0):
             raise ValueError("index variable v must lie in [0, 1]")
         if self.e is not None:
-            self.e = np.asarray(self.e, dtype=float)
             if self.e.ndim != 2 or self.e.shape[0] != n:
                 raise ValueError("e must be an (n, q) matrix")
             if self.e.shape[1] == 0:

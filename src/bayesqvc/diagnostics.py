@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import inclusion_probabilities
+from .inference import ci_selection, inclusion_probabilities
 from .samplers.state import PosteriorSamples
 
 PSRF_CUTOFF = 1.1
@@ -66,7 +66,11 @@ class PsrfReport:
 
 def tracked_parameters(samples: PosteriorSamples) -> dict[str, np.ndarray]:
     """Default tracked set: spline coefficients of the varying intercept and
-    of the interim-MPM-selected blocks, plus the likelihood scale.
+    of the selected blocks, plus the likelihood scale.
+
+    Blocks are selected by the median-probability model for the spike
+    methods and by :func:`inference.ci_selection` for the others, whose
+    blocks are never exactly zero.
 
     Returns name -> (m_chains, n_draws) arrays.  Tracking every block is
     possible but deliberately not the default for memory reasons.
@@ -75,13 +79,12 @@ def tracked_parameters(samples: PosteriorSamples) -> dict[str, np.ndarray]:
     if samples.is_spike:
         blocks += inclusion_probabilities(samples).selected
     else:
-        probs = np.mean(np.abs(samples.pooled_alpha()[:, 1:, :]).sum(axis=2) > 0, axis=0)
-        blocks += [j + 1 for j in range(samples.p) if probs[j] >= 0.5]
+        blocks += ci_selection(samples)
     out: dict[str, np.ndarray] = {}
     for j in blocks:
         for s in range(samples.d):
             out[f"alpha[{j},{s}]"] = np.stack([c.alpha[:, j, s] for c in samples.chains])
-    scale = "theta" if samples.method in ("bqrvcss", "bqrvc") else "sigma_sq"
+    scale = samples.spec.scale
     out[scale] = np.stack([c.scalars[scale] for c in samples.chains])
     return out
 

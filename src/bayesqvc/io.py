@@ -15,21 +15,19 @@ Formats:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .basis import SplineConfig
 from .data import Dataset
-from .samplers.config import GaussianPriorConfig, McmcOptions, PriorConfig
+from .samplers.config import McmcOptions
 from .samplers.state import ChainSamples, PosteriorSamples
+from .samplers.variants import method_spec
 from .simulate import ScenarioSpec
 
 FLOAT_FMT = "%.17g"
-
-QUANTILE_PRIOR_FIELDS = ("a", "b", "c", "m", "e", "f")
-GAUSSIAN_PRIOR_FIELDS = ("s", "h", "t", "psi", "a", "b")
 
 
 @dataclass
@@ -53,7 +51,7 @@ class RunConfig:
         self.spline_config()
         self.mcmc_options()
         self.prior_config()
-        if self.method in ("bqrvcss", "bqrvc") and not 0.0 < self.tau < 1.0:
+        if method_spec(self.method).needs_tau and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
@@ -73,15 +71,10 @@ class RunConfig:
 
     def prior_config(self):
         extra = dict(self.priors)
-        if self.method in ("bqrvcss", "bqrvc"):
-            allowed = QUANTILE_PRIOR_FIELDS + ("prior_scale",)
-            cls = PriorConfig
-        elif self.method in ("bvcss", "bvc"):
-            allowed = GAUSSIAN_PRIOR_FIELDS + ("prior_scale",)
-            cls = GaussianPriorConfig
-        else:
-            raise ValueError(f"unknown method {self.method!r}")
-        unknown = set(extra) - set(allowed)
+        cls = method_spec(self.method).prior
+        # Prior covariance matrices are not settable from the flat config.
+        allowed = {f.name for f in fields(cls)} - {"sigma_beta", "sigma_alpha0"}
+        unknown = set(extra) - allowed
         if unknown:
             raise ValueError(f"unknown prior fields for {self.method}: {sorted(unknown)}")
         return cls(**extra)

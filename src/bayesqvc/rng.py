@@ -40,10 +40,6 @@ class RngHandle:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.gen = np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, stream_id: int) -> "RngHandle":
-        """Independent stream under the same seed (one per chain)."""
-        return RngHandle(self.seed, stream_id)
-
 
 def _require_positive(name: str, value) -> None:
     if np.any(np.asarray(value) <= 0.0):
@@ -125,11 +121,3 @@ def sample_mvn(rng: RngHandle, mean: np.ndarray, covariance: np.ndarray) -> np.n
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance matrix is not positive definite") from exc
     return mean + lower @ rng.gen.standard_normal(mean.size)
-
-
-def sample_mvn_from_precision_chol(
-    rng: RngHandle, mean: np.ndarray, chol_precision: np.ndarray
-) -> np.ndarray:
-    """N(mean, P^-1) given the lower Cholesky factor of the precision P."""
-    z = rng.gen.standard_normal(mean.size)
-    return mean + np.linalg.solve(chol_precision.T, z)

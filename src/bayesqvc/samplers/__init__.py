@@ -1,6 +1,6 @@
 from .config import GaussianPriorConfig, McmcOptions, PriorConfig
 from .state import ChainSamples, GaussianSamplerState, PosteriorSamples, SamplerState
-from .variants import fit, run_bqrvc, run_bqrvcss, run_bvc, run_bvcss
+from .variants import fit
 
 __all__ = [
     "GaussianPriorConfig",
@@ -11,8 +11,4 @@ __all__ = [
     "PosteriorSamples",
     "SamplerState",
     "fit",
-    "run_bqrvcss",
-    "run_bqrvc",
-    "run_bvcss",
-    "run_bvc",
 ]

@@ -1,9 +1,18 @@
-"""Gibbs samplers for the Gaussian-likelihood varying-coefficient models.
+"""Gaussian likelihood for the shared Gibbs engine (the bvcss and bvc baselines).
 
-Same sweep skeleton as the quantile engine with the per-observation weights
-replaced by the uniform 1/sigma_sq, the slab covariance scaled by sigma_sq,
-and no exponential latents.  Sweep order: alpha blocks 1..p, alpha_0, beta,
-sigma_sq, lambda_sq, zeta_sq, pi0.
+The Gaussian model is the quantile sweep with three changes: uniform
+working weights 1/sigma_sq, no kappa1 * u offset and no exponential
+latents, and a slab covariance scaled by sigma_sq.  What that changes in the
+sweep lives here; everything else is in :mod:`.engine`:
+
+* the block grams Z_j'Z_j are unweighted and computed once at build, and
+  the right-hand side of block j is Z_j' r_j (1/sigma_sq cancels in the
+  slab mean); the slab's quadratic form and draw are scaled by sigma_sq
+  through the state's noise scale;
+* the sigma_sq update.
+
+Sweep order: alpha blocks 1..p, alpha_0, beta, sigma_sq, lambda_sq,
+zeta_sq, pi0.
 """
 
 from __future__ import annotations
@@ -13,55 +22,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..basis import SplineConfig, expand_design, ExpandedDesign
+from ..basis import SplineConfig, expand_design
 from ..data import Dataset
-from ..rng import (
-    RngHandle,
-    sample_beta,
-    sample_bernoulli,
-    sample_gamma,
-    sample_inverse_gamma,
-    sample_inverse_gaussian,
-    sample_mvn,
-)
-from .common import (
-    covariance_factors,
-    log_mixture_probability,
+from ..rng import RngHandle, sample_inverse_gamma
+from .config import GaussianPriorConfig
+from .engine import (
+    GibbsModel,
+    covariance_factors,  # noqa: F401  (not called here; the traced benchmark wraps this name)
+    refresh_residual,
     spd_solve_moments,
+    update_alpha0,
+    update_alpha_blocks,
+    update_beta,
+    update_pi0,
     weighted_block_grams,
 )
-from .config import GaussianPriorConfig, McmcOptions
-from .state import ChainSamples, GaussianSamplerState
+from .engine import update_shrinkage as update_lambda_sq
+from .engine import update_slab_scales as update_zeta_sq
+from .state import GaussianSamplerState
 
 
 @dataclass
-class GaussianModel:
-    y: np.ndarray
-    e: np.ndarray | None
-    design: ExpandedDesign
-    prior: GaussianPriorConfig
-    spike: bool
+class GaussianModel(GibbsModel):
     block_grams: np.ndarray = field(repr=False, default=None)  # (p+1, d, d), unweighted
-    sigma_beta: np.ndarray = field(repr=False, default=None)
-    sigma_beta_inv: np.ndarray = field(repr=False, default=None)
-    sigma_alpha0: np.ndarray = field(repr=False, default=None)
-    sigma_alpha0_inv: np.ndarray = field(repr=False, default=None)
 
-    @property
-    def n(self) -> int:
-        return self.y.size
+    state_class = GaussianSamplerState
+    scalar_names = ("sigma_sq", "lambda_sq", "pi0")
+    latent_names = ("zeta_sq",)
 
-    @property
-    def p(self) -> int:
-        return self.design.p
+    def unit_scales(self) -> dict:
+        return {"sigma_sq": 1.0, "zeta_sq": np.ones(self.p), "lambda_sq": 1.0}
 
-    @property
-    def q(self) -> int:
-        return 0 if self.e is None else self.e.shape[1]
+    def block_system(self, state: GaussianSamplerState, blocks: slice):
+        """Unweighted grams from build; b_j = Z_j' r_j."""
+        return self.block_grams[blocks], lambda zj, partial: zj.T @ partial
 
-    @property
-    def d(self) -> int:
-        return self.design.d
+    def linear_moments(self, state: GaussianSamplerState, x, partial, prior_precision, block):
+        """Ridge moments with weights 1/sigma_sq; spline grams come from build."""
+        gram = x.T @ x if block is None else self.block_grams[block]
+        rhs = x.T @ partial / state.sigma_sq
+        return spd_solve_moments(gram / state.sigma_sq, rhs, prior_precision)
+
+    def sweep(self, state: GaussianSamplerState, rng: RngHandle) -> None:
+        gibbs_sweep(state, self, rng)
+
+    def draw_noise_from_prior(self, state: GaussianSamplerState, rng: RngHandle) -> None:
+        state.sigma_sq = float(sample_inverse_gamma(rng, self.prior.s, self.prior.h))
+
+    def draw_latents_from_prior(self, state: GaussianSamplerState, rng: RngHandle) -> None:
+        """No latents beyond the coefficients and scales."""
+
+    def response_noise(self, state: GaussianSamplerState):
+        return 0.0, math.sqrt(state.sigma_sq)
 
 
 def build_gaussian_model(
@@ -72,180 +84,10 @@ def build_gaussian_model(
     grid: np.ndarray | None = None,
 ) -> GaussianModel:
     design = expand_design(dataset, spline_config, grid=grid)
-    model = GaussianModel(
-        y=dataset.y.copy(),
-        e=None if dataset.e is None else dataset.e.copy(),
-        design=design,
-        prior=prior,
-        spike=spike,
+    return GaussianModel.build(
+        dataset, design, prior, spike, block_grams=weighted_block_grams(design.blocks),
+        shrink_prior=(prior.t, prior.psi), pi0_prior=(prior.a, prior.b),
     )
-    model.block_grams = weighted_block_grams(design.blocks)
-    if model.q > 0:
-        model.sigma_beta = prior.resolved_sigma_beta(model.q)
-        model.sigma_beta_inv = np.linalg.inv(model.sigma_beta)
-    model.sigma_alpha0 = prior.resolved_sigma_alpha0(model.d)
-    model.sigma_alpha0_inv = np.linalg.inv(model.sigma_alpha0)
-    return model
-
-
-def initial_state(model: GaussianModel) -> GaussianSamplerState:
-    state = GaussianSamplerState(
-        alpha=np.zeros((model.p + 1, model.d)),
-        beta=np.zeros(model.q),
-        sigma_sq=1.0,
-        zeta_sq=np.ones(model.p),
-        lambda_sq=1.0,
-        pi0=0.5 if model.spike else 0.0,
-        inclusion=np.zeros(model.p, dtype=bool),
-    )
-    refresh_residual(state, model)
-    return state
-
-
-def full_residual(state: GaussianSamplerState, model: GaussianModel) -> np.ndarray:
-    resid = model.y - np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
-    if model.q > 0:
-        resid = resid - model.e @ state.beta
-    return resid
-
-
-def refresh_residual(state: GaussianSamplerState, model: GaussianModel) -> None:
-    state.resid = full_residual(state, model)
-
-
-def spike_probability_gaussian(
-    mu: np.ndarray, sigma: np.ndarray, zeta_sq: float, sigma_sq: float, pi0: float
-) -> float:
-    """Point-mass probability with slab covariance sigma_sq * Sigma.
-
-    Log-space form of
-    pi0 / (pi0 + (1-pi0) * zeta^(-d) |Sigma|^(1/2) exp(mu'(sigma_sq Sigma)^-1 mu / 2)),
-    with Sigma the unscaled factor (Z'Z + zeta^-2 I)^-1.
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    d = mu.size
-    chol = np.linalg.cholesky(sigma)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    half = np.linalg.solve(chol, mu)
-    quad = float(half @ half) / sigma_sq
-    log_bf = -0.5 * d * math.log(zeta_sq) + 0.5 * logdet + 0.5 * quad
-    return log_mixture_probability(log_bf, pi0)
-
-
-def _draw_block(
-    state: GaussianSamplerState,
-    model: GaussianModel,
-    j: int,
-    cov: np.ndarray,
-    chol_cov: np.ndarray,
-    logdet_cov: float,
-    rng: RngHandle,
-) -> None:
-    """Mixture draw for block j; cov is the unscaled factor (Z'Z + zeta^-2 I)^-1."""
-    zj = model.design.blocks[j]
-    if state.inclusion[j - 1]:
-        partial = state.resid + zj @ state.alpha[j]
-    else:
-        partial = state.resid
-    b = zj.T @ partial
-    mu = cov @ b
-    if model.spike:
-        log_bf = (
-            -0.5 * model.d * math.log(state.zeta_sq[j - 1])
-            + 0.5 * logdet_cov
-            + 0.5 * float(b @ mu) / state.sigma_sq
-        )
-        prob_zero = log_mixture_probability(log_bf, state.pi0)
-    else:
-        prob_zero = 0.0
-    if prob_zero >= 1.0:
-        take_spike = True
-    elif prob_zero <= 0.0:
-        take_spike = False
-    else:
-        take_spike = rng.gen.random() < prob_zero
-    if take_spike:
-        state.alpha[j] = 0.0
-        state.inclusion[j - 1] = False
-        state.resid = partial
-    else:
-        draw = mu + math.sqrt(state.sigma_sq) * (chol_cov @ rng.gen.standard_normal(model.d))
-        if not np.any(draw):
-            raise RuntimeError("slab draw produced an exactly-zero block")
-        state.alpha[j] = draw
-        state.inclusion[j - 1] = True
-        state.resid = partial - zj @ draw
-
-
-def alpha_block_moments(state: GaussianSamplerState, model: GaussianModel, j: int):
-    """Slab mean and unscaled covariance factor (Z'Z + zeta^-2 I)^-1 for block j.
-
-    The slab draw has covariance sigma_sq times the returned factor.
-    """
-    if not 1 <= j <= model.p:
-        raise IndexError("block index must lie in 1..p")
-    zj = model.design.blocks[j]
-    partial = state.resid + zj @ state.alpha[j] if state.inclusion[j - 1] else state.resid
-    rhs = zj.T @ partial
-    return spd_solve_moments(
-        model.block_grams[j], rhs, np.eye(model.d) / state.zeta_sq[j - 1]
-    )
-
-
-def update_alpha_block(
-    state: GaussianSamplerState, model: GaussianModel, j: int, rng: RngHandle
-) -> None:
-    if not 1 <= j <= model.p:
-        raise IndexError("block index must lie in 1..p")
-    precision = model.block_grams[j] + np.eye(model.d) / state.zeta_sq[j - 1]
-    cov, chol, logdet = covariance_factors(precision[None, :, :])
-    _draw_block(state, model, j, cov[0], chol[0], float(logdet[0]), rng)
-
-
-def update_alpha_blocks(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> None:
-    if model.p == 0:
-        return
-    precisions = model.block_grams[1:] + np.eye(model.d)[None, :, :] / state.zeta_sq[:, None, None]
-    covs, chols, logdets = covariance_factors(precisions)
-    for j in range(1, model.p + 1):
-        _draw_block(state, model, j, covs[j - 1], chols[j - 1], float(logdets[j - 1]), rng)
-
-
-def alpha0_conditional_moments(state: GaussianSamplerState, model: GaussianModel):
-    z0 = model.design.blocks[0]
-    partial = state.resid + z0 @ state.alpha[0]
-    gram = model.block_grams[0] / state.sigma_sq
-    rhs = z0.T @ partial / state.sigma_sq
-    return spd_solve_moments(gram, rhs, model.sigma_alpha0_inv)
-
-
-def update_alpha0(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> np.ndarray:
-    z0 = model.design.blocks[0]
-    partial = state.resid + z0 @ state.alpha[0]
-    mu, cov = alpha0_conditional_moments(state, model)
-    draw = sample_mvn(rng, mu, cov)
-    state.alpha[0] = draw
-    state.resid = partial - z0 @ draw
-    return draw
-
-
-def beta_conditional_moments(state: GaussianSamplerState, model: GaussianModel):
-    partial = state.resid + model.e @ state.beta
-    gram = model.e.T @ model.e / state.sigma_sq
-    rhs = model.e.T @ partial / state.sigma_sq
-    return spd_solve_moments(gram, rhs, model.sigma_beta_inv)
-
-
-def update_beta(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> np.ndarray:
-    if model.q == 0:
-        return state.beta
-    partial = state.resid + model.e @ state.beta
-    mu, cov = beta_conditional_moments(state, model)
-    draw = sample_mvn(rng, mu, cov)
-    state.beta = draw
-    state.resid = partial - model.e @ draw
-    return draw
 
 
 def sigma_sq_conditional_params(state: GaussianSamplerState, model: GaussianModel):
@@ -263,49 +105,6 @@ def update_sigma_sq(state: GaussianSamplerState, model: GaussianModel, rng: RngH
     return state.sigma_sq
 
 
-def lambda_sq_conditional_params(state: GaussianSamplerState, model: GaussianModel):
-    shape = 0.5 * (model.d + 1) * model.p + model.prior.t
-    rate = 0.5 * float(np.sum(state.zeta_sq)) + model.prior.psi
-    return shape, rate
-
-
-def update_lambda_sq(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> float:
-    shape, rate = lambda_sq_conditional_params(state, model)
-    state.lambda_sq = float(sample_gamma(rng, shape, rate))
-    return state.lambda_sq
-
-
-def update_zeta_sq(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> np.ndarray:
-    if model.p == 0:
-        return state.zeta_sq
-    norms = np.sum(state.alpha[1:] ** 2, axis=1)
-    if np.any(state.inclusion & (norms == 0.0)):
-        raise RuntimeError("inclusion flag set on an exactly-zero block")
-    new = np.empty(model.p)
-    zero = norms == 0.0
-    if zero.any():
-        new[zero] = sample_gamma(
-            rng, 0.5 * (model.d + 1), 0.5 * state.lambda_sq, size=int(zero.sum())
-        )
-    nonzero = ~zero
-    if nonzero.any():
-        mean = np.sqrt(state.sigma_sq * state.lambda_sq / norms[nonzero])
-        new[nonzero] = 1.0 / sample_inverse_gaussian(rng, mean, state.lambda_sq)
-    state.zeta_sq = new
-    return state.zeta_sq
-
-
-def pi0_conditional_params(state: GaussianSamplerState, model: GaussianModel):
-    n_active = int(np.sum(state.inclusion))
-    return model.prior.a + model.p - n_active, model.prior.b + n_active
-
-
-def update_pi0(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> float:
-    a_post, b_post = pi0_conditional_params(state, model)
-    state.pi0 = float(sample_beta(rng, a_post, b_post))
-    return state.pi0
-
-
 def gibbs_sweep(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> None:
     refresh_residual(state, model)
     update_alpha_blocks(state, model, rng)
@@ -316,95 +115,3 @@ def gibbs_sweep(state: GaussianSamplerState, model: GaussianModel, rng: RngHandl
     update_zeta_sq(state, model, rng)
     if model.spike:
         update_pi0(state, model, rng)
-
-
-def run_chain(
-    dataset: Dataset,
-    spline_config: SplineConfig,
-    prior_config: GaussianPriorConfig,
-    iterations: int,
-    burn_in: int,
-    thin: int,
-    rng: RngHandle,
-    spike: bool = True,
-    store_latents: bool = False,
-) -> ChainSamples:
-    """Run one Gaussian-model chain and return its stored draws."""
-    opts = McmcOptions(
-        iterations=iterations, burn_in=burn_in, thin=thin, seed=rng.seed,
-        store_latents=store_latents,
-    )
-    model = build_gaussian_model(dataset, spline_config, prior_config, spike=spike)
-    state = initial_state(model)
-    m_stored = opts.stored
-    alpha = np.empty((m_stored, model.p + 1, model.d))
-    beta = np.empty((m_stored, model.q))
-    inclusion = np.empty((m_stored, model.p), dtype=np.uint8)
-    sigma_sq = np.empty(m_stored)
-    lambda_sq = np.empty(m_stored)
-    pi0 = np.empty(m_stored)
-    latents = {}
-    if store_latents:
-        latents = {"zeta_sq": np.empty((m_stored, model.p))}
-
-    kept = 0
-    for it in range(1, iterations + 1):
-        gibbs_sweep(state, model, rng)
-        if it > burn_in and (it - burn_in) % thin == 0:
-            alpha[kept] = state.alpha
-            beta[kept] = state.beta
-            inclusion[kept] = state.inclusion
-            sigma_sq[kept] = state.sigma_sq
-            lambda_sq[kept] = state.lambda_sq
-            pi0[kept] = state.pi0
-            if store_latents:
-                latents["zeta_sq"][kept] = state.zeta_sq
-            kept += 1
-    return ChainSamples(
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        iterations=iterations,
-        burn_in=burn_in,
-        thin=thin,
-        alpha=alpha,
-        beta=beta,
-        inclusion=inclusion,
-        scalars={"sigma_sq": sigma_sq, "lambda_sq": lambda_sq, "pi0": pi0},
-        latents=latents,
-    )
-
-
-def draw_state_from_prior(model: GaussianModel, rng: RngHandle) -> GaussianSamplerState:
-    pr = model.prior
-    sigma_sq = float(sample_inverse_gamma(rng, pr.s, pr.h))
-    lambda_sq = float(sample_gamma(rng, pr.t, pr.psi))
-    pi0 = float(sample_beta(rng, pr.a, pr.b)) if model.spike else 0.0
-    zeta_sq = np.atleast_1d(
-        sample_gamma(rng, 0.5 * (model.d + 1), 0.5 * lambda_sq, size=model.p)
-    )
-    alpha = np.zeros((model.p + 1, model.d))
-    alpha[0] = sample_mvn(rng, np.zeros(model.d), model.sigma_alpha0)
-    inclusion = np.zeros(model.p, dtype=bool)
-    for j in range(1, model.p + 1):
-        spike_hit = model.spike and sample_bernoulli(rng, pi0)
-        if not spike_hit:
-            alpha[j] = math.sqrt(sigma_sq * zeta_sq[j - 1]) * rng.gen.standard_normal(model.d)
-            inclusion[j - 1] = True
-    beta = (
-        sample_mvn(rng, np.zeros(model.q), model.sigma_beta)
-        if model.q > 0
-        else np.zeros(0)
-    )
-    state = GaussianSamplerState(
-        alpha=alpha, beta=beta, sigma_sq=sigma_sq, zeta_sq=zeta_sq,
-        lambda_sq=lambda_sq, pi0=pi0, inclusion=inclusion,
-    )
-    refresh_residual(state, model)
-    return state
-
-
-def draw_response(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> np.ndarray:
-    mean = np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
-    if model.q > 0:
-        mean = mean + model.e @ state.beta
-    return mean + math.sqrt(state.sigma_sq) * rng.gen.standard_normal(model.n)

@@ -1,9 +1,20 @@
-"""Gibbs samplers for the quantile varying-coefficient models.
+"""Quantile (asymmetric-Laplace) likelihood for the shared Gibbs engine.
 
-The spike-and-slab variant draws each spline block from a two-component
-mixture (point mass at zero vs multivariate normal); the plain variant is
-the same sweep with the spike machinery disabled, so a sweep with the spike
-weight pinned at zero reproduces it draw for draw.
+Given the exponential-mixture latents u, the ALD likelihood is Gaussian in
+the coefficients with per-observation weights w_i = theta / (kappa2^2 u_i)
+and working response r - kappa1 u.  What that changes in the sweep lives
+here; everything else is in :mod:`.engine`:
+
+* the block grams are weighted by w and recomputed every sweep, and the
+  right-hand side of block j is Z_j'(w * r_j - w * kappa1 u);
+* the latent-u update;
+* the theta update.
+
+The slab is not scaled by a noise variance: the state's noise scale is an
+exact 1.0.  The spike-and-slab variant draws each spline block from a
+two-component mixture (point mass at zero vs multivariate normal); the
+plain variant is the same sweep with the spike machinery disabled, so a
+sweep with the spike weight pinned at zero reproduces it draw for draw.
 
 Sweep order is fixed for reproducibility: latent u, alpha blocks 1..p,
 alpha_0, beta, theta, eta_sq, g, pi0.
@@ -12,30 +23,29 @@ alpha_0, beta, theta, eta_sq, g, pi0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..ald import AldConstants, ald_constants
-from ..basis import SplineConfig, expand_design, ExpandedDesign
+from ..basis import SplineConfig, expand_design
 from ..data import Dataset
-from ..rng import (
-    RngHandle,
-    sample_beta,
-    sample_bernoulli,
-    sample_exponential,
-    sample_gamma,
-    sample_inverse_gaussian,
-    sample_mvn,
-)
-from .common import (
-    covariance_factors,
-    log_mixture_probability,
+from ..rng import RngHandle, sample_exponential, sample_gamma, sample_inverse_gaussian
+from .config import PriorConfig
+from .engine import (
+    GibbsModel,
+    covariance_factors,  # noqa: F401  (not called here; the traced benchmark wraps this name)
+    refresh_residual,
     spd_solve_moments,
+    update_alpha0,
+    update_alpha_blocks,
+    update_beta,
+    update_pi0,
     weighted_block_grams,
 )
-from .config import McmcOptions, PriorConfig
-from .state import ChainSamples, SamplerState
+from .engine import update_shrinkage as update_eta_sq
+from .engine import update_slab_scales as update_g
+from .state import SamplerState
 
 # Floor on |residual| in the latent-u update; keeps the inverse-Gaussian
 # mean finite when a residual is numerically zero.
@@ -43,35 +53,42 @@ RESIDUAL_FLOOR = 1e-10
 
 
 @dataclass
-class QuantileModel:
-    """Immutable-except-y bundle of data, design, priors, and constants."""
+class QuantileModel(GibbsModel):
+    consts: AldConstants = None
 
-    y: np.ndarray
-    e: np.ndarray | None
-    design: ExpandedDesign
-    consts: AldConstants
-    prior: PriorConfig
-    spike: bool
-    sigma_beta: np.ndarray = field(repr=False, default=None)
-    sigma_beta_inv: np.ndarray = field(repr=False, default=None)
-    sigma_alpha0: np.ndarray = field(repr=False, default=None)
-    sigma_alpha0_inv: np.ndarray = field(repr=False, default=None)
+    state_class = SamplerState
+    scalar_names = ("theta", "eta_sq", "pi0")
+    latent_names = ("u_tilde", "g")
 
-    @property
-    def n(self) -> int:
-        return self.y.size
+    def unit_scales(self) -> dict:
+        return {"u_tilde": np.ones(self.n), "g": np.ones(self.p), "theta": 1.0, "eta_sq": 1.0}
 
-    @property
-    def p(self) -> int:
-        return self.design.p
+    def block_system(self, state: SamplerState, blocks: slice):
+        """Grams weighted by w, recomputed every call; b_j = Z_j'(w * r_j - w * kappa1 u)."""
+        w = _weights(state, self)
+        offset_w = w * (self.consts.kappa1 * state.u_tilde)
+        grams = weighted_block_grams(self.design.blocks[blocks], w)
+        return grams, lambda zj, partial: zj.T @ (w * partial - offset_w)
 
-    @property
-    def q(self) -> int:
-        return 0 if self.e is None else self.e.shape[1]
+    def linear_moments(self, state: SamplerState, x, partial, prior_precision, block):
+        """Weighted ridge moments; the gram (x * w)'x is recomputed every call."""
+        w = _weights(state, self)
+        target = partial - self.consts.kappa1 * state.u_tilde
+        gram = (x * w[:, None]).T @ x
+        return spd_solve_moments(gram, x.T @ (w * target), prior_precision)
 
-    @property
-    def d(self) -> int:
-        return self.design.d
+    def sweep(self, state: SamplerState, rng: RngHandle) -> None:
+        gibbs_sweep(state, self, rng)
+
+    def draw_noise_from_prior(self, state: SamplerState, rng: RngHandle) -> None:
+        state.theta = float(sample_gamma(rng, self.prior.a, self.prior.b))
+
+    def draw_latents_from_prior(self, state: SamplerState, rng: RngHandle) -> None:
+        state.u_tilde = sample_exponential(rng, state.theta, size=self.n)
+
+    def response_noise(self, state: SamplerState):
+        c = self.consts
+        return c.kappa1 * state.u_tilde, np.sqrt(c.kappa2_sq * state.u_tilde / state.theta)
 
 
 def build_quantile_model(
@@ -83,71 +100,10 @@ def build_quantile_model(
     grid: np.ndarray | None = None,
 ) -> QuantileModel:
     design = expand_design(dataset, spline_config, grid=grid)
-    model = QuantileModel(
-        y=dataset.y.copy(),
-        e=None if dataset.e is None else dataset.e.copy(),
-        design=design,
-        consts=ald_constants(tau),
-        prior=prior,
-        spike=spike,
+    return QuantileModel.build(
+        dataset, design, prior, spike, consts=ald_constants(tau),
+        shrink_prior=(prior.c, prior.m), pi0_prior=(prior.e, prior.f),
     )
-    if model.q > 0:
-        model.sigma_beta = prior.resolved_sigma_beta(model.q)
-        model.sigma_beta_inv = np.linalg.inv(model.sigma_beta)
-    model.sigma_alpha0 = prior.resolved_sigma_alpha0(model.d)
-    model.sigma_alpha0_inv = np.linalg.inv(model.sigma_alpha0)
-    return model
-
-
-def initial_state(model: QuantileModel) -> SamplerState:
-    """Deterministic all-null start: every block at zero, unit scales."""
-    state = SamplerState(
-        alpha=np.zeros((model.p + 1, model.d)),
-        beta=np.zeros(model.q),
-        u_tilde=np.ones(model.n),
-        g=np.ones(model.p),
-        theta=1.0,
-        eta_sq=1.0,
-        pi0=0.5 if model.spike else 0.0,
-        inclusion=np.zeros(model.p, dtype=bool),
-    )
-    refresh_residual(state, model)
-    return state
-
-
-def full_residual(state: SamplerState, model: QuantileModel) -> np.ndarray:
-    """y - E beta - sum_j Z_j alpha_j, computed from scratch."""
-    resid = model.y - np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
-    if model.q > 0:
-        resid = resid - model.e @ state.beta
-    return resid
-
-
-def refresh_residual(state: SamplerState, model: QuantileModel) -> None:
-    state.resid = full_residual(state, model)
-
-
-def residual_without_block(
-    state: SamplerState,
-    model: QuantileModel,
-    i: int,
-    j,
-    subtract_mixture_offset: bool = False,
-) -> float:
-    """Residual of case i with block j (or the beta term, j="beta") excluded.
-
-    Shared kernel behind every conditional; computed from scratch rather
-    than from the sweep cache so it is safe to call in any state.
-    """
-    resid = full_residual(state, model)[i]
-    if j == "beta":
-        if model.q > 0:
-            resid += float(model.e[i] @ state.beta)
-    elif j is not None:
-        resid += float(model.design.blocks[j, i] @ state.alpha[j])
-    if subtract_mixture_offset:
-        resid -= model.consts.kappa1 * state.u_tilde[i]
-    return float(resid)
 
 
 def _weights(state: SamplerState, model: QuantileModel) -> np.ndarray:
@@ -163,155 +119,6 @@ def update_latent_u(state: SamplerState, model: QuantileModel, rng: RngHandle) -
     shape = state.theta * c.kappa1**2 / c.kappa2_sq + 2.0 * state.theta
     state.u_tilde = 1.0 / sample_inverse_gaussian(rng, mean, shape)
     return state.u_tilde
-
-
-def spike_probability(mu: np.ndarray, sigma: np.ndarray, g: float, pi0: float) -> float:
-    """Posterior point-mass probability for one spline block.
-
-    Log-space evaluation of
-    pi0 / (pi0 + (1-pi0) * g^(-d/2) |Sigma|^(1/2) exp(mu' Sigma^-1 mu / 2)).
-    """
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    d = mu.size
-    chol = np.linalg.cholesky(sigma)
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    half = np.linalg.solve(chol, mu)
-    quad = float(half @ half)
-    log_bf = -0.5 * d * math.log(g) + 0.5 * logdet + 0.5 * quad
-    return log_mixture_probability(log_bf, pi0)
-
-
-def _draw_block(
-    state: SamplerState,
-    model: QuantileModel,
-    j: int,
-    w: np.ndarray,
-    offset_w: np.ndarray,
-    cov: np.ndarray,
-    chol_cov: np.ndarray,
-    logdet_cov: float,
-    rng: RngHandle,
-) -> None:
-    """Mixture draw for block j given precomputed covariance factors.
-
-    ``offset_w`` is w * kappa1 * u, the weighted mixture offset.  Maintains
-    the residual cache.
-    """
-    zj = model.design.blocks[j]
-    if state.inclusion[j - 1]:
-        partial = state.resid + zj @ state.alpha[j]
-    else:
-        partial = state.resid
-    b = zj.T @ (w * partial - offset_w)
-    mu = cov @ b
-    if model.spike:
-        log_bf = (
-            -0.5 * model.d * math.log(state.g[j - 1]) + 0.5 * logdet_cov + 0.5 * float(b @ mu)
-        )
-        prob_zero = log_mixture_probability(log_bf, state.pi0)
-    else:
-        prob_zero = 0.0
-    if prob_zero >= 1.0:
-        take_spike = True
-    elif prob_zero <= 0.0:
-        take_spike = False
-    else:
-        take_spike = rng.gen.random() < prob_zero
-    if take_spike:
-        state.alpha[j] = 0.0
-        state.inclusion[j - 1] = False
-        state.resid = partial
-    else:
-        draw = mu + chol_cov @ rng.gen.standard_normal(model.d)
-        if not np.any(draw):
-            raise RuntimeError("slab draw produced an exactly-zero block")
-        state.alpha[j] = draw
-        state.inclusion[j - 1] = True
-        state.resid = partial - zj @ draw
-
-
-def alpha_block_moments(state: SamplerState, model: QuantileModel, j: int):
-    """Slab mean and covariance of block j given the current rest."""
-    if not 1 <= j <= model.p:
-        raise IndexError("block index must lie in 1..p")
-    w = _weights(state, model)
-    zj = model.design.blocks[j]
-    partial = state.resid + zj @ state.alpha[j] if state.inclusion[j - 1] else state.resid
-    target = partial - model.consts.kappa1 * state.u_tilde
-    gram = (zj * w[:, None]).T @ zj
-    rhs = zj.T @ (w * target)
-    return spd_solve_moments(gram, rhs, np.eye(model.d) / state.g[j - 1])
-
-
-def update_alpha_block(state: SamplerState, model: QuantileModel, j: int, rng: RngHandle) -> None:
-    """Spike-and-slab (or plain normal) refresh of a single block."""
-    if not 1 <= j <= model.p:
-        raise IndexError("block index must lie in 1..p")
-    w = _weights(state, model)
-    offset_w = w * (model.consts.kappa1 * state.u_tilde)
-    zj = model.design.blocks[j]
-    gram = (zj * w[:, None]).T @ zj
-    precision = gram + np.eye(model.d) / state.g[j - 1]
-    cov, chol, logdet = covariance_factors(precision[None, :, :])
-    _draw_block(state, model, j, w, offset_w, cov[0], chol[0], float(logdet[0]), rng)
-
-
-def update_alpha_blocks(state: SamplerState, model: QuantileModel, rng: RngHandle) -> None:
-    """Sequential refresh of blocks 1..p with batched covariance factors."""
-    if model.p == 0:
-        return
-    w = _weights(state, model)
-    offset_w = w * (model.consts.kappa1 * state.u_tilde)
-    grams = weighted_block_grams(model.design.blocks[1:], w)
-    precisions = grams + np.eye(model.d)[None, :, :] / state.g[:, None, None]
-    covs, chols, logdets = covariance_factors(precisions)
-    for j in range(1, model.p + 1):
-        _draw_block(
-            state, model, j, w, offset_w, covs[j - 1], chols[j - 1], float(logdets[j - 1]), rng
-        )
-
-
-def alpha0_conditional_moments(state: SamplerState, model: QuantileModel):
-    w = _weights(state, model)
-    z0 = model.design.blocks[0]
-    partial = state.resid + z0 @ state.alpha[0]
-    target = partial - model.consts.kappa1 * state.u_tilde
-    gram = (z0 * w[:, None]).T @ z0
-    rhs = z0.T @ (w * target)
-    return spd_solve_moments(gram, rhs, model.sigma_alpha0_inv)
-
-
-def update_alpha0(state: SamplerState, model: QuantileModel, rng: RngHandle) -> np.ndarray:
-    """Gaussian refresh of the varying-intercept block."""
-    z0 = model.design.blocks[0]
-    partial = state.resid + z0 @ state.alpha[0]
-    mu, cov = alpha0_conditional_moments(state, model)
-    draw = sample_mvn(rng, mu, cov)
-    state.alpha[0] = draw
-    state.resid = partial - z0 @ draw
-    return draw
-
-
-def beta_conditional_moments(state: SamplerState, model: QuantileModel):
-    w = _weights(state, model)
-    partial = state.resid + model.e @ state.beta
-    target = partial - model.consts.kappa1 * state.u_tilde
-    gram = (model.e * w[:, None]).T @ model.e
-    rhs = model.e.T @ (w * target)
-    return spd_solve_moments(gram, rhs, model.sigma_beta_inv)
-
-
-def update_beta(state: SamplerState, model: QuantileModel, rng: RngHandle) -> np.ndarray:
-    """Gaussian refresh of the clinical coefficients; no-op when q = 0."""
-    if model.q == 0:
-        return state.beta
-    partial = state.resid + model.e @ state.beta
-    mu, cov = beta_conditional_moments(state, model)
-    draw = sample_mvn(rng, mu, cov)
-    state.beta = draw
-    state.resid = partial - model.e @ draw
-    return draw
 
 
 def theta_conditional_params(state: SamplerState, model: QuantileModel):
@@ -332,50 +139,6 @@ def update_theta(state: SamplerState, model: QuantileModel, rng: RngHandle) -> f
     return state.theta
 
 
-def eta_sq_conditional_params(state: SamplerState, model: QuantileModel):
-    shape = 0.5 * (model.d + 1) * model.p + model.prior.c
-    rate = 0.5 * float(np.sum(state.g)) + model.prior.m
-    return shape, rate
-
-
-def update_eta_sq(state: SamplerState, model: QuantileModel, rng: RngHandle) -> float:
-    shape, rate = eta_sq_conditional_params(state, model)
-    state.eta_sq = float(sample_gamma(rng, shape, rate))
-    return state.eta_sq
-
-
-def update_g(state: SamplerState, model: QuantileModel, rng: RngHandle) -> np.ndarray:
-    """Two-branch slab-scale refresh: Gamma for zero blocks, reciprocal IG otherwise."""
-    if model.p == 0:
-        return state.g
-    norms = np.sum(state.alpha[1:] ** 2, axis=1)
-    if np.any(state.inclusion & (norms == 0.0)):
-        raise RuntimeError("inclusion flag set on an exactly-zero block")
-    new_g = np.empty(model.p)
-    zero = norms == 0.0
-    if zero.any():
-        new_g[zero] = sample_gamma(
-            rng, 0.5 * (model.d + 1), 0.5 * state.eta_sq, size=int(zero.sum())
-        )
-    nonzero = ~zero
-    if nonzero.any():
-        mean = np.sqrt(state.eta_sq / norms[nonzero])
-        new_g[nonzero] = 1.0 / sample_inverse_gaussian(rng, mean, state.eta_sq)
-    state.g = new_g
-    return state.g
-
-
-def pi0_conditional_params(state: SamplerState, model: QuantileModel):
-    n_active = int(np.sum(state.inclusion))
-    return model.prior.e + model.p - n_active, model.prior.f + n_active
-
-
-def update_pi0(state: SamplerState, model: QuantileModel, rng: RngHandle) -> float:
-    a_post, b_post = pi0_conditional_params(state, model)
-    state.pi0 = float(sample_beta(rng, a_post, b_post))
-    return state.pi0
-
-
 def gibbs_sweep(state: SamplerState, model: QuantileModel, rng: RngHandle) -> None:
     """One full sweep in the fixed update order."""
     refresh_residual(state, model)
@@ -388,103 +151,3 @@ def gibbs_sweep(state: SamplerState, model: QuantileModel, rng: RngHandle) -> No
     update_g(state, model, rng)
     if model.spike:
         update_pi0(state, model, rng)
-
-
-def run_chain(
-    dataset: Dataset,
-    spline_config: SplineConfig,
-    prior_config: PriorConfig,
-    tau: float,
-    iterations: int,
-    burn_in: int,
-    thin: int,
-    rng: RngHandle,
-    spike: bool = True,
-    store_latents: bool = False,
-) -> ChainSamples:
-    """Run one quantile-model chain and return its stored draws."""
-    opts = McmcOptions(
-        iterations=iterations, burn_in=burn_in, thin=thin, seed=rng.seed,
-        store_latents=store_latents,
-    )
-    model = build_quantile_model(dataset, spline_config, prior_config, tau, spike=spike)
-    state = initial_state(model)
-    m_stored = opts.stored
-    alpha = np.empty((m_stored, model.p + 1, model.d))
-    beta = np.empty((m_stored, model.q))
-    inclusion = np.empty((m_stored, model.p), dtype=np.uint8)
-    theta = np.empty(m_stored)
-    eta_sq = np.empty(m_stored)
-    pi0 = np.empty(m_stored)
-    latents = {}
-    if store_latents:
-        latents = {"u_tilde": np.empty((m_stored, model.n)), "g": np.empty((m_stored, model.p))}
-
-    kept = 0
-    for it in range(1, iterations + 1):
-        gibbs_sweep(state, model, rng)
-        if it > burn_in and (it - burn_in) % thin == 0:
-            alpha[kept] = state.alpha
-            beta[kept] = state.beta
-            inclusion[kept] = state.inclusion
-            theta[kept] = state.theta
-            eta_sq[kept] = state.eta_sq
-            pi0[kept] = state.pi0
-            if store_latents:
-                latents["u_tilde"][kept] = state.u_tilde
-                latents["g"][kept] = state.g
-            kept += 1
-    return ChainSamples(
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        iterations=iterations,
-        burn_in=burn_in,
-        thin=thin,
-        alpha=alpha,
-        beta=beta,
-        inclusion=inclusion,
-        scalars={"theta": theta, "eta_sq": eta_sq, "pi0": pi0},
-        latents=latents,
-    )
-
-
-def draw_state_from_prior(model: QuantileModel, rng: RngHandle) -> SamplerState:
-    """Forward draw of every latent from the hierarchical prior."""
-    pr = model.prior
-    theta = float(sample_gamma(rng, pr.a, pr.b))
-    eta_sq = float(sample_gamma(rng, pr.c, pr.m))
-    pi0 = float(sample_beta(rng, pr.e, pr.f)) if model.spike else 0.0
-    g = np.atleast_1d(
-        sample_gamma(rng, 0.5 * (model.d + 1), 0.5 * eta_sq, size=model.p)
-    )
-    alpha = np.zeros((model.p + 1, model.d))
-    alpha[0] = sample_mvn(rng, np.zeros(model.d), model.sigma_alpha0)
-    inclusion = np.zeros(model.p, dtype=bool)
-    for j in range(1, model.p + 1):
-        spike_hit = model.spike and sample_bernoulli(rng, pi0)
-        if not spike_hit:
-            alpha[j] = math.sqrt(g[j - 1]) * rng.gen.standard_normal(model.d)
-            inclusion[j - 1] = True
-    beta = (
-        sample_mvn(rng, np.zeros(model.q), model.sigma_beta)
-        if model.q > 0
-        else np.zeros(0)
-    )
-    u_tilde = sample_exponential(rng, theta, size=model.n)
-    state = SamplerState(
-        alpha=alpha, beta=beta, u_tilde=u_tilde, g=g, theta=theta,
-        eta_sq=eta_sq, pi0=pi0, inclusion=inclusion,
-    )
-    refresh_residual(state, model)
-    return state
-
-
-def draw_response(state: SamplerState, model: QuantileModel, rng: RngHandle) -> np.ndarray:
-    """Simulate y from the working likelihood given the current latents."""
-    c = model.consts
-    mean = np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
-    if model.q > 0:
-        mean = mean + model.e @ state.beta
-    mean = mean + c.kappa1 * state.u_tilde
-    sd = np.sqrt(c.kappa2_sq * state.u_tilde / state.theta)
-    return mean + sd * rng.gen.standard_normal(model.n)

@@ -6,10 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-SPIKE_METHODS = ("bqrvcss", "bvcss")
-QUANTILE_METHODS = ("bqrvcss", "bqrvc")
-ALL_METHODS = ("bqrvcss", "bqrvc", "bvcss", "bvc")
-
 
 @dataclass
 class SamplerState:
@@ -28,6 +24,12 @@ class SamplerState:
     pi0: float
     inclusion: np.ndarray    # (p,) bool, True iff alpha block j != 0
     resid: np.ndarray = field(default=None, repr=False)
+
+    # Names the shared engine reads and writes.  The quantile slab is not
+    # scaled by a noise variance, so its noise scale is an exact 1.0.
+    noise_scale = 1.0
+    slab = property(lambda self: self.g, lambda self, value: setattr(self, "g", value))
+    shrink = property(lambda self: self.eta_sq, lambda self, value: setattr(self, "eta_sq", value))
 
     def validate(self) -> None:
         if np.any(self.u_tilde <= 0) or np.any(self.g <= 0):
@@ -53,6 +55,13 @@ class GaussianSamplerState:
     pi0: float
     inclusion: np.ndarray    # (p,) bool
     resid: np.ndarray = field(default=None, repr=False)
+
+    # Names the shared engine reads and writes.
+    noise_scale = property(lambda self: self.sigma_sq)
+    slab = property(lambda self: self.zeta_sq, lambda self, value: setattr(self, "zeta_sq", value))
+    shrink = property(
+        lambda self: self.lambda_sq, lambda self, value: setattr(self, "lambda_sq", value)
+    )
 
     def validate(self) -> None:
         if self.sigma_sq <= 0 or self.lambda_sq <= 0 or np.any(self.zeta_sq <= 0):
@@ -95,14 +104,20 @@ class PosteriorSamples:
     chains: list[ChainSamples]
 
     def __post_init__(self) -> None:
-        if self.method not in ALL_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        self.spec  # rejects an unknown method name
         if not self.chains:
             raise ValueError("at least one chain required")
 
     @property
+    def spec(self):
+        """This method's row of the method table."""
+        from .variants import method_spec  # variants imports the engines, which import this module
+
+        return method_spec(self.method)
+
+    @property
     def is_spike(self) -> bool:
-        return self.method in SPIKE_METHODS
+        return self.spec.spike
 
     @property
     def p(self) -> int:

@@ -1,4 +1,4 @@
-"""Entry points for the four samplers and the multi-chain driver.
+"""The method table of the four samplers and the multi-chain driver.
 
 Chains are independent tasks: chain k draws from the stream
 (seed, stream_id=k), so results do not depend on scheduling and can be
@@ -8,89 +8,57 @@ reproduced chain by chain.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 from ..basis import SplineConfig
 from ..data import Dataset
 from ..rng import RngHandle
 from . import gaussian, quantile
 from .config import GaussianPriorConfig, McmcOptions, PriorConfig
+from .engine import run_chain
 from .state import ChainSamples, PosteriorSamples
 
 
-def run_bqrvcss(
-    dataset: Dataset,
-    spline_config: SplineConfig,
-    prior: PriorConfig,
-    tau: float,
-    opts: McmcOptions,
-    rng: RngHandle,
-) -> ChainSamples:
-    """Quantile model with spike-and-slab group selection (the proposed sampler)."""
-    return quantile.run_chain(
-        dataset, spline_config, prior, tau,
-        opts.iterations, opts.burn_in, opts.thin, rng,
-        spike=True, store_latents=opts.store_latents,
-    )
+@dataclass(frozen=True)
+class Method:
+    """One sampler: a likelihood, with or without the point mass at zero."""
+
+    likelihood: str  # "quantile" or "gaussian"
+    spike: bool
+    prior: type  # hyperparameter class of the likelihood
+    scale: str  # stored name of the likelihood's scale parameter
+
+    @property
+    def needs_tau(self) -> bool:
+        return self.likelihood == "quantile"
 
 
-def run_bqrvc(
-    dataset: Dataset,
-    spline_config: SplineConfig,
-    prior: PriorConfig,
-    tau: float,
-    opts: McmcOptions,
-    rng: RngHandle,
-) -> ChainSamples:
-    """Quantile model with pure multivariate-Laplace shrinkage (no point mass)."""
-    return quantile.run_chain(
-        dataset, spline_config, prior, tau,
-        opts.iterations, opts.burn_in, opts.thin, rng,
-        spike=False, store_latents=opts.store_latents,
-    )
+METHODS = {
+    "bqrvcss": Method("quantile", True, PriorConfig, "theta"),  # the proposed sampler
+    "bqrvc": Method("quantile", False, PriorConfig, "theta"),
+    "bvcss": Method("gaussian", True, GaussianPriorConfig, "sigma_sq"),
+    "bvc": Method("gaussian", False, GaussianPriorConfig, "sigma_sq"),
+}
 
 
-def run_bvcss(
-    dataset: Dataset,
-    spline_config: SplineConfig,
-    prior: GaussianPriorConfig,
-    opts: McmcOptions,
-    rng: RngHandle,
-) -> ChainSamples:
-    """Gaussian-likelihood counterpart with spike-and-slab selection."""
-    return gaussian.run_chain(
-        dataset, spline_config, prior,
-        opts.iterations, opts.burn_in, opts.thin, rng,
-        spike=True, store_latents=opts.store_latents,
-    )
-
-
-def run_bvc(
-    dataset: Dataset,
-    spline_config: SplineConfig,
-    prior: GaussianPriorConfig,
-    opts: McmcOptions,
-    rng: RngHandle,
-) -> ChainSamples:
-    """Gaussian-likelihood counterpart with pure shrinkage."""
-    return gaussian.run_chain(
-        dataset, spline_config, prior,
-        opts.iterations, opts.burn_in, opts.thin, rng,
-        spike=False, store_latents=opts.store_latents,
-    )
+def method_spec(method: str) -> Method:
+    """The table row of ``method``; ValueError for an unknown name."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method]
 
 
 def _run_one_chain(args) -> ChainSamples:
     method, dataset, spline_config, prior, tau, opts, seed, stream_id = args
-    rng = RngHandle(seed, stream_id)
-    if method == "bqrvcss":
-        return run_bqrvcss(dataset, spline_config, prior, tau, opts, rng)
-    if method == "bqrvc":
-        return run_bqrvc(dataset, spline_config, prior, tau, opts, rng)
-    if method == "bvcss":
-        return run_bvcss(dataset, spline_config, prior, opts, rng)
-    if method == "bvc":
-        return run_bvc(dataset, spline_config, prior, opts, rng)
-    raise ValueError(f"unknown method {method!r}")
+    spec = METHODS[method]
+    if spec.needs_tau:
+        model = quantile.build_quantile_model(dataset, spline_config, prior, tau, spike=spec.spike)
+    else:
+        model = gaussian.build_gaussian_model(dataset, spline_config, prior, spike=spec.spike)
+    return run_chain(
+        model, opts.iterations, opts.burn_in, opts.thin, RngHandle(seed, stream_id),
+        store_latents=opts.store_latents,
+    )
 
 
 def fit(
@@ -108,17 +76,14 @@ def fit(
     chains run sequentially in-process.  Either way chain k consumes the
     stream (seed, k), so the merged samples are identical.
     """
-    if method not in ("bqrvcss", "bqrvc", "bvcss", "bvc"):
-        raise ValueError(f"unknown method {method!r}")
+    spec = method_spec(method)
     spline_config = spline_config or SplineConfig()
     opts = opts or McmcOptions()
-    if method in ("bqrvcss", "bqrvc"):
-        prior = prior or PriorConfig()
-        if tau is None:
-            raise ValueError("quantile methods require a quantile level tau")
-    else:
-        prior = prior or GaussianPriorConfig()
+    prior = prior or spec.prior()
+    if not spec.needs_tau:
         tau = None
+    elif tau is None:
+        raise ValueError("quantile methods require a quantile level tau")
     jobs = [
         (method, dataset, spline_config, prior, tau, opts, opts.seed, k)
         for k in range(opts.chains)

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from bayesqvc import Dataset, PriorConfig, RngHandle, SplineConfig
 from bayesqvc.samplers import quantile
+from bayesqvc.samplers.engine import draw_state_from_prior
 
 
 @pytest.fixture
@@ -31,5 +32,5 @@ def tiny_model(tiny_dataset):
 @pytest.fixture
 def tiny_state(tiny_model):
     rng = RngHandle(77, 5)
-    state = quantile.draw_state_from_prior(tiny_model, rng)
+    state = draw_state_from_prior(tiny_model, rng)
     return state

@@ -14,7 +14,8 @@ from bayesqvc.diagnostics import (
     split_chains,
     tracked_parameters,
 )
-from bayesqvc.samplers import McmcOptions, fit
+from bayesqvc.inference import ci_selection
+from bayesqvc.samplers import GaussianPriorConfig, McmcOptions, fit
 
 
 def test_psrf_identical_chains():
@@ -127,3 +128,23 @@ def test_tracked_parameters_shapes(two_chain_fit):
     tracked = tracked_parameters(two_chain_fit)
     for arr in tracked.values():
         assert arr.shape == (2, two_chain_fit.chains[0].stored)
+
+
+@pytest.mark.parametrize("method", ["bqrvc", "bvc"])
+def test_tracked_blocks_of_non_spike_fits_follow_ci_selection(method):
+    # one true block among six: every block is nonzero in every draw, so
+    # the tracked set must come from the credible-interval rule
+    rng = np.random.default_rng(21)
+    n = 80
+    v = rng.random(n)
+    x = rng.normal(size=(n, 6))
+    y = 1.0 + 2.0 * x[:, 0] + 0.4 * rng.standard_normal(n)
+    prior = PriorConfig() if method == "bqrvc" else GaussianPriorConfig()
+    samples = fit(
+        Dataset(y=y, x=x, v=v), method, spline_config=SplineConfig(1, 1), prior=prior,
+        tau=0.5, opts=McmcOptions(iterations=400, burn_in=200, chains=2, seed=4),
+    )
+    tracked = {int(name[6:name.index(",")]) for name in tracked_parameters(samples)
+               if name.startswith("alpha[")}
+    assert tracked == {0} | set(ci_selection(samples))
+    assert len(tracked) < samples.p + 1

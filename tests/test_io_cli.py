@@ -39,6 +39,26 @@ def test_dataset_csv_roundtrip_bit_exact(tmp_path):
     assert header == "V,E_1,E_2,X_1,X_2,X_3,Y"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["y", "x", "v", "e"])
+def test_dataset_rejects_non_finite(name, bad):
+    rng = np.random.default_rng(4)
+    fields = {"y": rng.normal(size=5), "x": rng.normal(size=(5, 2)),
+              "v": rng.random(5), "e": rng.normal(size=(5, 1))}
+    fields[name].flat[2] = bad
+    with pytest.raises(ValueError, match=f"^{name} contains"):
+        Dataset(**fields)
+
+
+def test_cli_fit_rejects_nan_in_csv(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("V,X_1,Y\n0.1,1.0,2.0\n0.5,nan,1.0\n0.9,0.3,0.5\n")
+    code = main(["fit", "--data", str(path), "--method", "bqrvcss", "--iterations", "20",
+                 "--burn-in", "10", "--out", str(tmp_path / "fit")])
+    assert code != 0
+    assert "x contains NaN" in capsys.readouterr().err
+
+
 def test_samples_roundtrip(tmp_path):
     ds, _, _ = simulate_dataset(ScenarioSpec(n=40, p=4, seed=2))
     config = RunConfig(method="bqrvcss", iterations=60, burn_in=20, chains=2, seed=5)

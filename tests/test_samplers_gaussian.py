@@ -7,21 +7,23 @@ import numpy as np
 import pytest
 
 from bayesqvc import Dataset, GaussianPriorConfig, RngHandle, SplineConfig
-from bayesqvc.samplers import gaussian
-from bayesqvc.samplers.gaussian import (
+from bayesqvc.samplers.engine import (
     alpha_block_moments,
-    build_gaussian_model,
     draw_state_from_prior,
     full_residual,
-    gibbs_sweep,
-    lambda_sq_conditional_params,
+    initial_state,
     pi0_conditional_params,
     refresh_residual,
     run_chain,
-    sigma_sq_conditional_params,
-    spike_probability_gaussian,
+    spike_probability,
     update_alpha_block,
     update_alpha_blocks,
+)
+from bayesqvc.samplers.engine import shrinkage_conditional_params as lambda_sq_conditional_params
+from bayesqvc.samplers.gaussian import (
+    build_gaussian_model,
+    gibbs_sweep,
+    sigma_sq_conditional_params,
     update_zeta_sq,
 )
 
@@ -71,7 +73,7 @@ def test_spike_probability_gaussian_quadrature_d1():
     oracle = spike_probability_oracle_gaussian(zj, resid, sigma_sq, zeta_sq, pi0)
     factor = np.linalg.inv(zj.T @ zj + np.eye(1) / zeta_sq)
     mu = factor @ (zj.T @ resid)
-    ours = spike_probability_gaussian(mu, factor, zeta_sq, sigma_sq, pi0)
+    ours = spike_probability(mu, factor, zeta_sq, pi0, sigma_sq)
     assert ours == pytest.approx(oracle, rel=1e-6)
 
 
@@ -84,7 +86,7 @@ def test_spike_probability_gaussian_quadrature_d2():
     oracle = spike_probability_oracle_gaussian(zj, resid, sigma_sq, zeta_sq, pi0)
     factor = np.linalg.inv(zj.T @ zj + np.eye(2) / zeta_sq)
     mu = factor @ (zj.T @ resid)
-    ours = spike_probability_gaussian(mu, factor, zeta_sq, sigma_sq, pi0)
+    ours = spike_probability(mu, factor, zeta_sq, pi0, sigma_sq)
     assert ours == pytest.approx(oracle, rel=1e-4)
 
 
@@ -93,7 +95,7 @@ def test_sigma_sq_shape_counting():
     rng = np.random.default_rng(5)
     ds = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, 4)), v=rng.random(20))
     model = build_gaussian_model(ds, SplineConfig(2, 2), GaussianPriorConfig(s=1.0, h=1.0))
-    state = gaussian.initial_state(model)
+    state = initial_state(model)
     state.alpha[1, 0] = 1.0
     state.alpha[2, 1] = -1.0
     state.inclusion[:2] = True
@@ -125,7 +127,7 @@ def test_lambda_sq_shapes():
     # d=5, p=10, t=1 -> 31; matches the quantile analogue's 301 at p=100
     ds = Dataset(y=np.zeros(3), x=np.zeros((3, 10)), v=np.array([0.2, 0.5, 0.8]))
     model = build_gaussian_model(ds, SplineConfig(2, 2), GaussianPriorConfig(t=1.0))
-    state = gaussian.initial_state(model)
+    state = initial_state(model)
     shape, _ = lambda_sq_conditional_params(state, model)
     assert shape == pytest.approx(31.0)
 
@@ -133,7 +135,7 @@ def test_lambda_sq_shapes():
 def test_pi0_counting():
     ds = Dataset(y=np.zeros(3), x=np.zeros((3, 10)), v=np.array([0.2, 0.5, 0.8]))
     model = build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig(a=1.0, b=1.0))
-    state = gaussian.initial_state(model)
+    state = initial_state(model)
     state.alpha[1:4, 0] = 1.0
     state.inclusion[:3] = True
     # p + a - sum(Q), b + sum(Q)
@@ -144,7 +146,7 @@ def test_zeta_sq_branches():
     p = 60_000
     ds = Dataset(y=np.zeros(3), x=np.ones((3, p)), v=np.array([0.2, 0.5, 0.8]))
     model = build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig())
-    state = gaussian.initial_state(model)
+    state = initial_state(model)
     state.lambda_sq = 3.0
     # zero branch: Gamma((d+1)/2, lambda^2/2), mean (d+1)/lambda^2
     z = update_zeta_sq(state, model, RngHandle(71, 0))
@@ -193,10 +195,10 @@ def test_run_chain_reproducible_and_invariant():
         y=rng_data.normal(size=10), x=rng_data.normal(size=(10, 3)), v=rng_data.random(10)
     )
     kwargs = dict(iterations=80, burn_in=30, thin=1)
-    a = run_chain(ds, SplineConfig(1, 0), GaussianPriorConfig(), rng=RngHandle(2, 0),
-                  spike=True, store_latents=True, **kwargs)
-    b = run_chain(ds, SplineConfig(1, 0), GaussianPriorConfig(), rng=RngHandle(2, 0),
-                  spike=True, store_latents=True, **kwargs)
+    a = run_chain(build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig(), spike=True),
+                  rng=RngHandle(2, 0), store_latents=True, **kwargs)
+    b = run_chain(build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig(), spike=True),
+                  rng=RngHandle(2, 0), store_latents=True, **kwargs)
     np.testing.assert_array_equal(a.alpha, b.alpha)
     np.testing.assert_array_equal(a.scalars["sigma_sq"], b.scalars["sigma_sq"])
     assert np.all(a.scalars["sigma_sq"] > 0)
@@ -205,13 +207,13 @@ def test_run_chain_reproducible_and_invariant():
     nonzero = np.any(a.alpha[:, 1:, :] != 0.0, axis=2)
     np.testing.assert_array_equal(nonzero, a.inclusion.astype(bool))
     # pure-shrinkage variant never produces an exactly-zero block
-    c = run_chain(ds, SplineConfig(1, 0), GaussianPriorConfig(), rng=RngHandle(3, 0),
-                  spike=False, **kwargs)
+    c = run_chain(build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig(), spike=False),
+                  rng=RngHandle(3, 0), **kwargs)
     assert np.all(np.any(c.alpha[:, 1:, :] != 0.0, axis=2))
 
 
 def test_sweep_keeps_residual_fresh(small_model):
-    state = gaussian.initial_state(small_model)
+    state = initial_state(small_model)
     rng = RngHandle(33, 0)
     for _ in range(5):
         gibbs_sweep(state, small_model, rng)

@@ -10,24 +10,25 @@ import pytest
 
 from bayesqvc import Dataset, PriorConfig, RngHandle, SplineConfig
 from bayesqvc.ald import ald_constants
-from bayesqvc.samplers import quantile
-from bayesqvc.samplers.quantile import (
+from bayesqvc.samplers.engine import (
     alpha0_conditional_moments,
     alpha_block_moments,
     beta_conditional_moments,
-    build_quantile_model,
     draw_state_from_prior,
-    eta_sq_conditional_params,
     full_residual,
-    gibbs_sweep,
+    initial_state,
     pi0_conditional_params,
     refresh_residual,
-    residual_without_block,
     run_chain,
     spike_probability,
-    theta_conditional_params,
     update_alpha_block,
     update_alpha_blocks,
+)
+from bayesqvc.samplers.engine import shrinkage_conditional_params as eta_sq_conditional_params
+from bayesqvc.samplers.quantile import (
+    build_quantile_model,
+    gibbs_sweep,
+    theta_conditional_params,
     update_g,
     update_latent_u,
 )
@@ -38,37 +39,6 @@ from oracles import (
     quantile_block_fixture,
     spike_probability_oracle_quantile,
 )
-
-
-# ---------------------------------------------------------------------------
-# residual kernel
-
-def test_residual_without_block_dense_oracle(tiny_model, tiny_state):
-    model, state = tiny_model, tiny_state
-    blocks = model.design.blocks
-    for i in range(model.n):
-        full = model.y[i] - model.e[i] @ state.beta - sum(
-            blocks[j, i] @ state.alpha[j] for j in range(model.p + 1)
-        )
-        for j in range(model.p + 1):
-            expected = full + blocks[j, i] @ state.alpha[j]
-            got = residual_without_block(state, model, i, j)
-            assert got == pytest.approx(expected, abs=1e-12)
-            with_offset = residual_without_block(
-                state, model, i, j, subtract_mixture_offset=True
-            )
-            assert with_offset == pytest.approx(
-                expected - model.consts.kappa1 * state.u_tilde[i], abs=1e-12
-            )
-        got_beta = residual_without_block(state, model, i, "beta")
-        assert got_beta == pytest.approx(full + model.e[i] @ state.beta, abs=1e-12)
-
-
-def test_residual_all_zero_coefficients(tiny_model):
-    model = tiny_model
-    state = quantile.initial_state(model)
-    for i in range(model.n):
-        assert residual_without_block(state, model, i, 1) == pytest.approx(model.y[i])
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +56,7 @@ def test_latent_u_reciprocal_mean():
     n = 100_000
     ds = Dataset(y=np.ones(n), x=np.zeros((n, 1)), v=np.full(n, 0.5))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=0.5)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     state.alpha[:] = 0.0
     refresh_residual(state, model)  # residuals all exactly 1
     rng = RngHandle(81, 0)
@@ -102,7 +72,7 @@ def test_latent_u_density_quadrature():
     n = 100_000
     ds = Dataset(y=np.full(n, r), x=np.zeros((n, 1)), v=np.full(n, 0.5))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=tau)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     state.theta = theta
     refresh_residual(state, model)
     draws = update_latent_u(state, model, RngHandle(82, 0))
@@ -167,7 +137,7 @@ def test_alpha_block_no_data_case():
     # one observation with Z = 0 for the block: Sigma = g I, mu = 0, l = pi0
     ds = Dataset(y=np.array([1.0]), x=np.array([[0.0]]), v=np.array([0.5]))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=0.4)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     state.g[:] = 2.7
     state.pi0 = 0.37
     refresh_residual(state, model)
@@ -302,7 +272,7 @@ def test_theta_conditional_params(tiny_model, tiny_state):
     n = 10
     ds = Dataset(y=np.zeros(n), x=np.zeros((n, 1)), v=np.full(n, 0.5))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(a=1.0, b=1.0), tau=0.5)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     state.u_tilde = np.ones(n)
     refresh_residual(state, model)  # y = 0, all coefficients zero -> resid 0
     shape, rate = theta_conditional_params(state, model)
@@ -316,7 +286,7 @@ def test_eta_sq_conditional_params(tiny_model, tiny_state):
         y=np.zeros(3), x=np.zeros((3, 100)), v=np.array([0.1, 0.5, 0.9])
     )
     model = build_quantile_model(ds, SplineConfig(2, 2), PriorConfig(c=1.0, m=2.0), tau=0.5)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     state.g = np.zeros(100)
     shape, rate = eta_sq_conditional_params(state, model)
     assert shape == pytest.approx(301.0)
@@ -331,7 +301,7 @@ def test_g_update_zero_branch_moments():
     p = 100_000
     ds = Dataset(y=np.zeros(3), x=np.zeros((3, p)), v=np.array([0.1, 0.5, 0.9]))
     model = build_quantile_model(ds, SplineConfig(2, 2), PriorConfig(), tau=0.5)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     state.eta_sq = 4.0
     g = update_g(state, model, RngHandle(61, 0))
     assert_moments(g, mean=1.5, var=3.0 / 4.0, nse=4.0, label="g|alpha=0")
@@ -342,7 +312,7 @@ def test_g_update_nonzero_branch():
     p = 50_000
     ds = Dataset(y=np.zeros(3), x=np.ones((3, p)), v=np.array([0.1, 0.5, 0.9]))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=0.5)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     eta_sq = 2.5
     state.eta_sq = eta_sq
     state.alpha[1:, 0] = math.sqrt(eta_sq)  # ||alpha_j||^2 = eta^2
@@ -365,7 +335,7 @@ def test_g_update_inconsistent_state_raises(tiny_model, tiny_state):
 def test_pi0_counting(tiny_model):
     ds = Dataset(y=np.zeros(3), x=np.zeros((3, 10)), v=np.array([0.1, 0.5, 0.9]))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(e=1.0, f=1.0), tau=0.5)
-    state = quantile.initial_state(model)
+    state = initial_state(model)
     state.alpha[1:4, 0] = 1.0
     state.inclusion[:3] = True
     assert pi0_conditional_params(state, model) == (8.0, 4.0)
@@ -383,16 +353,16 @@ def test_pi0_counting(tiny_model):
 def test_run_chain_zero_kept_rejected(tiny_dataset):
     with pytest.raises(ValueError):
         run_chain(
-            tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5,
+            build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5),
             iterations=100, burn_in=100, thin=1, rng=RngHandle(1, 0),
         )
 
 
 def test_run_chain_reproducible(tiny_dataset):
     kwargs = dict(iterations=60, burn_in=20, thin=2)
-    a = run_chain(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5,
+    a = run_chain(build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5),
                   rng=RngHandle(5, 1), store_latents=True, **kwargs)
-    b = run_chain(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5,
+    b = run_chain(build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5),
                   rng=RngHandle(5, 1), store_latents=True, **kwargs)
     assert a.stored == 20
     np.testing.assert_array_equal(a.alpha, b.alpha)
@@ -403,7 +373,7 @@ def test_run_chain_reproducible(tiny_dataset):
 
 def test_stored_states_satisfy_invariants(tiny_dataset):
     chain = run_chain(
-        tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.3,
+        build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.3),
         iterations=80, burn_in=30, thin=1, rng=RngHandle(9, 0), store_latents=True,
     )
     assert np.all(chain.latents["u_tilde"] > 0)
@@ -423,7 +393,7 @@ def test_run_chain_p_zero_recovers_constant_intercept():
     y = 3.0 + 0.3 * rng.gen.standard_normal(n)
     ds = Dataset(y=y, x=np.zeros((n, 0)), v=v)
     chain = run_chain(
-        ds, SplineConfig(2, 2), PriorConfig(), 0.5,
+        build_quantile_model(ds, SplineConfig(2, 2), PriorConfig(), 0.5),
         iterations=1200, burn_in=400, thin=1, rng=RngHandle(7, 0),
     )
     from bayesqvc.basis import basis_values, default_grid
@@ -438,7 +408,7 @@ def test_run_chain_p_zero_recovers_constant_intercept():
 
 
 def test_sweep_keeps_residual_cache_fresh(tiny_model):
-    state = quantile.initial_state(tiny_model)
+    state = initial_state(tiny_model)
     rng = RngHandle(31, 0)
     for _ in range(5):
         gibbs_sweep(state, tiny_model, rng)
