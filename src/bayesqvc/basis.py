@@ -131,23 +131,29 @@ class ExpandedDesign:
     """Per-predictor spline blocks: block j has rows basis(V_i) * X_ij.
 
     Block 0 is the varying intercept (X_i0 = 1), i.e. the basis matrix itself.
-    ``blocks`` has shape (p+1, n, d).
+    Only the n x d basis and the n x p covariates are stored; ``blocks``
+    builds the (p+1, n, d) tensor on demand.
     """
 
     basis: BasisMatrix
-    blocks: np.ndarray
+    x: np.ndarray
+
+    @property
+    def blocks(self) -> np.ndarray:
+        b = self.basis.values
+        return np.concatenate([b[None], b[None] * self.x.T[:, :, None]])
 
     @property
     def p(self) -> int:
-        return self.blocks.shape[0] - 1
+        return self.x.shape[1]
 
     @property
     def n(self) -> int:
-        return self.blocks.shape[1]
+        return self.x.shape[0]
 
     @property
     def d(self) -> int:
-        return self.blocks.shape[2]
+        return self.basis.values.shape[1]
 
 
 def expand_design(
@@ -157,10 +163,4 @@ def expand_design(
     if dataset.x.shape[0] != dataset.v.shape[0]:
         raise ValueError("x and v must have the same number of rows")
     bm = basis_matrix(dataset.v, config, grid=grid)
-    n, d = bm.values.shape
-    p = dataset.p
-    blocks = np.empty((p + 1, n, d))
-    blocks[0] = bm.values
-    for j in range(1, p + 1):
-        blocks[j] = bm.values * dataset.x[:, j - 1][:, None]
-    return ExpandedDesign(basis=bm, blocks=blocks)
+    return ExpandedDesign(basis=bm, x=np.array(dataset.x, dtype=float))

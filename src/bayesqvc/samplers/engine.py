@@ -13,11 +13,26 @@ the quantile one with three changes:
 
 A likelihood module supplies what differs through a :class:`GibbsModel`
 subclass (its hooks are listed there) and through its state class, whose
-``noise_scale`` scales the slab: sigma_sq for the Gaussian state and an
-exact 1.0 for the quantile state, so that multiplying or dividing by it
-leaves the quantile arithmetic bit for bit unchanged.  Each likelihood
-module keeps its own ``gibbs_sweep``, which calls the stages in the
-likelihood's fixed order through that module's globals.
+``noise_scale`` scales the slab: sigma_sq for the Gaussian state and 1.0 for
+the quantile state.  Each likelihood module keeps its own ``gibbs_sweep``,
+which calls the stages in the likelihood's fixed order through that
+module's globals.
+
+Spline block j is Z_j = diag(x_j) B, with B the n x d basis and x_j the j-th
+covariate column; the sampler reads only B and X, never the (p+1, n, d)
+block tensor.  Each block precision is factored once by Cholesky, P = L L'
+(Rue 2001): with half = L^-1 b, the quadratic form b' P^-1 b is |half|^2,
+log|P^-1| = -2 sum log diag L, and L^-T (half + sqrt(noise_scale) z) is a
+slab draw.
+
+RNG contract of the block stage: a call that refreshes blocks first..last
+draws, before anything else, one ``standard_normal((k, d + 1))`` array with
+k = last - first + 1.  Row i belongs to block first + i: its first d entries
+are the slab innovation, and its last entry z decides the block, which goes
+to the spike iff Phi(z) < P(spike).  The plain samplers draw the same array
+and ignore z.  RNG consumption therefore does not depend on the data, a loop
+of single-block calls draws the same rows as one batched call, and a spike
+sampler with pi0 = 0 reproduces its plain sampler draw for draw.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import log_ndtr
 
 from ..basis import ExpandedDesign
 from ..data import Dataset
@@ -40,30 +56,38 @@ from ..rng import (
 from .config import GaussianPriorConfig, McmcOptions, PriorConfig
 from .state import ChainSamples
 
+# Most excluded blocks whose right-hand sides one scan forms at once.  A slab
+# hit inside a run makes the rest of the scan stale, so a cap keeps the work
+# wasted per hit bounded when many blocks leave the spike (early sweeps).
+RUN_CHUNK = 64
+
 
 # ---------------------------------------------------------------------------
 # linear-algebra kernels
 
-def weighted_block_grams(blocks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrices sum_i w_i Z_ij Z_ij' for every block at once; (p+1, d, d)."""
-    if weights is None:
-        return np.einsum("jnd,jne->jde", blocks, blocks, optimize=True)
-    return np.einsum("jnd,n,jne->jde", blocks, weights, blocks, optimize=True)
+def weighted_block_grams(
+    basis_outer: np.ndarray, xt: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Grams sum_i w_i x_ji^2 B_i B_i' of the blocks with covariate rows ``xt``; (k, d, d).
+
+    ``basis_outer`` holds the row outer products B_i B_i', shape (n, d, d), so
+    all k grams come from one (x^2 * w)' (B (x) B) matmul.
+    """
+    n, d, _ = basis_outer.shape
+    sq = xt * xt if weights is None else xt * xt * weights
+    return (sq @ basis_outer.reshape(n, d * d)).reshape(-1, d, d)
 
 
 def covariance_factors(precisions: np.ndarray):
-    """Batched inversion of SPD precisions.
+    """Inverse Cholesky factors and covariance log-dets of a batch of SPD precisions.
 
-    Returns (covariances, cholesky factors of the covariances, log-dets of
-    the covariances).  Raises LinAlgError if any precision fails Cholesky,
-    which cannot happen for positive ridge terms.
+    With P = L L', returns (L^-1, log|P^-1|).  Raises LinAlgError if a
+    precision is not positive definite, which cannot happen for positive
+    ridge terms.
     """
-    np.linalg.cholesky(precisions)  # SPD assertion; cheap at these sizes
-    cov = np.linalg.inv(precisions)
-    cov = 0.5 * (cov + np.transpose(cov, (0, 2, 1)))
-    chol = np.linalg.cholesky(cov)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return cov, chol, logdet
+    chol = np.linalg.cholesky(precisions)
+    logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+    return np.linalg.inv(chol), logdet
 
 
 def spd_solve_moments(gram: np.ndarray, rhs: np.ndarray, prior_precision: np.ndarray):
@@ -86,6 +110,21 @@ def log_mixture_probability(log_bayes_factor: float, pi0: float) -> float:
     log_spike = math.log(pi0)
     log_slab = math.log1p(-pi0) + log_bayes_factor
     return math.exp(log_spike - np.logaddexp(log_spike, log_slab))
+
+
+def log_spike_probability(log_bayes_factor, pi0: float) -> np.ndarray:
+    """Elementwise log P(spike) of blocks with the given log Bayes factors.
+
+    The vectorized, log-domain form of :func:`log_mixture_probability`: no
+    overflow for any finite log Bayes factor; 0 at pi0 = 1, -inf at pi0 = 0.
+    """
+    log_bf = np.asarray(log_bayes_factor, dtype=float)
+    if pi0 >= 1.0:
+        return np.zeros_like(log_bf)
+    if pi0 <= 0.0:
+        return np.full_like(log_bf, -np.inf)
+    log_spike = math.log(pi0)
+    return log_spike - np.logaddexp(log_spike, math.log1p(-pi0) + log_bf)
 
 
 def block_spike_probability(
@@ -127,11 +166,12 @@ class GibbsModel:
     * ``state_class``, ``scalar_names`` and ``latent_names``: its state and
       the state attributes stored per draw, in storage order;
     * ``unit_scales()``: the likelihood's fields of the all-null start;
-    * ``block_system(state, blocks)``: the grams of the spline ``blocks``
-      and a map rhs(Z_j, partial residual) -> right-hand side b_j;
-    * ``linear_moments(state, x, partial, prior_precision, block)``: mean and
-      covariance of a fixed-effect term with design x, where ``block`` is the
-      index of x among the spline blocks, or None for E;
+    * ``block_system(state, first, last)``: for blocks first..last, their
+      grams G_j, their weighted covariate rows w * x_j (k, n), and the
+      offset part c_j of their right-hand sides ((k, d) or 0.0), so that
+      b_j = B'(w * x_j * resid) + G_j alpha_j - c_j;
+    * ``linear_moments(state, x, partial, prior_precision)``: mean and
+      covariance of a fixed-effect term with design x and partial residual;
     * ``sweep(state, rng)``: one sweep in the likelihood's fixed order;
     * ``draw_noise_from_prior(state, rng)`` and
       ``draw_latents_from_prior(state, rng)``: the likelihood's own parts of
@@ -150,6 +190,9 @@ class GibbsModel:
     sigma_beta_inv: np.ndarray = field(repr=False, default=None)
     sigma_alpha0: np.ndarray = field(repr=False, default=None)
     sigma_alpha0_inv: np.ndarray = field(repr=False, default=None)
+    basis: np.ndarray = field(repr=False, default=None)  # (n, d) spline basis B
+    basis_outer: np.ndarray = field(repr=False, default=None)  # (n, d, d) rows B_i B_i'
+    xt: np.ndarray = field(repr=False, default=None)  # (p, n) covariates, row j-1 = x_j
 
     @classmethod
     def build(cls, dataset: Dataset, design: ExpandedDesign, prior, spike: bool, **extra):
@@ -166,6 +209,9 @@ class GibbsModel:
             model.sigma_beta_inv = np.linalg.inv(model.sigma_beta)
         model.sigma_alpha0 = prior.resolved_sigma_alpha0(model.d)
         model.sigma_alpha0_inv = np.linalg.inv(model.sigma_alpha0)
+        model.basis = design.basis.values
+        model.basis_outer = model.basis[:, :, None] * model.basis[:, None, :]
+        model.xt = np.ascontiguousarray(design.x.T)
         return model
 
     @property
@@ -201,9 +247,14 @@ def initial_state(model: GibbsModel):
 # ---------------------------------------------------------------------------
 # residual cache
 
+def _spline_predictor(model: GibbsModel, alpha: np.ndarray) -> np.ndarray:
+    """sum_j Z_j alpha_j = B alpha_0 + rowsum(X * (B A_1:')), without the block tensor."""
+    return model.basis @ alpha[0] + np.einsum("jn,jn->n", model.xt, alpha[1:] @ model.basis.T)
+
+
 def full_residual(state, model: GibbsModel) -> np.ndarray:
     """y - E beta - sum_j Z_j alpha_j, computed from scratch."""
-    resid = model.y - np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
+    resid = model.y - _spline_predictor(model, state.alpha)
     if model.q > 0:
         resid = resid - model.e @ state.beta
     return resid
@@ -221,50 +272,80 @@ def _check_block(model: GibbsModel, j: int) -> None:
         raise IndexError("block index must lie in 1..p")
 
 
-def _partial(state, zj: np.ndarray, j: int) -> np.ndarray:
-    """Residual with block j added back; the cache already excludes a zero block."""
-    return state.resid + zj @ state.alpha[j] if state.inclusion[j - 1] else state.resid
+def _rhs_constants(grams: np.ndarray, alpha: np.ndarray, offset) -> np.ndarray:
+    """G_j alpha_j - c_j: the part of each right-hand side the residual does not carry."""
+    return (grams @ alpha[:, :, None])[:, :, 0] - offset
+
+
+def _stays_at_spike(half, log_bf0, log_u, noise_scale: float, pi0: float):
+    """Spike decisions: Phi(z) < P(spike), compared as log_ndtr(z) < log P(spike).
+
+    ``half`` holds the whitened right-hand sides L^-1 b (last axis d) and
+    ``log_bf0`` the log Bayes factors without their quadratic term.
+    """
+    quad = np.einsum("...d,...d->...", half, half)
+    log_p = log_spike_probability(log_bf0 + 0.5 * quad / noise_scale, pi0)
+    return (log_p >= 0.0) | (log_u < log_p)
 
 
 def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHandle) -> None:
-    """Sequential mixture draws for blocks first..last with batched covariance factors.
+    """Sequential mixture draws for blocks first..last; maintains the residual cache.
 
-    Block j's slab is N(cov_j b_j, noise_scale * cov_j), with cov_j the
-    unscaled factor (gram_j + I/g_j)^-1.  Maintains the residual cache.
+    Block j's slab is N(P_j^-1 b_j, noise_scale * P_j^-1), P_j = G_j + I/g_j.
+    A currently included block always changes the residual, so it is drawn
+    on its own.  A run of excluded blocks is scanned at once: one matmul
+    forms all their right-hand sides, and the first block that leaves the
+    spike is drawn before the scan resumes after it; a run that stays at the
+    spike changes nothing.
     """
-    grams, rhs = model.block_system(state, slice(first, last + 1))
+    k, d = last - first + 1, model.d
+    noise = rng.gen.standard_normal((k, d + 1))
+    grams, wxt, offset = model.block_system(state, first, last)
     slab = state.slab[first - 1 : last]
     scale = state.noise_scale
-    precisions = grams + np.eye(model.d)[None, :, :] / slab[:, None, None]
-    covs, chols, logdets = covariance_factors(precisions)
-    for k, j in enumerate(range(first, last + 1)):
-        zj = model.design.blocks[j]
-        partial = _partial(state, zj, j)
-        b = rhs(zj, partial)
-        mu = covs[k] @ b
-        if model.spike:
-            prob_zero = block_spike_probability(
-                model.d, float(logdets[k]), float(b @ mu), slab[k], scale, state.pi0
+    linv, logdet = covariance_factors(grams + np.eye(d) / slab[:, None, None])
+    alpha = state.alpha[first : last + 1]
+    inclusion = state.inclusion[first - 1 : last]
+    const = _rhs_constants(grams, alpha, offset)
+    shifts = math.sqrt(scale) * noise[:, :d]
+    log_bf0 = 0.5 * (logdet - d * np.log(slab))
+    log_u = log_ndtr(noise[:, d]) if model.spike else None
+    basis, basis_t, xt = model.basis, model.basis.T, model.xt[first - 1 : last]
+    # First included position at or after each position (k if none).
+    next_included = np.minimum.accumulate(np.where(inclusion, np.arange(k), k)[::-1])[::-1]
+    resid = state.resid.copy()
+
+    i = 0
+    while i < k:
+        if next_included[i] == i:
+            half = linv[i] @ (basis_t @ (wxt[i] * resid) + const[i])
+            to_spike = model.spike and _stays_at_spike(
+                half, log_bf0[i], log_u[i], scale, state.pi0
             )
+            new = np.zeros(d) if to_spike else linv[i].T @ (half + shifts[i])
         else:
-            prob_zero = 0.0
-        if prob_zero >= 1.0:
-            take_spike = True
-        elif prob_zero <= 0.0:
-            take_spike = False
-        else:
-            take_spike = rng.gen.random() < prob_zero
-        if take_spike:
-            state.alpha[j] = 0.0
-            state.inclusion[j - 1] = False
-            state.resid = partial
-        else:
-            draw = mu + math.sqrt(scale) * (chols[k] @ rng.gen.standard_normal(model.d))
-            if not np.any(draw):
-                raise RuntimeError("slab draw produced an exactly-zero block")
-            state.alpha[j] = draw
-            state.inclusion[j - 1] = True
-            state.resid = partial - zj @ draw
+            stop = min(int(next_included[i]), i + RUN_CHUNK)
+            rhs = wxt[i:stop] @ (basis * resid[:, None]) + const[i:stop]
+            halves = (linv[i:stop] @ rhs[:, :, None])[:, :, 0]
+            hit = 0
+            if model.spike:
+                stays = _stays_at_spike(
+                    halves, log_bf0[i:stop], log_u[i:stop], scale, state.pi0
+                )
+                hit = int(np.argmin(stays))
+                if stays[hit]:
+                    i = stop
+                    continue
+            i += hit
+            to_spike = False
+            new = linv[i].T @ (halves[hit] + shifts[i])
+        if not to_spike and not new.any():
+            raise RuntimeError("slab draw produced an exactly-zero block")
+        resid -= xt[i] * (basis @ (new - alpha[i]))
+        alpha[i] = new
+        inclusion[i] = not to_spike
+        i += 1
+    state.resid = resid
 
 
 def alpha_block_moments(state, model: GibbsModel, j: int):
@@ -273,10 +354,10 @@ def alpha_block_moments(state, model: GibbsModel, j: int):
     The slab draw has covariance noise_scale times the returned factor.
     """
     _check_block(model, j)
-    grams, rhs = model.block_system(state, slice(j, j + 1))
-    zj = model.design.blocks[j]
-    rhs_j = rhs(zj, _partial(state, zj, j))
-    return spd_solve_moments(grams[0], rhs_j, np.eye(model.d) / state.slab[j - 1])
+    grams, wxt, offset = model.block_system(state, j, j)
+    const = _rhs_constants(grams, state.alpha[j : j + 1], offset)
+    rhs = model.basis.T @ (wxt[0] * state.resid) + const[0]
+    return spd_solve_moments(grams[0], rhs, np.eye(model.d) / state.slab[j - 1])
 
 
 def update_alpha_block(state, model: GibbsModel, j: int, rng: RngHandle) -> None:
@@ -286,7 +367,7 @@ def update_alpha_block(state, model: GibbsModel, j: int, rng: RngHandle) -> None
 
 
 def update_alpha_blocks(state, model: GibbsModel, rng: RngHandle) -> None:
-    """Sequential refresh of blocks 1..p with batched covariance factors."""
+    """Sequential refresh of blocks 1..p with batched factorizations."""
     if model.p > 0:
         _update_blocks(state, model, 1, model.p, rng)
 
@@ -295,25 +376,23 @@ def update_alpha_blocks(state, model: GibbsModel, rng: RngHandle) -> None:
 # alpha_0 and beta
 
 def alpha0_conditional_moments(state, model: GibbsModel):
-    z0 = model.design.blocks[0]
-    partial = state.resid + z0 @ state.alpha[0]
-    return model.linear_moments(state, z0, partial, model.sigma_alpha0_inv, 0)
+    partial = state.resid + model.basis @ state.alpha[0]
+    return model.linear_moments(state, model.basis, partial, model.sigma_alpha0_inv)
 
 
 def update_alpha0(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     """Gaussian refresh of the varying-intercept block."""
-    z0 = model.design.blocks[0]
-    partial = state.resid + z0 @ state.alpha[0]
-    mu, cov = alpha0_conditional_moments(state, model)
+    partial = state.resid + model.basis @ state.alpha[0]
+    mu, cov = model.linear_moments(state, model.basis, partial, model.sigma_alpha0_inv)
     draw = sample_mvn(rng, mu, cov)
     state.alpha[0] = draw
-    state.resid = partial - z0 @ draw
+    state.resid = partial - model.basis @ draw
     return draw
 
 
 def beta_conditional_moments(state, model: GibbsModel):
     partial = state.resid + model.e @ state.beta
-    return model.linear_moments(state, model.e, partial, model.sigma_beta_inv, None)
+    return model.linear_moments(state, model.e, partial, model.sigma_beta_inv)
 
 
 def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
@@ -321,7 +400,7 @@ def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     if model.q == 0:
         return state.beta
     partial = state.resid + model.e @ state.beta
-    mu, cov = beta_conditional_moments(state, model)
+    mu, cov = model.linear_moments(state, model.e, partial, model.sigma_beta_inv)
     draw = sample_mvn(rng, mu, cov)
     state.beta = draw
     state.resid = partial - model.e @ draw
@@ -382,6 +461,13 @@ def update_pi0(state, model: GibbsModel, rng: RngHandle) -> float:
 # ---------------------------------------------------------------------------
 # chains, prior draws, simulated responses
 
+def _check_finite(state, model: GibbsModel, iteration: int) -> None:
+    """Raise FloatingPointError naming the first non-finite quantity after a sweep."""
+    for name in ("alpha", "beta", "resid") + model.scalar_names:
+        if not np.isfinite(getattr(state, name)).all():
+            raise FloatingPointError(f"non-finite {name} after sweep {iteration}")
+
+
 def run_chain(
     model: GibbsModel,
     iterations: int,
@@ -390,7 +476,12 @@ def run_chain(
     rng: RngHandle,
     store_latents: bool = False,
 ) -> ChainSamples:
-    """Run one chain of ``model`` from the all-null start and return its stored draws."""
+    """Run one chain of ``model`` from the all-null start and return its stored draws.
+
+    After every sweep, alpha, beta, the residual and the stored scalars must be
+    finite; otherwise FloatingPointError names the sweep and the first
+    non-finite quantity.
+    """
     opts = McmcOptions(
         iterations=iterations, burn_in=burn_in, thin=thin, seed=rng.seed,
         store_latents=store_latents,
@@ -411,6 +502,7 @@ def run_chain(
     kept = 0
     for it in range(1, iterations + 1):
         model.sweep(state, rng)
+        _check_finite(state, model, it)
         if it > burn_in and (it - burn_in) % thin == 0:
             alpha[kept] = state.alpha
             beta[kept] = state.beta
@@ -462,7 +554,7 @@ def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
 
 def draw_response(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     """Simulate y from the working likelihood given the current latents."""
-    mean = np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
+    mean = _spline_predictor(model, state.alpha)
     if model.q > 0:
         mean = mean + model.e @ state.beta
     shift, sd = model.response_noise(state)

@@ -6,9 +6,9 @@ latents, and a slab covariance scaled by sigma_sq.  What that changes in the
 sweep lives here; everything else is in :mod:`.engine`:
 
 * the block grams Z_j'Z_j are unweighted and computed once at build, and
-  the right-hand side of block j is Z_j' r_j (1/sigma_sq cancels in the
-  slab mean); the slab's quadratic form and draw are scaled by sigma_sq
-  through the state's noise scale;
+  the working response of block j is r_j (1/sigma_sq cancels in the slab
+  mean); the slab's quadratic form and draw are scaled by sigma_sq through
+  the state's noise scale;
 * the sigma_sq update.
 
 Sweep order: alpha blocks 1..p, alpha_0, beta, sigma_sq, lambda_sq,
@@ -44,7 +44,7 @@ from .state import GaussianSamplerState
 
 @dataclass
 class GaussianModel(GibbsModel):
-    block_grams: np.ndarray = field(repr=False, default=None)  # (p+1, d, d), unweighted
+    block_grams: np.ndarray = field(repr=False, default=None)  # (p, d, d), unweighted
 
     state_class = GaussianSamplerState
     scalar_names = ("sigma_sq", "lambda_sq", "pi0")
@@ -53,15 +53,14 @@ class GaussianModel(GibbsModel):
     def unit_scales(self) -> dict:
         return {"sigma_sq": 1.0, "zeta_sq": np.ones(self.p), "lambda_sq": 1.0}
 
-    def block_system(self, state: GaussianSamplerState, blocks: slice):
+    def block_system(self, state: GaussianSamplerState, first: int, last: int):
         """Unweighted grams from build; b_j = Z_j' r_j."""
-        return self.block_grams[blocks], lambda zj, partial: zj.T @ partial
+        return self.block_grams[first - 1 : last], self.xt[first - 1 : last], 0.0
 
-    def linear_moments(self, state: GaussianSamplerState, x, partial, prior_precision, block):
-        """Ridge moments with weights 1/sigma_sq; spline grams come from build."""
-        gram = x.T @ x if block is None else self.block_grams[block]
+    def linear_moments(self, state: GaussianSamplerState, x, partial, prior_precision):
+        """Ridge moments with weights 1/sigma_sq."""
         rhs = x.T @ partial / state.sigma_sq
-        return spd_solve_moments(gram / state.sigma_sq, rhs, prior_precision)
+        return spd_solve_moments(x.T @ x / state.sigma_sq, rhs, prior_precision)
 
     def sweep(self, state: GaussianSamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)
@@ -84,10 +83,12 @@ def build_gaussian_model(
     grid: np.ndarray | None = None,
 ) -> GaussianModel:
     design = expand_design(dataset, spline_config, grid=grid)
-    return GaussianModel.build(
-        dataset, design, prior, spike, block_grams=weighted_block_grams(design.blocks),
+    model = GaussianModel.build(
+        dataset, design, prior, spike,
         shrink_prior=(prior.t, prior.psi), pi0_prior=(prior.a, prior.b),
     )
+    model.block_grams = weighted_block_grams(model.basis_outer, model.xt)
+    return model
 
 
 def sigma_sq_conditional_params(state: GaussianSamplerState, model: GaussianModel):

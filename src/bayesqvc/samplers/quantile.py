@@ -6,7 +6,7 @@ and working response r - kappa1 u.  What that changes in the sweep lives
 here; everything else is in :mod:`.engine`:
 
 * the block grams are weighted by w and recomputed every sweep, and the
-  right-hand side of block j is Z_j'(w * r_j - w * kappa1 u);
+  working response of block j is w * (r_j - kappa1 u);
 * the latent-u update;
 * the theta update.
 
@@ -63,14 +63,16 @@ class QuantileModel(GibbsModel):
     def unit_scales(self) -> dict:
         return {"u_tilde": np.ones(self.n), "g": np.ones(self.p), "theta": 1.0, "eta_sq": 1.0}
 
-    def block_system(self, state: SamplerState, blocks: slice):
-        """Grams weighted by w, recomputed every call; b_j = Z_j'(w * r_j - w * kappa1 u)."""
+    def block_system(self, state: SamplerState, first: int, last: int):
+        """Grams weighted by w, recomputed every call; b_j = Z_j'(w * (r_j - kappa1 u))."""
         w = _weights(state, self)
-        offset_w = w * (self.consts.kappa1 * state.u_tilde)
-        grams = weighted_block_grams(self.design.blocks[blocks], w)
-        return grams, lambda zj, partial: zj.T @ (w * partial - offset_w)
+        xt = self.xt[first - 1 : last]
+        wxt = xt * w
+        grams = weighted_block_grams(self.basis_outer, xt, w)
+        offset = wxt @ (self.basis * (self.consts.kappa1 * state.u_tilde)[:, None])
+        return grams, wxt, offset
 
-    def linear_moments(self, state: SamplerState, x, partial, prior_precision, block):
+    def linear_moments(self, state: SamplerState, x, partial, prior_precision):
         """Weighted ridge moments; the gram (x * w)'x is recomputed every call."""
         w = _weights(state, self)
         target = partial - self.consts.kappa1 * state.u_tilde

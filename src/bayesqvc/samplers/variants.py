@@ -49,14 +49,9 @@ def method_spec(method: str) -> Method:
 
 
 def _run_one_chain(args) -> ChainSamples:
-    method, dataset, spline_config, prior, tau, opts, seed, stream_id = args
-    spec = METHODS[method]
-    if spec.needs_tau:
-        model = quantile.build_quantile_model(dataset, spline_config, prior, tau, spike=spec.spike)
-    else:
-        model = gaussian.build_gaussian_model(dataset, spline_config, prior, spike=spec.spike)
+    model, opts, stream_id = args
     return run_chain(
-        model, opts.iterations, opts.burn_in, opts.thin, RngHandle(seed, stream_id),
+        model, opts.iterations, opts.burn_in, opts.thin, RngHandle(opts.seed, stream_id),
         store_latents=opts.store_latents,
     )
 
@@ -72,9 +67,10 @@ def fit(
 ) -> PosteriorSamples:
     """Run all requested chains of one method and merge the results.
 
-    ``workers`` > 1 runs chains in separate processes; with one worker the
-    chains run sequentially in-process.  Either way chain k consumes the
-    stream (seed, k), so the merged samples are identical.
+    The model is built once and shared by every chain; ``workers`` > 1 runs
+    chains in separate processes, each receiving a pickled copy, and with
+    one worker the chains run sequentially in-process.  Either way chain k
+    consumes the stream (seed, k), so the merged samples are identical.
     """
     spec = method_spec(method)
     spline_config = spline_config or SplineConfig()
@@ -84,10 +80,11 @@ def fit(
         tau = None
     elif tau is None:
         raise ValueError("quantile methods require a quantile level tau")
-    jobs = [
-        (method, dataset, spline_config, prior, tau, opts, opts.seed, k)
-        for k in range(opts.chains)
-    ]
+    if spec.needs_tau:
+        model = quantile.build_quantile_model(dataset, spline_config, prior, tau, spike=spec.spike)
+    else:
+        model = gaussian.build_gaussian_model(dataset, spline_config, prior, spike=spec.spike)
+    jobs = [(model, opts, k) for k in range(opts.chains)]
     if workers > 1 and opts.chains > 1:
         with ProcessPoolExecutor(max_workers=min(workers, opts.chains)) as pool:
             chains = list(pool.map(_run_one_chain, jobs))
