@@ -115,8 +115,11 @@ def _config_from_args(args) -> RunConfig:
     return config
 
 
-def fit_and_summarize(dataset, config: RunConfig, out: Path) -> dict:
-    """Run the requested chains, persist samples, curves, and summary JSON."""
+def fit_and_summarize(dataset, config: RunConfig, out: Path):
+    """Run the requested chains, persist samples, curves, and summary JSON.
+
+    Returns the summary and the curve estimates written to ``curves.csv``.
+    """
     start = time.perf_counter()
     samples = run_fit(
         dataset,
@@ -127,7 +130,8 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path) -> dict:
         opts=config.mcmc_options(),
         workers=config.workers,
     )
-    wallclock = time.perf_counter() - start
+    sampled = time.perf_counter()
+    wallclock = sampled - start
 
     grid = default_grid()
     estimates = inference.all_curve_estimates(samples, grid=grid)
@@ -155,15 +159,16 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path) -> dict:
 
     save_samples(out, samples, config)
     write_curves_csv(out / "curves.csv", estimates)
+    summary["output_seconds"] = time.perf_counter() - sampled
     dump_json(out / "fit_summary.json", summary)
-    return summary
+    return summary, estimates
 
 
 def cmd_fit(args) -> int:
     config = _config_from_args(args)
     dataset = read_dataset_csv(args.data)
     out = _out_dir(args)
-    summary = fit_and_summarize(dataset, config, out)
+    summary, _ = fit_and_summarize(dataset, config, out)
     print(
         f"method={config.method} selected={summary['selected']} "
         f"({summary['wallclock_seconds']:.1f}s); outputs in {out}"
@@ -175,14 +180,20 @@ def cmd_fit(args) -> int:
 # evaluate
 
 def evaluate_fit(fit_dir: Path, truth_path: Path) -> dict:
-    spec, support = load_truth(truth_path)
-    curves = TrueCurves(hard_intercept=spec.hard_intercept)
+    """Score the ``curves.csv`` and ``fit_summary.json`` of a fit directory."""
     grid, med, low, upp = read_curves_csv(fit_dir / "curves.csv")
     summary = load_json(fit_dir / "fit_summary.json")
-    per_curve = [metrics.imse(med[j], curves.evaluate(j, grid)) for j in range(med.shape[0])]
+    return evaluate_curves(grid, med, low, upp, summary, truth_path)
+
+
+def evaluate_curves(grid, med, low, upp, summary: dict, truth_path: Path) -> dict:
+    """Metrics of one fit from its p+1 median, lower and upper curve rows on ``grid``."""
+    spec, support = load_truth(truth_path)
+    curves = TrueCurves(hard_intercept=spec.hard_intercept)
+    per_curve = [metrics.imse(med[j], curves.evaluate(j, grid)) for j in range(len(med))]
     cov = {
         str(j): metrics.coverage(low[j], upp[j], curves.evaluate(j, grid))
-        for j in range(min(4, med.shape[0]))
+        for j in range(min(4, len(med)))
     }
     selected = summary["selected"]
     return {
@@ -293,12 +304,13 @@ def run_replicate(study: dict, scenario: dict, method: str, rep: int, rep_dir: P
         }
     )
     rep_dir.mkdir(parents=True, exist_ok=True)
-    summary = fit_and_summarize(dataset, config, rep_dir)
+    summary, estimates = fit_and_summarize(dataset, config, rep_dir)
     if not study.get("save_samples", False):
         for name in ("samples.bin", "samples.json"):
             (rep_dir / name).unlink(missing_ok=True)
     write_truth(rep_dir / "truth.json", spec, support)
-    result = evaluate_fit(rep_dir, rep_dir / "truth.json")
+    med, low, upp = zip(*((est.median, est.lower, est.upper) for est in estimates))
+    result = evaluate_curves(estimates[0].grid, med, low, upp, summary, rep_dir / "truth.json")
     result["wallclock_seconds"] = summary["wallclock_seconds"]
     dump_json(rep_dir / "metrics.json", result)
     return result

@@ -15,6 +15,8 @@ from .basis import SplineConfig, basis_values, default_grid
 from .samplers.state import PosteriorSamples
 
 MPM_THRESHOLD = 0.5
+# Bytes of curve draws one chunk of all_curve_estimates may hold, over both layouts.
+CURVE_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -82,45 +84,60 @@ def curve_estimate(
     level: float = 0.95,
 ) -> CurveEstimate:
     """Pointwise median curve with an equal-tailed credible band for block j."""
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0.0) or np.any(grid > 1.0):
-        raise ValueError("grid must lie in [0, 1]")
-    config = SplineConfig(samples.spline_degree, samples.interior_knots)
-    basis = basis_values(grid, config)
-    draws = samples.pooled_alpha()[:, j, :] @ basis.T
-    tail = 100.0 * (1.0 - level) / 2.0
-    return CurveEstimate(
-        grid=grid,
-        median=np.median(draws, axis=0),
-        lower=np.percentile(draws, tail, axis=0),
-        upper=np.percentile(draws, 100.0 - tail, axis=0),
-    )
+    grid, basis = _grid_basis(samples, grid)
+    median, lower, upper = _block_bands(samples.pooled_alpha(), [j], basis, level)
+    return CurveEstimate(grid=grid, median=median[0], lower=lower[0], upper=upper[0])
 
 
 def all_curve_estimates(
     samples: PosteriorSamples, grid: np.ndarray | None = None, level: float = 0.95
 ) -> list[CurveEstimate]:
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    config = SplineConfig(samples.spline_degree, samples.interior_knots)
-    basis = basis_values(grid, config)
+    """Curve estimates of every block 0..p; each is a row view of (p+1, G) arrays.
+
+    A block whose stored coefficients are all zero (the samplers' spike is
+    +0.0) has +0.0 curve draws, so its median and band are +0.0 without
+    computing the draws.  The other blocks go through :func:`_block_bands`
+    in chunks of at most ``CURVE_CHUNK_BYTES`` of draws.
+    """
+    grid, basis = _grid_basis(samples, grid)
     alpha = samples.pooled_alpha()
+    m, p1, _ = alpha.shape
+    bands = np.zeros((3, p1, grid.size))
+    live = np.flatnonzero(np.any(alpha != 0.0, axis=(0, 2)))
+    per_chunk = max(1, CURVE_CHUNK_BYTES // (2 * m * grid.size * alpha.itemsize))
+    for start in range(0, live.size, per_chunk):
+        idx = live[start : start + per_chunk]
+        bands[:, idx] = _block_bands(alpha, idx, basis, level)
+    median, lower, upper = bands
+    return [
+        CurveEstimate(grid=grid, median=median[j], lower=lower[j], upper=upper[j])
+        for j in range(p1)
+    ]
+
+
+def _grid_basis(samples: PosteriorSamples, grid) -> tuple[np.ndarray, np.ndarray]:
+    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    config = SplineConfig(samples.spline_degree, samples.interior_knots)
+    return grid, basis_values(grid, config)
+
+
+def _block_bands(alpha: np.ndarray, blocks, basis: np.ndarray, level: float):
+    """Median, lower and upper band of the curve draws of ``blocks``, each (k, G).
+
+    Each block's draws come from one (M, d) @ (d, G) product, the shape whose
+    rounding the stored curves have always had; a (1, d) @ (d, G) product per
+    draw rounds differently.  The draws are then laid out as (k, G, M) so each
+    pointwise quantile reads one contiguous lane.  The product and that copy
+    are the two arrays ``CURVE_CHUNK_BYTES`` bounds.
+    """
+    draws = alpha.transpose(1, 0, 2)[blocks] @ basis.T
+    draws = np.ascontiguousarray(draws.transpose(0, 2, 1))
+    # The quantiles are order statistics, so sorting first leaves them as they
+    # are, and numpy's selection runs faster on sorted lanes than on raw ones.
+    draws.sort(axis=-1)
     tail = 100.0 * (1.0 - level) / 2.0
-    out = []
-    for j in range(alpha.shape[1]):
-        draws = alpha[:, j, :] @ basis.T
-        out.append(
-            CurveEstimate(
-                grid=grid,
-                median=np.median(draws, axis=0),
-                lower=np.percentile(draws, tail, axis=0),
-                upper=np.percentile(draws, 100.0 - tail, axis=0),
-            )
-        )
-    return out
+    lower, upper = np.percentile(draws, [tail, 100.0 - tail], axis=-1)
+    return np.median(draws, axis=-1), lower, upper
 
 
 def scalar_summary(draws: np.ndarray, level: float = 0.95) -> dict:

@@ -28,6 +28,8 @@ from .samplers.variants import method_spec
 from .simulate import ScenarioSpec
 
 FLOAT_FMT = "%.17g"
+# Fields one ``%`` call of _write_rows formats at most.
+_ROW_CHUNK_FIELDS = 1 << 14
 
 
 @dataclass
@@ -99,6 +101,14 @@ def load_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
+    """Write the rows of a 2-D ``table`` through ``row_fmt``, one ``%`` per chunk of rows."""
+    step = max(1, _ROW_CHUNK_FIELDS // table.shape[1])
+    for start in range(0, table.shape[0], step):
+        chunk = table[start : start + step]
+        fh.write(row_fmt * chunk.shape[0] % tuple(chunk.ravel().tolist()))
+
+
 # ---------------------------------------------------------------------------
 # dataset CSV
 
@@ -115,8 +125,7 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
     body = np.column_stack(cols)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in body:
-            fh.write(",".join(FLOAT_FMT % value for value in row) + "\n")
+        _write_rows(fh, ",".join([FLOAT_FMT] * body.shape[1]) + "\n", body)
 
 
 def read_dataset_csv(path) -> Dataset:
@@ -252,12 +261,23 @@ def load_samples(directory):
 # curve estimates CSV (plot-ready)
 
 def write_curves_csv(path, estimates) -> None:
+    """One row per (curve j, grid point t); every estimate must share one grid."""
+    grid = estimates[0].grid
+    if not all(np.array_equal(est.grid, grid) for est in estimates):
+        raise ValueError("curve estimates must share one grid")
+    # Columns j, t, v, median, lower, upper of one curve's rows; j is set per curve.
+    table = np.empty((grid.size, 6), dtype=object)
+    table[:, 1] = range(grid.size)
+    table[:, 2] = [FLOAT_FMT % v for v in grid]
+    row_fmt = "%d,%d,%s," + ",".join([FLOAT_FMT] * 3) + "\n"
     with open(path, "w") as fh:
         fh.write("j,grid_index,v,median,lower,upper\n")
         for j, est in enumerate(estimates):
-            for t in range(est.grid.size):
-                fields = (est.grid[t], est.median[t], est.lower[t], est.upper[t])
-                fh.write(f"{j},{t}," + ",".join(FLOAT_FMT % x for x in fields) + "\n")
+            table[:, 0] = j
+            table[:, 3] = est.median
+            table[:, 4] = est.lower
+            table[:, 5] = est.upper
+            _write_rows(fh, row_fmt, table)
 
 
 def read_curves_csv(path):

@@ -5,7 +5,9 @@ import pytest
 
 from bayesqvc.basis import SplineConfig, basis_values, default_grid
 from bayesqvc.inference import (
+    CURVE_CHUNK_BYTES,
     InclusionSummary,
+    all_curve_estimates,
     ci_selection,
     curve_estimate,
     inclusion_probabilities,
@@ -15,7 +17,8 @@ from bayesqvc.inference import (
 from bayesqvc.samplers.state import ChainSamples, PosteriorSamples
 
 
-def make_samples(alpha, inclusion=None, method="bqrvcss", scalars=None, beta=None):
+def make_samples(alpha, inclusion=None, method="bqrvcss", scalars=None, beta=None,
+                 degree=1, knots=0):
     alpha = np.asarray(alpha, dtype=float)
     m, p1, d = alpha.shape
     if inclusion is None:
@@ -30,7 +33,7 @@ def make_samples(alpha, inclusion=None, method="bqrvcss", scalars=None, beta=Non
     )
     return PosteriorSamples(
         method=method, tau=0.5 if method.startswith("bq") else None,
-        spline_degree=1, interior_knots=0, chains=[chain],
+        spline_degree=degree, interior_knots=knots, chains=[chain],
     )
 
 
@@ -135,6 +138,44 @@ def test_curve_bands_nested_by_level():
     narrow = curve_estimate(samples, 1, grid=grid, level=0.90)
     assert np.all(wide.lower <= narrow.lower + 1e-12)
     assert np.all(narrow.upper <= wide.upper + 1e-12)
+
+
+def reference_curve_bands(samples, grid, level=0.95):
+    """The per-block loop: one (M, G) draw matrix and three quantile passes per block."""
+    basis = basis_values(grid, SplineConfig(samples.spline_degree, samples.interior_knots))
+    alpha = samples.pooled_alpha()
+    tail = 100.0 * (1.0 - level) / 2.0
+    out = []
+    for j in range(alpha.shape[1]):
+        draws = alpha[:, j, :] @ basis.T
+        out.append((np.median(draws, axis=0), np.percentile(draws, tail, axis=0),
+                    np.percentile(draws, 100.0 - tail, axis=0)))
+    return out
+
+
+@pytest.mark.parametrize("m, one_block_per_chunk", [(300, True), (40, False)])
+def test_all_curve_estimates_match_per_block_loop(m, one_block_per_chunk):
+    grid = default_grid()
+    assert (CURVE_CHUNK_BYTES // (2 * m * grid.size * 8) <= 1) == one_block_per_chunk
+    rng = np.random.default_rng(m)
+    p1, d = 12, 5
+    alpha = rng.normal(size=(m, p1, d))
+    alpha[:, 2] = 0.0                                # all-zero block
+    alpha[rng.random(m) < 0.9, 3] = 0.0              # mostly zero block
+    alpha[:, 4, 1:] = 0.0                            # live, one coefficient only
+    samples = make_samples(alpha, degree=2, knots=2)
+    for level in (0.95, 0.9):
+        estimates = all_curve_estimates(samples, grid=grid, level=level)
+        assert len(estimates) == p1
+        for est, ref in zip(estimates, reference_curve_bands(samples, grid, level)):
+            for got, want in zip((est.median, est.lower, est.upper), ref):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    ref = reference_curve_bands(samples, grid)
+    for j in (3, 4):
+        one = curve_estimate(samples, j, grid=grid)
+        for got, want in zip((one.median, one.lower, one.upper), ref[j]):
+            assert np.array_equal(got, want)
 
 
 def test_scalar_summaries():

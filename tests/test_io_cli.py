@@ -96,6 +96,53 @@ def test_curves_csv_roundtrip(tmp_path):
         np.testing.assert_array_equal(upp[j], est.upper)
 
 
+def reference_curves_text(estimates):
+    """The row-by-row writer: one %.17g call per value."""
+    lines = ["j,grid_index,v,median,lower,upper"]
+    for j, est in enumerate(estimates):
+        for t in range(est.grid.size):
+            fields = (est.grid[t], est.median[t], est.lower[t], est.upper[t])
+            lines.append(f"{j},{t}," + ",".join("%.17g" % x for x in fields))
+    return "\n".join(lines) + "\n"
+
+
+def test_curves_csv_matches_row_reference(tmp_path):
+    from bayesqvc.inference import CurveEstimate, all_curve_estimates
+
+    grid = np.linspace(0, 1, 9)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, 1 / 3, -7e-9])
+    estimates = [
+        CurveEstimate(grid=grid, median=special, lower=special - 1e301, upper=special + 1e301),
+        CurveEstimate(grid=grid, median=-special, lower=-special - 1e301,
+                      upper=-special + 1e301),
+    ]
+    ds, _, _ = simulate_dataset(ScenarioSpec(n=40, p=4, seed=6))
+    samples = fit(ds, "bqrvc", tau=0.5, opts=McmcOptions(iterations=60, burn_in=20, seed=3))
+    for case, ests in (("special", estimates), ("fit", all_curve_estimates(samples))):
+        path = tmp_path / f"{case}.csv"
+        write_curves_csv(path, ests)
+        assert path.read_bytes() == reference_curves_text(ests).encode()
+
+    shifted = CurveEstimate(grid=grid + 0.0, median=special, lower=special, upper=special)
+    shifted.grid[-1] = 0.5
+    with pytest.raises(ValueError, match="one grid"):
+        write_curves_csv(tmp_path / "bad.csv", [estimates[0], shifted])
+
+
+def test_dataset_csv_matches_row_reference(tmp_path):
+    # More rows than one formatting chunk holds, so the chunk seams are covered.
+    rng = np.random.default_rng(9)
+    n = 3000
+    x = rng.normal(size=(n, 3))
+    x[:4, 0] = [-0.0, 5e-324, 1e300, -1e300]
+    ds = Dataset(y=rng.normal(size=n), x=x, v=rng.random(n), e=rng.normal(size=(n, 2)))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, ds)
+    body = np.column_stack([ds.v, ds.e, ds.x, ds.y])
+    rows = ["V,E_1,E_2,X_1,X_2,X_3,Y"] + [",".join("%.17g" % v for v in row) for row in body]
+    assert path.read_text() == "\n".join(rows) + "\n"
+
+
 def test_runconfig_validation():
     with pytest.raises(ValueError):
         RunConfig(method="bqrvcss", iterations=10, burn_in=10).validate()
@@ -166,6 +213,7 @@ def test_cli_fit_outputs(fit_dir):
     assert summary["config"]["iterations"] == 400
     assert summary["chains"] == [0, 1]
     assert summary["wallclock_seconds"] > 0
+    assert summary["output_seconds"] > 0
     assert (fit_dir / "samples.bin").exists()
     g, med, low, upp = read_curves_csv(fit_dir / "curves.csv")
     assert med.shape == (7, 200)
@@ -266,3 +314,30 @@ def test_cli_replicate_study(tmp_path):
     # deterministic seed schedule: replicate r regenerates dataset seed base+r
     manifest = json.loads((scen_dir / "rep_0001" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 8
+
+
+def test_replicate_metrics_equal_evaluate_of_files(tmp_path):
+    """The study scores its curves in memory; `evaluate` on the files must agree."""
+    study = {
+        "scenarios": [{"covariate_kind": "snp", "error_kind": "laplace", "tau": 0.25,
+                       "heteroscedastic": True, "n": 50, "p": 5}],
+        "methods": ["bqrvcss", "bvc"],
+        "replicates": 2,
+        "base_seed": 3,
+        "mcmc": {"iterations": 60, "burn_in": 20},
+    }
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(study))
+    out = tmp_path / "out"
+    assert run_cli("replicate-study", "--config", cfg, "--out", out) == 0
+    rep_dirs = sorted(out.glob("*/*/rep_*"))
+    assert len(rep_dirs) == 4
+    for rep_dir in rep_dirs:
+        metrics_path = rep_dir / "metrics.json"
+        in_memory = json.loads(metrics_path.read_text())
+        assert in_memory.pop("wallclock_seconds") > 0
+        from_files = tmp_path / "eval.json"
+        assert run_cli("evaluate", "--fit", rep_dir, "--truth", rep_dir / "truth.json",
+                       "--out", from_files) == 0
+        assert json.dumps(in_memory, sort_keys=True) == json.dumps(
+            json.loads(from_files.read_text()), sort_keys=True)
