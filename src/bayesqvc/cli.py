@@ -34,7 +34,7 @@ from .io import (
     write_truth,
 )
 from .samplers import fit as run_fit
-from .samplers.variants import METHODS, method_spec
+from .samplers.variants import METHODS, map_in_order, method_spec, resolve_workers
 from .simulate import (
     COVARIATE_KINDS,
     ERROR_KINDS,
@@ -115,11 +115,13 @@ def _config_from_args(args) -> RunConfig:
     return config
 
 
-def fit_and_summarize(dataset, config: RunConfig, out: Path):
+def fit_and_summarize(dataset, config: RunConfig, out: Path, write_samples: bool = True):
     """Run the requested chains, persist samples, curves, and summary JSON.
 
+    ``samples.bin``/``samples.json`` are written only if ``write_samples``.
     Returns the summary and the curve estimates written to ``curves.csv``.
     """
+    workers = resolve_workers(config.workers, config.chains)
     start = time.perf_counter()
     samples = run_fit(
         dataset,
@@ -128,7 +130,7 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path):
         prior=config.prior_config(),
         tau=config.tau,
         opts=config.mcmc_options(),
-        workers=config.workers,
+        workers=workers,
     )
     sampled = time.perf_counter()
     wallclock = sampled - start
@@ -145,6 +147,7 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path):
         "chains": [c.stream_id for c in samples.chains],
         "stored_draws": sum(c.stored for c in samples.chains),
         "wallclock_seconds": wallclock,
+        "workers_used": workers,
         "scalar_summaries": inference.posterior_scalar_summaries(samples),
     }
     if samples.is_spike:
@@ -157,7 +160,8 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path):
         summary["selected"] = selected
         summary["selection_rule"] = "ci95"
 
-    save_samples(out, samples, config)
+    if write_samples:
+        save_samples(out, samples, config)
     write_curves_csv(out / "curves.csv", estimates)
     summary["output_seconds"] = time.perf_counter() - sampled
     dump_json(out / "fit_summary.json", summary)
@@ -288,6 +292,11 @@ def cmd_diagnose(args) -> int:
 # replicate-study
 
 def run_replicate(study: dict, scenario: dict, method: str, rep: int, rep_dir: Path) -> dict:
+    """Simulate, fit and score one replicate in ``rep_dir``; returns its metrics.
+
+    The chains run one after another in this process, so a replicate can
+    itself run in a worker process of the study.
+    """
     base_seed = study.get("base_seed", 0)
     spec = ScenarioSpec(**{**scenario, "seed": base_seed + rep})
     dataset, curves, support = simulate_dataset(spec)
@@ -300,14 +309,13 @@ def run_replicate(study: dict, scenario: dict, method: str, rep: int, rep_dir: P
             **mcmc,
             "seed": base_seed + rep,
             "priors": study.get("priors", {}),
-            "workers": study.get("workers", 1),
+            "workers": 1,
         }
     )
     rep_dir.mkdir(parents=True, exist_ok=True)
-    summary, estimates = fit_and_summarize(dataset, config, rep_dir)
-    if not study.get("save_samples", False):
-        for name in ("samples.bin", "samples.json"):
-            (rep_dir / name).unlink(missing_ok=True)
+    summary, estimates = fit_and_summarize(
+        dataset, config, rep_dir, write_samples=study.get("save_samples", False)
+    )
     write_truth(rep_dir / "truth.json", spec, support)
     med, low, upp = zip(*((est.median, est.lower, est.upper) for est in estimates))
     result = evaluate_curves(estimates[0].grid, med, low, upp, summary, rep_dir / "truth.json")
@@ -325,31 +333,50 @@ def scenario_label(scenario: dict) -> str:
     return f"{kind}_{het}_{err}_tau{tau}{hard}"
 
 
+def _study_task(job) -> None:
+    """One replicate, then its ``manifest.json``, written atomically."""
+    study, scenario, method, rep, rep_dir, workers = job
+    result = run_replicate(study, scenario, method, rep, rep_dir)
+    result["workers_used"] = workers
+    manifest = rep_dir / "manifest.json"
+    tmp = manifest.with_suffix(".tmp")
+    dump_json(tmp, result)
+    tmp.rename(manifest)
+
+
 def cmd_replicate_study(args) -> int:
+    """Run every replicate without a ``manifest.json``, then aggregate all of them.
+
+    The pending replicates run on the study's ``workers`` processes (default:
+    one per usable CPU).  Progress lines and the aggregate follow the fixed
+    (scenario, method, replicate) order, so no output but the timing fields
+    depends on the process count.
+    """
     study = load_json(args.config)
     out = Path(args.out if args.out else study.get("out_dir", _default_out()))
     out.mkdir(parents=True, exist_ok=True)
     replicates = int(study["replicates"])
-    aggregate_rows = []
+    cells, pending = [], []
     for scenario in study["scenarios"]:
         label = scenario_label(scenario)
         for method in study["methods"]:
             method_spec(method)
-            rows = []
-            for rep in range(replicates):
-                rep_dir = out / label / method / f"rep_{rep:04d}"
-                manifest = rep_dir / "manifest.json"
-                if manifest.exists():
-                    rows.append(load_json(manifest))
-                    continue
-                result = run_replicate(study, scenario, method, rep, rep_dir)
-                tmp = manifest.with_suffix(".tmp")
-                dump_json(tmp, result)
-                tmp.rename(manifest)
-                rows.append(result)
-                print(f"{label}/{method} replicate {rep + 1}/{replicates} done", flush=True)
-            agg = {"scenario": label, "method": method, **aggregate_metrics(rows)}
-            aggregate_rows.append(agg)
+            rep_dirs = [out / label / method / f"rep_{rep:04d}" for rep in range(replicates)]
+            cells.append((label, method, rep_dirs))
+            pending += [
+                (scenario, method, rep, rep_dir)
+                for rep, rep_dir in enumerate(rep_dirs)
+                if not (rep_dir / "manifest.json").exists()
+            ]
+    workers = resolve_workers(study.get("workers"), len(pending))
+    done = map_in_order(_study_task, [(study, *task, workers) for task in pending], workers)
+    for (scenario, method, rep, _), _ in zip(pending, done):
+        label = scenario_label(scenario)
+        print(f"{label}/{method} replicate {rep + 1}/{replicates} done", flush=True)
+    aggregate_rows = []
+    for label, method, rep_dirs in cells:
+        rows = [load_json(rep_dir / "manifest.json") for rep_dir in rep_dirs]
+        aggregate_rows.append({"scenario": label, "method": method, **aggregate_metrics(rows)})
     dump_json(out / "aggregate.json", aggregate_rows)
     keys = list(aggregate_rows[0].keys())
     with open(out / "aggregate.csv", "w") as fh:
@@ -392,7 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--chains", type=int, default=None)
     fit_p.add_argument("--seed", type=int, default=None)
     fit_p.add_argument("--store-latents", action="store_true", default=None)
-    fit_p.add_argument("--workers", type=int, default=None)
+    fit_p.add_argument(
+        "--workers", type=int, default=None,
+        help="processes for the chains (default: one per usable CPU, at most one per "
+             "chain; 1 runs them in this process); the draws do not depend on it",
+    )
     fit_p.add_argument("--prior", action="append", metavar="KEY=VALUE")
     fit_p.add_argument("--out", default=None)
     fit_p.set_defaults(func=cmd_fit)
@@ -411,7 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     diag.set_defaults(func=cmd_diagnose)
 
     rep = sub.add_parser("replicate-study", help="scenario grid with seeded replicates")
-    rep.add_argument("--config", required=True, help="study config JSON")
+    rep.add_argument(
+        "--config", required=True,
+        help="study config JSON; its optional \"workers\" key caps the processes the "
+             "replicates run on (default: one per usable CPU)",
+    )
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=cmd_replicate_study)
     return parser

@@ -24,7 +24,7 @@ from .basis import SplineConfig
 from .data import Dataset
 from .samplers.config import McmcOptions
 from .samplers.state import ChainSamples, PosteriorSamples
-from .samplers.variants import method_spec
+from .samplers.variants import method_spec, resolve_workers
 from .simulate import ScenarioSpec
 
 FLOAT_FMT = "%.17g"
@@ -34,7 +34,12 @@ _ROW_CHUNK_FIELDS = 1 << 14
 
 @dataclass
 class RunConfig:
-    """Flat, JSON-friendly mirror of one fit invocation."""
+    """Flat, JSON-friendly mirror of one fit invocation.
+
+    ``workers`` caps the processes the chains run on; None (the default)
+    means one per usable CPU, at most one per chain, and 1 keeps the chains
+    in this process.  The draws do not depend on it.
+    """
 
     method: str = "bqrvcss"
     tau: float = 0.5
@@ -47,7 +52,7 @@ class RunConfig:
     chains: int = 1
     seed: int = 0
     store_latents: bool = False
-    workers: int = 1
+    workers: int | None = None
 
     def validate(self) -> None:
         self.spline_config()
@@ -55,8 +60,7 @@ class RunConfig:
         self.prior_config()
         if method_spec(self.method).needs_tau and not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        resolve_workers(self.workers, self.chains)  # raises on a bad worker count
 
     def spline_config(self) -> SplineConfig:
         return SplineConfig(self.degree, self.interior_knots)
@@ -270,9 +274,15 @@ def write_curves_csv(path, estimates) -> None:
     table[:, 1] = range(grid.size)
     table[:, 2] = [FLOAT_FMT % v for v in grid]
     row_fmt = "%d,%d,%s," + ",".join([FLOAT_FMT] * 3) + "\n"
+    # The rows of an all-zero curve after its "j": joined with str(j) as separator.
+    zero_tails = [f",{t},{v},0,0,0\n" for t, v in zip(table[:, 1], table[:, 2])]
     with open(path, "w") as fh:
         fh.write("j,grid_index,v,median,lower,upper\n")
         for j, est in enumerate(estimates):
+            bands = (est.median, est.lower, est.upper)
+            if not any(b.any() or np.signbit(b).any() for b in bands):
+                fh.write(str(j) + str(j).join(zero_tails))
+                continue
             table[:, 0] = j
             table[:, 3] = est.median
             table[:, 4] = est.lower

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass
 class RngHandle:
@@ -42,7 +44,10 @@ class RngHandle:
 
 
 def _require_positive(name: str, value) -> None:
-    if np.any(np.asarray(value) <= 0.0):
+    if isinstance(value, float):  # the per-sweep scalars; skips the array round trip
+        if value <= 0.0:
+            raise ValueError(f"{name} must be strictly positive")
+    elif np.any(np.asarray(value) <= 0.0):
         raise ValueError(f"{name} must be strictly positive")
 
 
@@ -56,7 +61,8 @@ def sample_gamma(rng: RngHandle, shape, rate, size=None):
     """Gamma(shape, rate); mean shape/rate."""
     _require_positive("shape", shape)
     _require_positive("rate", rate)
-    return rng.gen.gamma(shape, 1.0 / np.asarray(rate, dtype=float), size=size)
+    scale = 1.0 / rate if isinstance(rate, float) else 1.0 / np.asarray(rate, dtype=float)
+    return rng.gen.gamma(shape, scale, size=size)
 
 
 def sample_inverse_gamma(rng: RngHandle, shape, scale, size=None):
@@ -91,10 +97,16 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
     _require_positive("mean", mu)
     _require_positive("shape", lam)
     scalar = mu.ndim == 0 and lam.ndim == 0 and size is None
-    mu, lam = np.broadcast_arrays(mu, lam)
-    out_shape = mu.shape if size is None else size
-    mu = np.broadcast_to(mu, out_shape)
-    lam = np.broadcast_to(lam, out_shape)
+    out_shape = size
+    if size is None:
+        same = lam.ndim == 0 or lam.shape == mu.shape
+        out_shape = mu.shape if same else np.broadcast_shapes(mu.shape, lam.shape)
+    # Arrays are broadcast (and so checked) here; a 0-d shape broadcasts in the
+    # arithmetic below, which gives the same values elementwise.
+    if mu.shape != out_shape:
+        mu = np.broadcast_to(mu, out_shape)
+    if lam.ndim and lam.shape != out_shape:
+        lam = np.broadcast_to(lam, out_shape)
 
     y = rng.gen.standard_normal(out_shape) ** 2
     # Root of the quadratic in x implied by the IG density, then pick
@@ -103,7 +115,7 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
         4.0 * mu * lam * y + (mu * y) ** 2
     )
     # Guard against cancellation producing a tiny negative root.
-    x = np.maximum(x, np.finfo(float).tiny)
+    x = np.maximum(x, _TINY)
     u = rng.gen.random(out_shape)
     take_root = u <= mu / (mu + x)
     draws = np.where(take_root, x, mu**2 / x)

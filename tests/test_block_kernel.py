@@ -168,7 +168,8 @@ def test_fit_builds_one_model_and_workers_match(tiny_dataset, monkeypatch):
 
     monkeypatch.setattr(quantile, "expand_design", counting)
     opts = McmcOptions(iterations=30, burn_in=10, chains=3, seed=4)
-    serial = fit(tiny_dataset, "bqrvcss", spline_config=SplineConfig(1, 0), tau=0.3, opts=opts)
+    serial = fit(tiny_dataset, "bqrvcss", spline_config=SplineConfig(1, 0), tau=0.3, opts=opts,
+                 workers=1)
     assert len(builds) == 1
     parallel = fit(tiny_dataset, "bqrvcss", spline_config=SplineConfig(1, 0), tau=0.3, opts=opts,
                    workers=2)

@@ -129,6 +129,29 @@ def test_curves_csv_matches_row_reference(tmp_path):
         write_curves_csv(tmp_path / "bad.csv", [estimates[0], shifted])
 
 
+def test_curves_csv_zero_blocks_match_row_reference(tmp_path):
+    """All-zero blocks take the constant-row path; a signed zero or a live value does not."""
+    from bayesqvc.inference import CurveEstimate, all_curve_estimates
+
+    ds, _, _ = simulate_dataset(ScenarioSpec(n=60, p=12, seed=4))
+    samples = fit(ds, "bqrvcss", tau=0.5, opts=McmcOptions(iterations=80, burn_in=40, seed=2))
+    estimates = all_curve_estimates(samples)
+    zero = [not (e.median.any() or e.lower.any() or e.upper.any()) for e in estimates]
+    assert any(zero) and not all(zero)
+    grid = estimates[0].grid
+    for band in range(3):
+        values = [np.zeros(grid.size) for _ in range(3)]
+        values[band][band] = -0.0
+        estimates.append(CurveEstimate(grid, *values))
+    tiny = np.zeros(grid.size)
+    tiny[-1] = 5e-324
+    estimates.append(CurveEstimate(grid, np.zeros(grid.size), np.zeros(grid.size), tiny))
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, estimates)
+    assert path.read_bytes() == reference_curves_text(estimates).encode()
+    assert "-0," in path.read_text()
+
+
 def test_dataset_csv_matches_row_reference(tmp_path):
     # More rows than one formatting chunk holds, so the chunk seams are covered.
     rng = np.random.default_rng(9)
@@ -314,6 +337,29 @@ def test_cli_replicate_study(tmp_path):
     # deterministic seed schedule: replicate r regenerates dataset seed base+r
     manifest = json.loads((scen_dir / "rep_0001" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 8
+
+
+def test_replicate_study_skips_samples_unless_saved(tmp_path, monkeypatch):
+    from bayesqvc import cli
+
+    def no_samples(*args):
+        raise AssertionError("samples written although save_samples is false")
+
+    monkeypatch.setattr(cli, "save_samples", no_samples)
+    study = {
+        "scenarios": [{"covariate_kind": "gene", "error_kind": "normal", "n": 40, "p": 3}],
+        "methods": ["bvcss"],
+        "replicates": 1,
+        "mcmc": {"iterations": 40, "burn_in": 10},
+        "workers": 1,
+    }
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(study))
+    out = tmp_path / "out"
+    assert run_cli("replicate-study", "--config", cfg, "--out", out) == 0
+    rep_dir = out / "gene_iid_normal_tau0.5" / "bvcss" / "rep_0000"
+    assert (rep_dir / "manifest.json").exists()
+    assert not (rep_dir / "samples.bin").exists()
 
 
 def test_replicate_metrics_equal_evaluate_of_files(tmp_path):
