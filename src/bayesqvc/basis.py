@@ -98,30 +98,20 @@ def evaluate_basis(v: float, config: SplineConfig) -> np.ndarray:
 
 @dataclass
 class BasisMatrix:
-    """Basis rows for the observed index values and for the evaluation grid."""
+    """Basis rows for the observed index values."""
 
     config: SplineConfig
     values: np.ndarray
-    grid: np.ndarray
-    grid_values: np.ndarray
 
     def validate(self) -> None:
-        for mat in (self.values, self.grid_values):
-            if np.any(mat < 0.0) or np.any(mat > 1.0):
-                raise ValueError("basis entries must lie in [0, 1]")
-            if np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-12):
-                raise ValueError("basis rows must sum to one")
+        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
+            raise ValueError("basis entries must lie in [0, 1]")
+        if np.any(np.abs(self.values.sum(axis=1) - 1.0) > 1e-12):
+            raise ValueError("basis rows must sum to one")
 
 
-def basis_matrix(v: np.ndarray, config: SplineConfig, grid: np.ndarray | None = None) -> BasisMatrix:
-    if grid is None:
-        grid = default_grid()
-    bm = BasisMatrix(
-        config=config,
-        values=basis_values(v, config),
-        grid=np.asarray(grid, dtype=float),
-        grid_values=basis_values(grid, config),
-    )
+def basis_matrix(v: np.ndarray, config: SplineConfig) -> BasisMatrix:
+    bm = BasisMatrix(config=config, values=basis_values(v, config))
     bm.validate()
     return bm
 
@@ -156,11 +146,9 @@ class ExpandedDesign:
         return self.basis.values.shape[1]
 
 
-def expand_design(
-    dataset: Dataset, config: SplineConfig, grid: np.ndarray | None = None
-) -> ExpandedDesign:
+def expand_design(dataset: Dataset, config: SplineConfig) -> ExpandedDesign:
     """Deterministic expansion of the raw design into p+1 grouped spline blocks."""
     if dataset.x.shape[0] != dataset.v.shape[0]:
         raise ValueError("x and v must have the same number of rows")
-    bm = basis_matrix(dataset.v, config, grid=grid)
+    bm = basis_matrix(dataset.v, config)
     return ExpandedDesign(basis=bm, x=np.array(dataset.x, dtype=float))

@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,26 +84,11 @@ def cmd_simulate(args) -> int:
 # fit
 
 def _config_from_args(args) -> RunConfig:
-    if args.config:
-        payload = load_json(args.config)
-    else:
-        payload = {}
-    overrides = {
-        "method": args.method,
-        "tau": args.tau,
-        "degree": args.degree,
-        "interior_knots": args.interior_knots,
-        "iterations": args.iterations,
-        "burn_in": args.burn_in,
-        "thin": args.thin,
-        "chains": args.chains,
-        "seed": args.seed,
-        "store_latents": args.store_latents,
-        "workers": args.workers,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            payload[key] = value
+    """The ``--config`` file, if any, overridden by the flags given; flag dests are field names."""
+    payload = load_json(args.config) if args.config else {}
+    for name in (fld.name for fld in fields(RunConfig)):
+        if name != "priors" and getattr(args, name) is not None:
+            payload[name] = getattr(args, name)
     priors = dict(payload.get("priors", {}))
     for item in args.prior or []:
         key, _, value = item.partition("=")

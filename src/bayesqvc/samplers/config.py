@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 DEFAULT_PRIOR_SCALE = 100.0
 
 
-def _resolve_spd(matrix, dim: int, name: str, scale: float = DEFAULT_PRIOR_SCALE) -> np.ndarray:
+def _resolve_spd(matrix, dim: int, name: str, scale: float) -> np.ndarray:
     """Default to a diffuse diagonal prior covariance when none is given."""
     if matrix is None:
-        if scale <= 0:
-            raise ValueError("prior_scale must be positive")
         return scale * np.eye(dim)
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (dim, dim):
@@ -27,31 +25,22 @@ def _resolve_spd(matrix, dim: int, name: str, scale: float = DEFAULT_PRIOR_SCALE
     return matrix
 
 
-@dataclass
-class PriorConfig:
-    """Hyperparameters for the quantile samplers.
+@dataclass(kw_only=True)
+class _PriorBase:
+    """Hyperparameters of both likelihoods; every field but the covariances must be positive.
 
-    a, b: Gamma prior on the inverse scale theta.
-    c, m: Gamma prior on the squared shrinkage rate eta_sq.
-    e, f: Beta prior on the spike weight pi0 (spike-and-slab variant only).
     sigma_beta / sigma_alpha0: prior covariances for the clinical
     coefficients and the varying-intercept spline block; None means a
-    diffuse diagonal (100 * I).
+    diffuse diagonal (prior_scale * I).
     """
 
-    a: float = 1.0
-    b: float = 1.0
-    c: float = 1.0
-    m: float = 1.0
-    e: float = 1.0
-    f: float = 1.0
     sigma_beta: np.ndarray | None = None
     sigma_alpha0: np.ndarray | None = None
     prior_scale: float = DEFAULT_PRIOR_SCALE
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "m", "e", "f", "prior_scale"):
-            if getattr(self, name) <= 0:
+        for name in (fld.name for fld in fields(self)):
+            if name not in ("sigma_beta", "sigma_alpha0") and getattr(self, name) <= 0:
                 raise ValueError(f"prior hyperparameter {name} must be positive")
 
     def resolved_sigma_beta(self, q: int) -> np.ndarray:
@@ -62,7 +51,27 @@ class PriorConfig:
 
 
 @dataclass
-class GaussianPriorConfig:
+class PriorConfig(_PriorBase):
+    """Hyperparameters for the quantile samplers.
+
+    a, b: Gamma prior on the inverse scale theta.
+    c, m: Gamma prior on the squared shrinkage rate eta_sq.
+    e, f: Beta prior on the spike weight pi0 (spike-and-slab variant only).
+    """
+
+    a: float = 1.0
+    b: float = 1.0
+    c: float = 1.0
+    m: float = 1.0
+    e: float = 1.0
+    f: float = 1.0
+
+    shrink_prior = property(lambda self: (self.c, self.m))  # read by the shared engine
+    pi0_prior = property(lambda self: (self.e, self.f))
+
+
+@dataclass
+class GaussianPriorConfig(_PriorBase):
     """Hyperparameters for the Gaussian-likelihood samplers.
 
     s, h: Inverse-Gamma prior on the noise variance sigma_sq.
@@ -77,20 +86,9 @@ class GaussianPriorConfig:
     psi: float = 1.0
     a: float = 1.0
     b: float = 1.0
-    sigma_beta: np.ndarray | None = None
-    sigma_alpha0: np.ndarray | None = None
-    prior_scale: float = DEFAULT_PRIOR_SCALE
 
-    def __post_init__(self) -> None:
-        for name in ("s", "h", "t", "psi", "a", "b", "prior_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"prior hyperparameter {name} must be positive")
-
-    def resolved_sigma_beta(self, q: int) -> np.ndarray:
-        return _resolve_spd(self.sigma_beta, q, "sigma_beta", self.prior_scale)
-
-    def resolved_sigma_alpha0(self, d: int) -> np.ndarray:
-        return _resolve_spd(self.sigma_alpha0, d, "sigma_alpha0", self.prior_scale)
+    shrink_prior = property(lambda self: (self.t, self.psi))  # read by the shared engine
+    pi0_prior = property(lambda self: (self.a, self.b))
 
 
 @dataclass

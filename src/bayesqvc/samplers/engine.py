@@ -25,6 +25,12 @@ block tensor.  Each block precision is factored once by Cholesky, P = L L'
 log|P^-1| = -2 sum log diag L, and L^-T (half + sqrt(noise_scale) z) is a
 slab draw.
 
+The functions the tests check against oracles run the sweep's own code:
+:func:`spike_probability` and the block kernel share
+:func:`block_log_spike_probability`, :func:`alpha_block_moments` reads the
+factor the block draw uses, and the alpha_0 and beta updates draw from
+their moment functions' ``_fixed_effect``.
+
 RNG contract of the block stage: a call that refreshes blocks first..last
 draws, before anything else, one ``standard_normal((k, d + 1))`` array with
 k = last - first + 1.  Row i belongs to block first + i: its first d entries
@@ -90,33 +96,11 @@ def covariance_factors(precisions: np.ndarray):
     return np.linalg.inv(chol), logdet
 
 
-def spd_solve_moments(gram: np.ndarray, rhs: np.ndarray, prior_precision: np.ndarray):
-    """Mean and covariance of a Gaussian conditional with the given pieces.
-
-    covariance = (gram + prior_precision)^-1, mean = covariance @ rhs.
-    """
-    precision = gram + prior_precision
-    cov = np.linalg.inv(precision)
-    cov = 0.5 * (cov + cov.T)
-    return cov @ rhs, cov
-
-
-def log_mixture_probability(log_bayes_factor: float, pi0: float) -> float:
-    """P(spike) = pi0 / (pi0 + (1-pi0) * exp(log_bayes_factor)), overflow-safe."""
-    if pi0 >= 1.0:
-        return 1.0
-    if pi0 <= 0.0:
-        return 0.0
-    log_spike = math.log(pi0)
-    log_slab = math.log1p(-pi0) + log_bayes_factor
-    return math.exp(log_spike - np.logaddexp(log_spike, log_slab))
-
-
 def log_spike_probability(log_bayes_factor, pi0: float) -> np.ndarray:
-    """Elementwise log P(spike) of blocks with the given log Bayes factors.
+    """Elementwise log P(spike) = log pi0 - log(pi0 + (1-pi0) exp(log_bayes_factor)).
 
-    The vectorized, log-domain form of :func:`log_mixture_probability`: no
-    overflow for any finite log Bayes factor; 0 at pi0 = 1, -inf at pi0 = 0.
+    Log-domain, so no overflow for any finite log Bayes factor; 0 at
+    pi0 = 1, -inf at pi0 = 0.
     """
     log_bf = np.asarray(log_bayes_factor, dtype=float)
     if pi0 >= 1.0:
@@ -127,17 +111,15 @@ def log_spike_probability(log_bayes_factor, pi0: float) -> np.ndarray:
     return log_spike - np.logaddexp(log_spike, math.log1p(-pi0) + log_bf)
 
 
-def block_spike_probability(
-    d: int, logdet_cov: float, quad: float, g: float, sigma_sq: float, pi0: float
-) -> float:
-    """Point-mass probability of one block from its covariance factors.
+def block_log_spike_probability(half, logdet, slab, noise_scale: float, pi0: float):
+    """log P(spike) of blocks with slab N(Sigma b, noise_scale * Sigma), Sigma = (G + I/g)^-1.
 
-    The slab has covariance sigma_sq * Sigma, with Sigma the unscaled factor
-    (gram + I/g)^-1, log|Sigma| = ``logdet_cov`` and ``quad`` = mu' Sigma^-1 mu:
-    pi0 / (pi0 + (1-pi0) g^(-d/2) |Sigma|^(1/2) exp(quad / (2 sigma_sq))).
+    ``logdet`` is log|Sigma| and ``half`` (last axis d) has |half|^2 = b' Sigma b.
     """
-    log_bf = -0.5 * d * math.log(g) + 0.5 * logdet_cov + 0.5 * quad / sigma_sq
-    return log_mixture_probability(log_bf, pi0)
+    d = np.shape(half)[-1]
+    quad = np.einsum("...d,...d->...", half, half)
+    log_bf = 0.5 * (logdet - d * np.log(slab)) + 0.5 * quad / noise_scale
+    return log_spike_probability(log_bf, pi0)
 
 
 def spike_probability(
@@ -147,11 +129,10 @@ def spike_probability(
 
     ``sigma_sq`` is the noise scale of the slab: 1.0 for the quantile model.
     """
-    mu = np.asarray(mu, dtype=float)
     chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    half = np.linalg.solve(chol, mu)
-    return block_spike_probability(mu.size, logdet, float(half @ half), g, sigma_sq, pi0)
+    half = np.linalg.solve(chol, np.asarray(mu, dtype=float))
+    return float(np.exp(block_log_spike_probability(half, logdet, g, sigma_sq, pi0)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +142,8 @@ def spike_probability(
 class GibbsModel:
     """Immutable-except-y bundle of data, design and priors.
 
-    A likelihood subclasses it and supplies, besides its own constants:
+    The engine reads ``prior.shrink_prior`` and ``prior.pi0_prior``.  A
+    likelihood subclasses the model and supplies, besides its own constants:
 
     * ``state_class``, ``scalar_names`` and ``latent_names``: its state and
       the state attributes stored per draw, in storage order;
@@ -170,8 +152,9 @@ class GibbsModel:
       grams G_j, their weighted covariate rows w * x_j (k, n), and the
       offset part c_j of their right-hand sides ((k, d) or 0.0), so that
       b_j = B'(w * x_j * resid) + G_j alpha_j - c_j;
-    * ``linear_moments(state, x, partial, prior_precision)``: mean and
-      covariance of a fixed-effect term with design x and partial residual;
+    * ``linear_system(state, x, partial)``: the likelihood's gram and
+      right-hand side of a fixed-effect term (alpha_0 or beta) with design x
+      and partial residual;
     * ``sweep(state, rng)``: one sweep in the likelihood's fixed order;
     * ``draw_noise_from_prior(state, rng)`` and
       ``draw_latents_from_prior(state, rng)``: the likelihood's own parts of
@@ -184,8 +167,6 @@ class GibbsModel:
     design: ExpandedDesign
     prior: PriorConfig | GaussianPriorConfig
     spike: bool
-    shrink_prior: tuple[float, float] | None = None  # Gamma (shape, rate) of the shrinkage rate
-    pi0_prior: tuple[float, float] | None = None  # Beta (a, b) of the spike weight
     sigma_beta: np.ndarray = field(repr=False, default=None)
     sigma_beta_inv: np.ndarray = field(repr=False, default=None)
     sigma_alpha0: np.ndarray = field(repr=False, default=None)
@@ -277,14 +258,17 @@ def _rhs_constants(grams: np.ndarray, alpha: np.ndarray, offset) -> np.ndarray:
     return (grams @ alpha[:, :, None])[:, :, 0] - offset
 
 
-def _stays_at_spike(half, log_bf0, log_u, noise_scale: float, pi0: float):
+def _block_factors(grams: np.ndarray, slab: np.ndarray):
+    """:func:`covariance_factors` of the slab precisions G_j + I/g_j."""
+    return covariance_factors(grams + np.eye(grams.shape[-1]) / slab[:, None, None])
+
+
+def _stays_at_spike(half, logdet, slab, log_u, noise_scale: float, pi0: float):
     """Spike decisions: Phi(z) < P(spike), compared as log_ndtr(z) < log P(spike).
 
-    ``half`` holds the whitened right-hand sides L^-1 b (last axis d) and
-    ``log_bf0`` the log Bayes factors without their quadratic term.
+    ``half`` holds the whitened right-hand sides L^-1 b (last axis d).
     """
-    quad = np.einsum("...d,...d->...", half, half)
-    log_p = log_spike_probability(log_bf0 + 0.5 * quad / noise_scale, pi0)
+    log_p = block_log_spike_probability(half, logdet, slab, noise_scale, pi0)
     return (log_p >= 0.0) | (log_u < log_p)
 
 
@@ -303,12 +287,11 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     grams, wxt, offset = model.block_system(state, first, last)
     slab = state.slab[first - 1 : last]
     scale = state.noise_scale
-    linv, logdet = covariance_factors(grams + np.eye(d) / slab[:, None, None])
+    linv, logdet = _block_factors(grams, slab)
     alpha = state.alpha[first : last + 1]
     inclusion = state.inclusion[first - 1 : last]
     const = _rhs_constants(grams, alpha, offset)
     shifts = math.sqrt(scale) * noise[:, :d]
-    log_bf0 = 0.5 * (logdet - d * np.log(slab))
     log_u = log_ndtr(noise[:, d]) if model.spike else None
     basis, basis_t, xt = model.basis, model.basis.T, model.xt[first - 1 : last]
     # First included position at or after each position (k if none).
@@ -320,7 +303,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
         if next_included[i] == i:
             half = linv[i] @ (basis_t @ (wxt[i] * resid) + const[i])
             to_spike = model.spike and _stays_at_spike(
-                half, log_bf0[i], log_u[i], scale, state.pi0
+                half, logdet[i], slab[i], log_u[i], scale, state.pi0
             )
             new = np.zeros(d) if to_spike else linv[i].T @ (half + shifts[i])
         else:
@@ -330,7 +313,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
             hit = 0
             if model.spike:
                 stays = _stays_at_spike(
-                    halves, log_bf0[i:stop], log_u[i:stop], scale, state.pi0
+                    halves, logdet[i:stop], slab[i:stop], log_u[i:stop], scale, state.pi0
                 )
                 hit = int(np.argmin(stays))
                 if stays[hit]:
@@ -351,13 +334,16 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
 def alpha_block_moments(state, model: GibbsModel, j: int):
     """Slab mean and unscaled covariance (gram + I/g_j)^-1 of block j given the rest.
 
-    The slab draw has covariance noise_scale times the returned factor.
+    Both come from the factor L^-1 the block draw uses: covariance L^-T L^-1
+    and mean L^-T L^-1 b.  The slab draw has covariance noise_scale times
+    the returned factor.
     """
     _check_block(model, j)
     grams, wxt, offset = model.block_system(state, j, j)
     const = _rhs_constants(grams, state.alpha[j : j + 1], offset)
     rhs = model.basis.T @ (wxt[0] * state.resid) + const[0]
-    return spd_solve_moments(grams[0], rhs, np.eye(model.d) / state.slab[j - 1])
+    linv = _block_factors(grams, state.slab[j - 1 : j])[0][0]
+    return linv.T @ (linv @ rhs), linv.T @ linv
 
 
 def update_alpha_block(state, model: GibbsModel, j: int, rng: RngHandle) -> None:
@@ -375,36 +361,46 @@ def update_alpha_blocks(state, model: GibbsModel, rng: RngHandle) -> None:
 # ---------------------------------------------------------------------------
 # alpha_0 and beta
 
+def _fixed_effect(state, model: GibbsModel, x, coef, prior_precision):
+    """Mean, covariance (gram + prior)^-1 and partial residual of a fixed-effect term x @ coef."""
+    partial = state.resid + x @ coef
+    gram, rhs = model.linear_system(state, x, partial)
+    cov = np.linalg.inv(gram + prior_precision)
+    cov = 0.5 * (cov + cov.T)
+    return cov @ rhs, cov, partial
+
+
+def _draw_fixed_effect(state, model: GibbsModel, x, coef, prior_precision, rng: RngHandle):
+    """Draw of a fixed-effect term from its conditional; updates the residual cache."""
+    mu, cov, partial = _fixed_effect(state, model, x, coef, prior_precision)
+    draw = sample_mvn(rng, mu, cov)
+    state.resid = partial - x @ draw
+    return draw
+
+
 def alpha0_conditional_moments(state, model: GibbsModel):
-    partial = state.resid + model.basis @ state.alpha[0]
-    return model.linear_moments(state, model.basis, partial, model.sigma_alpha0_inv)
+    return _fixed_effect(state, model, model.basis, state.alpha[0], model.sigma_alpha0_inv)[:2]
 
 
 def update_alpha0(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     """Gaussian refresh of the varying-intercept block."""
-    partial = state.resid + model.basis @ state.alpha[0]
-    mu, cov = model.linear_moments(state, model.basis, partial, model.sigma_alpha0_inv)
-    draw = sample_mvn(rng, mu, cov)
+    draw = _draw_fixed_effect(
+        state, model, model.basis, state.alpha[0], model.sigma_alpha0_inv, rng
+    )
     state.alpha[0] = draw
-    state.resid = partial - model.basis @ draw
     return draw
 
 
 def beta_conditional_moments(state, model: GibbsModel):
-    partial = state.resid + model.e @ state.beta
-    return model.linear_moments(state, model.e, partial, model.sigma_beta_inv)
+    return _fixed_effect(state, model, model.e, state.beta, model.sigma_beta_inv)[:2]
 
 
 def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     """Gaussian refresh of the clinical coefficients; no-op when q = 0."""
     if model.q == 0:
         return state.beta
-    partial = state.resid + model.e @ state.beta
-    mu, cov = model.linear_moments(state, model.e, partial, model.sigma_beta_inv)
-    draw = sample_mvn(rng, mu, cov)
-    state.beta = draw
-    state.resid = partial - model.e @ draw
-    return draw
+    state.beta = _draw_fixed_effect(state, model, model.e, state.beta, model.sigma_beta_inv, rng)
+    return state.beta
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +432,8 @@ def update_slab_scales(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
 
 def shrinkage_conditional_params(state, model: GibbsModel):
     """Gamma (shape, rate) of the squared shrinkage rate."""
-    shape = 0.5 * (model.d + 1) * model.p + model.shrink_prior[0]
-    rate = 0.5 * float(np.sum(state.slab)) + model.shrink_prior[1]
+    shape = 0.5 * (model.d + 1) * model.p + model.prior.shrink_prior[0]
+    rate = 0.5 * float(np.sum(state.slab)) + model.prior.shrink_prior[1]
     return shape, rate
 
 
@@ -449,7 +445,7 @@ def update_shrinkage(state, model: GibbsModel, rng: RngHandle) -> float:
 
 def pi0_conditional_params(state, model: GibbsModel):
     n_active = int(np.sum(state.inclusion))
-    return model.pi0_prior[0] + model.p - n_active, model.pi0_prior[1] + n_active
+    return model.prior.pi0_prior[0] + model.p - n_active, model.prior.pi0_prior[1] + n_active
 
 
 def update_pi0(state, model: GibbsModel, rng: RngHandle) -> float:
@@ -533,8 +529,8 @@ def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
     """
     state = initial_state(model)
     model.draw_noise_from_prior(state, rng)
-    state.shrink = float(sample_gamma(rng, *model.shrink_prior))
-    state.pi0 = float(sample_beta(rng, *model.pi0_prior)) if model.spike else 0.0
+    state.shrink = float(sample_gamma(rng, *model.prior.shrink_prior))
+    state.pi0 = float(sample_beta(rng, *model.prior.pi0_prior)) if model.spike else 0.0
     state.slab = np.atleast_1d(
         sample_gamma(rng, 0.5 * (model.d + 1), 0.5 * state.shrink, size=model.p)
     )

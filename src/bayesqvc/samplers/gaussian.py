@@ -30,7 +30,6 @@ from .engine import (
     GibbsModel,
     covariance_factors,  # noqa: F401  (not called here; the traced benchmark wraps this name)
     refresh_residual,
-    spd_solve_moments,
     update_alpha0,
     update_alpha_blocks,
     update_beta,
@@ -57,10 +56,9 @@ class GaussianModel(GibbsModel):
         """Unweighted grams from build; b_j = Z_j' r_j."""
         return self.block_grams[first - 1 : last], self.xt[first - 1 : last], 0.0
 
-    def linear_moments(self, state: GaussianSamplerState, x, partial, prior_precision):
-        """Ridge moments with weights 1/sigma_sq."""
-        rhs = x.T @ partial / state.sigma_sq
-        return spd_solve_moments(x.T @ x / state.sigma_sq, rhs, prior_precision)
+    def linear_system(self, state: GaussianSamplerState, x, partial):
+        """Gram and right-hand side with weights 1/sigma_sq."""
+        return x.T @ x / state.sigma_sq, x.T @ partial / state.sigma_sq
 
     def sweep(self, state: GaussianSamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)
@@ -80,13 +78,9 @@ def build_gaussian_model(
     spline_config: SplineConfig,
     prior: GaussianPriorConfig,
     spike: bool = True,
-    grid: np.ndarray | None = None,
 ) -> GaussianModel:
-    design = expand_design(dataset, spline_config, grid=grid)
-    model = GaussianModel.build(
-        dataset, design, prior, spike,
-        shrink_prior=(prior.t, prior.psi), pi0_prior=(prior.a, prior.b),
-    )
+    design = expand_design(dataset, spline_config)
+    model = GaussianModel.build(dataset, design, prior, spike)
     model.block_grams = weighted_block_grams(model.basis_outer, model.xt)
     return model
 

@@ -36,7 +36,6 @@ from .engine import (
     GibbsModel,
     covariance_factors,  # noqa: F401  (not called here; the traced benchmark wraps this name)
     refresh_residual,
-    spd_solve_moments,
     update_alpha0,
     update_alpha_blocks,
     update_beta,
@@ -72,12 +71,11 @@ class QuantileModel(GibbsModel):
         offset = wxt @ (self.basis * (self.consts.kappa1 * state.u_tilde)[:, None])
         return grams, wxt, offset
 
-    def linear_moments(self, state: SamplerState, x, partial, prior_precision):
-        """Weighted ridge moments; the gram (x * w)'x is recomputed every call."""
+    def linear_system(self, state: SamplerState, x, partial):
+        """Weighted gram (x * w)'x, recomputed every call; rhs x'(w * (partial - kappa1 u))."""
         w = _weights(state, self)
         target = partial - self.consts.kappa1 * state.u_tilde
-        gram = (x * w[:, None]).T @ x
-        return spd_solve_moments(gram, x.T @ (w * target), prior_precision)
+        return (x * w[:, None]).T @ x, x.T @ (w * target)
 
     def sweep(self, state: SamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)
@@ -99,13 +97,9 @@ def build_quantile_model(
     prior: PriorConfig,
     tau: float,
     spike: bool = True,
-    grid: np.ndarray | None = None,
 ) -> QuantileModel:
-    design = expand_design(dataset, spline_config, grid=grid)
-    return QuantileModel.build(
-        dataset, design, prior, spike, consts=ald_constants(tau),
-        shrink_prior=(prior.c, prior.m), pi0_prior=(prior.e, prior.f),
-    )
+    design = expand_design(dataset, spline_config)
+    return QuantileModel.build(dataset, design, prior, spike, consts=ald_constants(tau))
 
 
 def _weights(state: SamplerState, model: QuantileModel) -> np.ndarray:

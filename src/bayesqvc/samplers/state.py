@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass
-class SamplerState:
-    """All latent quantities of one quantile-model MCMC iteration.
+@dataclass(kw_only=True)
+class _ChainState:
+    """The quantities every sampler's MCMC iteration carries.
 
     ``resid`` caches the full residual y - E beta - sum_j Z_j alpha_j; it is
     derived state, refreshed from scratch at the top of every sweep.
@@ -17,60 +17,55 @@ class SamplerState:
 
     alpha: np.ndarray        # (p+1, d) spline coefficient blocks
     beta: np.ndarray         # (q,)
-    u_tilde: np.ndarray      # (n,) exponential-mixture latents
-    g: np.ndarray            # (p,) slab scales
-    theta: float
-    eta_sq: float
     pi0: float
     inclusion: np.ndarray    # (p,) bool, True iff alpha block j != 0
     resid: np.ndarray = field(default=None, repr=False)
 
+    positive = ()  # names of a subclass's scales, which must stay strictly positive
+
+    def validate(self) -> None:
+        for name in self.positive:
+            if np.any(np.asarray(getattr(self, name)) <= 0):
+                raise ValueError(f"{name} must stay strictly positive")
+        if not 0.0 <= self.pi0 <= 1.0:
+            raise ValueError("pi0 must lie in [0, 1]")
+        nonzero = np.any(self.alpha[1:] != 0.0, axis=1)
+        if not np.array_equal(nonzero, self.inclusion):
+            raise ValueError("inclusion flags inconsistent with alpha blocks")
+
+
+@dataclass(kw_only=True)
+class SamplerState(_ChainState):
+    """All latent quantities of one quantile-model MCMC iteration."""
+
+    u_tilde: np.ndarray      # (n,) exponential-mixture latents
+    g: np.ndarray            # (p,) slab scales
+    theta: float
+    eta_sq: float
+
+    positive = ("u_tilde", "g", "theta", "eta_sq")
     # Names the shared engine reads and writes.  The quantile slab is not
     # scaled by a noise variance, so its noise scale is an exact 1.0.
     noise_scale = 1.0
     slab = property(lambda self: self.g, lambda self, value: setattr(self, "g", value))
     shrink = property(lambda self: self.eta_sq, lambda self, value: setattr(self, "eta_sq", value))
 
-    def validate(self) -> None:
-        if np.any(self.u_tilde <= 0) or np.any(self.g <= 0):
-            raise ValueError("latent scales must stay strictly positive")
-        if self.theta <= 0 or self.eta_sq <= 0:
-            raise ValueError("theta and eta_sq must stay strictly positive")
-        if not 0.0 <= self.pi0 <= 1.0:
-            raise ValueError("pi0 must lie in [0, 1]")
-        nonzero = np.any(self.alpha[1:] != 0.0, axis=1)
-        if not np.array_equal(nonzero, self.inclusion):
-            raise ValueError("inclusion flags inconsistent with alpha blocks")
 
-
-@dataclass
-class GaussianSamplerState:
+@dataclass(kw_only=True)
+class GaussianSamplerState(_ChainState):
     """All latent quantities of one Gaussian-model MCMC iteration."""
 
-    alpha: np.ndarray        # (p+1, d)
-    beta: np.ndarray         # (q,)
     sigma_sq: float
     zeta_sq: np.ndarray      # (p,) slab scales
     lambda_sq: float
-    pi0: float
-    inclusion: np.ndarray    # (p,) bool
-    resid: np.ndarray = field(default=None, repr=False)
 
+    positive = ("sigma_sq", "zeta_sq", "lambda_sq")
     # Names the shared engine reads and writes.
     noise_scale = property(lambda self: self.sigma_sq)
     slab = property(lambda self: self.zeta_sq, lambda self, value: setattr(self, "zeta_sq", value))
     shrink = property(
         lambda self: self.lambda_sq, lambda self, value: setattr(self, "lambda_sq", value)
     )
-
-    def validate(self) -> None:
-        if self.sigma_sq <= 0 or self.lambda_sq <= 0 or np.any(self.zeta_sq <= 0):
-            raise ValueError("variance parameters must stay strictly positive")
-        if not 0.0 <= self.pi0 <= 1.0:
-            raise ValueError("pi0 must lie in [0, 1]")
-        nonzero = np.any(self.alpha[1:] != 0.0, axis=1)
-        if not np.array_equal(nonzero, self.inclusion):
-            raise ValueError("inclusion flags inconsistent with alpha blocks")
 
 
 @dataclass

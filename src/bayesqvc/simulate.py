@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, stats
+from scipy.special import ndtr, ndtri
 
 from .data import Dataset
 from .rng import RngHandle
@@ -145,8 +145,11 @@ def dichotomize_snp(gene_matrix: np.ndarray) -> np.ndarray:
 def error_quantile(error_kind: str, tau: float, mixture_sd_or_var: str = "var") -> float:
     """tau-quantile of the uncentered base error law."""
     if error_kind == "normal":
-        return float(stats.norm.ppf(tau))
+        return float(ndtri(tau))
     if error_kind == "normal_mixture":
+        # Imported here: scipy.optimize is slow to import and only this law needs it.
+        from scipy.optimize import brentq
+
         wide_sd = (
             math.sqrt(MIXTURE_WIDE_VARIANCE)
             if mixture_sd_or_var == "var"
@@ -154,15 +157,13 @@ def error_quantile(error_kind: str, tau: float, mixture_sd_or_var: str = "var") 
         )
 
         def cdf(x):
-            return MIXTURE_WEIGHT * stats.norm.cdf(x) + (1.0 - MIXTURE_WEIGHT) * stats.norm.cdf(
-                x / wide_sd
-            )
+            return MIXTURE_WEIGHT * ndtr(x) + (1.0 - MIXTURE_WEIGHT) * ndtr(x / wide_sd)
 
-        return float(optimize.brentq(lambda x: cdf(x) - tau, -60.0, 60.0, xtol=1e-14))
+        return float(brentq(lambda x: cdf(x) - tau, -60.0, 60.0, xtol=1e-14))
     if error_kind == "laplace":
         return math.log(2.0 * tau) if tau < 0.5 else -math.log(2.0 * (1.0 - tau))
     if error_kind == "lognormal":
-        return float(math.exp(stats.norm.ppf(tau)))
+        return float(math.exp(ndtri(tau)))
     if error_kind == "t2":
         # Closed form for 2 degrees of freedom.
         return (2.0 * tau - 1.0) / math.sqrt(2.0 * tau * (1.0 - tau))

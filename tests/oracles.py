@@ -109,6 +109,17 @@ def spike_probability_oracle_gaussian(zj, resid_partial, sigma_sq, zeta_sq, pi0)
     )
 
 
+def scalar_spike_probability(log_bayes_factor: float, pi0: float) -> float:
+    """P(spike) = pi0 / (pi0 + (1-pi0) * exp(log_bayes_factor)) in scalar math, overflow-safe."""
+    if pi0 >= 1.0:
+        return 1.0
+    if pi0 <= 0.0:
+        return 0.0
+    log_spike = math.log(pi0)
+    log_slab = math.log1p(-pi0) + log_bayes_factor
+    return math.exp(log_spike - np.logaddexp(log_spike, log_slab))
+
+
 # ---------------------------------------------------------------------------
 # quadrature check of a positive scalar conditional density
 

@@ -9,7 +9,6 @@ from bayesqvc.basis import (
     SplineConfig,
     basis_matrix,
     basis_values,
-    default_grid,
     evaluate_basis,
     expand_design,
     knot_sequence,
@@ -112,10 +111,9 @@ def test_degree_one_reproduces_linear_interpolation():
     np.testing.assert_allclose(at_mids, (coef[:-1] + coef[1:]) / 2, atol=1e-14)
 
 
-def test_basis_matrix_validates_and_carries_grid():
+def test_basis_matrix_validates():
     bm = basis_matrix(np.array([0.2, 0.8]), SplineConfig(2, 2))
     assert bm.values.shape == (2, 5)
-    assert bm.grid_values.shape == (default_grid().size, 5)
     bm.validate()
 
 

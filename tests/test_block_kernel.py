@@ -15,7 +15,6 @@ from bayesqvc import SplineConfig, fit
 from bayesqvc.samplers import gaussian, quantile
 from bayesqvc.samplers.engine import (
     alpha_block_moments,
-    block_spike_probability,
     full_residual,
     initial_state,
     log_spike_probability,
@@ -25,6 +24,8 @@ from bayesqvc.samplers.engine import (
     update_alpha_blocks,
 )
 from bayesqvc.simulate import ScenarioSpec, simulate_dataset
+
+from oracles import scalar_spike_probability
 
 # Block 5 carries a strong signal inside the excluded run 3..7, so a run scan
 # meets a slab hit after null blocks and must resume after it.
@@ -116,8 +117,7 @@ def test_vectorized_spike_probability_matches_scalar(pi0):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ours = np.exp(log_spike_probability(log_bf, pi0))
-    # d = 2, g = 1 and sigma_sq = 1 make log_bf = 0.5 * logdet + 0.5 * quad
-    scalar = [block_spike_probability(2, 0.0, 2.0 * b, 1.0, 1.0, pi0) for b in log_bf]
+    scalar = [scalar_spike_probability(b, pi0) for b in log_bf]
     np.testing.assert_allclose(ours, scalar, rtol=1e-12, atol=0.0)
 
 

@@ -1,12 +1,17 @@
 """File formats and the command-line workflow."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bayesqvc
 from bayesqvc import Dataset, RngHandle
-from bayesqvc.cli import main
+from bayesqvc.cli import _config_from_args, build_parser, main
 from bayesqvc.io import (
     RunConfig,
     load_samples,
@@ -177,6 +182,34 @@ def test_runconfig_validation():
     prior = cfg.prior_config()
     assert prior.s == 2.0
     np.testing.assert_allclose(prior.resolved_sigma_alpha0(3), 10.0 * np.eye(3))
+
+
+def test_fit_flags_override_config_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"method": "bvc", "seed": 9, "thin": 2, "priors": {"c": 2.0}}))
+    flags = {"method": "bqrvc", "tau": 0.3, "degree": 1, "interior_knots": 3,
+             "iterations": 40, "burn_in": 10, "chains": 3, "workers": 2}
+    argv = ["fit", "--data", "d.csv", "--config", str(path), "--store-latents"]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    config = _config_from_args(build_parser().parse_args(argv + ["--prior", "a=4"]))
+    expected = RunConfig(**flags, thin=2, seed=9, store_latents=True,
+                         priors={"c": 2.0, "a": 4.0})
+    assert config == expected
+    bare = _config_from_args(build_parser().parse_args(["fit", "--data", "d.csv"]))
+    assert bare == RunConfig()
+
+
+def test_cli_import_skips_slow_scipy_modules():
+    # scipy.stats and scipy.optimize take most of a cold import; no command needs
+    # them unless it simulates a normal-mixture dataset.
+    src = str(Path(bayesqvc.__file__).resolve().parents[1])
+    code = "import json, sys, bayesqvc.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded and "scipy.optimize" not in loaded
 
 
 def run_cli(*argv):

@@ -153,6 +153,8 @@ def test_alpha_block_moments_dense_oracle():
     ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, p)), v=rng.random(n))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=0.3)
     state = draw_state_from_prior(model, RngHandle(4, 0))
+    # This prior draw has theta near 6e-6, so the gram would be invisible next to I/g.
+    state.theta = 2.0
     c = model.consts
     for j in (1, 2):
         mu, sigma = alpha_block_moments(state, model, j)
