@@ -90,7 +90,10 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
     """Inverse-Gaussian(mean, shape) via the Michael-Schucany-Haas transform.
 
     One chi-square transform plus one uniform per draw; no rejection loop.
-    Broadcasts over array-valued ``mean``/``shape``.
+    Broadcasts over array-valued ``mean``/``shape``.  The smaller root is
+    taken as mu / (1 + r + sqrt(r (r + 2))), r = mu y / (2 shape): the
+    textbook form mu + mu^2 y / (2 shape) - ... cancels when mu y >> shape,
+    and its draws then collapsed onto the positivity clamp.
     """
     mu = np.asarray(mean, dtype=float)
     lam = np.asarray(shape, dtype=float)
@@ -109,16 +112,14 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
         lam = np.broadcast_to(lam, out_shape)
 
     y = rng.gen.standard_normal(out_shape) ** 2
-    # Root of the quadratic in x implied by the IG density, then pick
-    # between x and mu^2/x with the MSH acceptance probability.
-    x = mu + (mu**2 * y) / (2.0 * lam) - (mu / (2.0 * lam)) * np.sqrt(
-        4.0 * mu * lam * y + (mu * y) ** 2
-    )
-    # Guard against cancellation producing a tiny negative root.
-    x = np.maximum(x, _TINY)
+    # The roots of the quadratic in x implied by the IG density are mu / big
+    # and mu * big; pick one with the MSH acceptance probability.
+    r = mu * y / (2.0 * lam)
+    big = 1.0 + r + np.sqrt(r * (r + 2.0))
+    x = np.maximum(mu / big, _TINY)  # guards against underflow of a tiny mean
     u = rng.gen.random(out_shape)
     take_root = u <= mu / (mu + x)
-    draws = np.where(take_root, x, mu**2 / x)
+    draws = np.where(take_root, x, mu * big)
     return float(draws) if scalar else draws
 
 

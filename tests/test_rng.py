@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bayesqvc.rng import (
     RngHandle,
@@ -50,6 +51,16 @@ def test_inverse_gaussian_degenerate_limit():
     draws = sample_inverse_gaussian(rng, 1.0, 1e8, size=10_000)
     assert draws.std() < 1e-3
     assert abs(draws.mean() - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("mean", [1e-3, 1.0, 1e4, 1e8, 1e10, 1e12])
+def test_inverse_gaussian_matches_law_at_large_mean_over_shape(mean):
+    # A residual of exactly zero gives the latent-u update a mean near 4e10.
+    shape = 2.0
+    draws = sample_inverse_gaussian(RngHandle(5, 0), mean, shape, size=100_000)
+    assert np.all(draws > np.finfo(float).tiny)  # none sits at the positivity clamp
+    law = stats.invgauss(mean / shape, scale=shape)
+    assert stats.kstest(draws, law.cdf).pvalue > 0.01
 
 
 def test_gamma_exponential_identity_and_moments():
