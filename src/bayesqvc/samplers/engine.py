@@ -32,13 +32,15 @@ factor the block draw uses, and the alpha_0 and beta updates draw from
 their moment functions' ``_fixed_effect``.
 
 RNG contract of the block stage: a call that refreshes blocks first..last
-draws, before anything else, one ``standard_normal((k, d + 1))`` array with
+draws, before anything else, one ``standard_normal((k, d + 2))`` array with
 k = last - first + 1.  Row i belongs to block first + i: its first d entries
-are the slab innovation, and its last entry z decides the block, which goes
-to the spike iff Phi(z) < P(spike).  The plain samplers draw the same array
-and ignore z.  RNG consumption therefore does not depend on the data, a loop
-of single-block calls draws the same rows as one batched call, and a spike
-sampler with pi0 = 0 reproduces its plain sampler draw for draw.
+are the slab innovation, and its last two entries z, z' decide the block.
+E = (z^2 + z'^2) / 2 is Exp(1), so -E has the law of log U for a uniform U,
+and the block goes to the spike iff -E < log P(spike).  The plain samplers
+draw the same array and ignore z, z'.  RNG consumption therefore does not
+depend on the data, a loop of single-block calls draws the same rows as one
+batched call, and a spike sampler with pi0 = 0 reproduces its plain sampler
+draw for draw.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from ..basis import ExpandedDesign
 from ..data import Dataset
@@ -264,7 +265,9 @@ def _block_factors(grams: np.ndarray, slab: np.ndarray):
 
 
 def _stays_at_spike(half, logdet, slab, log_u, noise_scale: float, pi0: float):
-    """Spike decisions: Phi(z) < P(spike), compared as log_ndtr(z) < log P(spike).
+    """Spike decisions: U < P(spike), compared as log U < log P(spike).
+
+    ``log_u`` holds log-uniform draws, -E with E ~ Exp(1).
 
     ``half`` holds the whitened right-hand sides L^-1 b (last axis d).
     """
@@ -283,7 +286,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     spike changes nothing.
     """
     k, d = last - first + 1, model.d
-    noise = rng.gen.standard_normal((k, d + 1))
+    noise = rng.gen.standard_normal((k, d + 2))
     grams, wxt, offset = model.block_system(state, first, last)
     slab = state.slab[first - 1 : last]
     scale = state.noise_scale
@@ -292,7 +295,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     inclusion = state.inclusion[first - 1 : last]
     const = _rhs_constants(grams, alpha, offset)
     shifts = math.sqrt(scale) * noise[:, :d]
-    log_u = log_ndtr(noise[:, d]) if model.spike else None
+    log_u = -0.5 * (noise[:, d] ** 2 + noise[:, d + 1] ** 2) if model.spike else None
     basis, basis_t, xt = model.basis, model.basis.T, model.xt[first - 1 : last]
     # First included position at or after each position (k if none).
     next_included = np.minimum.accumulate(np.where(inclusion, np.arange(k), k)[::-1])[::-1]

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .data import Dataset
 from .rng import RngHandle
@@ -142,28 +142,42 @@ def dichotomize_snp(gene_matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bisect_quantile(cdf: Callable[[float], float], tau: float) -> float:
+    """An x in [-60, 60] with cdf(x) = tau: bisection to an exact hit or to adjacent floats."""
+    lo, hi = -60.0, 60.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        value = cdf(mid)
+        if value == tau:
+            return mid
+        if value < tau:
+            lo = mid
+        else:
+            hi = mid
+
+
 def error_quantile(error_kind: str, tau: float, mixture_sd_or_var: str = "var") -> float:
     """tau-quantile of the uncentered base error law."""
     if error_kind == "normal":
-        return float(ndtri(tau))
+        return NormalDist().inv_cdf(tau)
     if error_kind == "normal_mixture":
-        # Imported here: scipy.optimize is slow to import and only this law needs it.
-        from scipy.optimize import brentq
-
         wide_sd = (
             math.sqrt(MIXTURE_WIDE_VARIANCE)
             if mixture_sd_or_var == "var"
             else MIXTURE_WIDE_VARIANCE
         )
+        narrow, wide = NormalDist(), NormalDist(0.0, wide_sd)
 
         def cdf(x):
-            return MIXTURE_WEIGHT * ndtr(x) + (1.0 - MIXTURE_WEIGHT) * ndtr(x / wide_sd)
+            return MIXTURE_WEIGHT * narrow.cdf(x) + (1.0 - MIXTURE_WEIGHT) * wide.cdf(x)
 
-        return float(brentq(lambda x: cdf(x) - tau, -60.0, 60.0, xtol=1e-14))
+        return _bisect_quantile(cdf, tau)
     if error_kind == "laplace":
         return math.log(2.0 * tau) if tau < 0.5 else -math.log(2.0 * (1.0 - tau))
     if error_kind == "lognormal":
-        return float(math.exp(ndtri(tau)))
+        return math.exp(NormalDist().inv_cdf(tau))
     if error_kind == "t2":
         # Closed form for 2 degrees of freedom.
         return (2.0 * tau - 1.0) / math.sqrt(2.0 * tau * (1.0 - tau))

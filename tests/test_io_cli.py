@@ -200,16 +200,25 @@ def test_fit_flags_override_config_file(tmp_path):
     assert bare == RunConfig()
 
 
-def test_cli_import_skips_slow_scipy_modules():
-    # scipy.stats and scipy.optimize take most of a cold import; no command needs
-    # them unless it simulates a normal-mixture dataset.
+def test_cli_simulate_and_fit_load_no_scipy(tmp_path):
+    # The package runs on numpy and the standard library alone: simulating a
+    # normal-mixture dataset (a numerical quantile) and a spike-and-slab fit
+    # (the spike decisions) must not load any scipy module.
     src = str(Path(bayesqvc.__file__).resolve().parents[1])
-    code = "import json, sys, bayesqvc.cli; print(json.dumps(sorted(sys.modules)))"
+    code = (
+        "import json, sys\n"
+        "from bayesqvc.cli import main\n"
+        "assert main(['simulate', '--n', '30', '--p', '3', '--error', 'normal_mixture',"
+        " '--tau', '0.3', '--out', 'sim']) == 0\n"
+        "assert main(['fit', '--data', 'sim/dataset.csv', '--method', 'bqrvcss', '--tau', '0.3',"
+        " '--degree', '1', '--interior-knots', '1', '--iterations', '20', '--burn-in', '5',"
+        " '--workers', '1', '--out', 'fit']) == 0\n"
+        "print(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=os.environ | {"PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    loaded = json.loads(out)
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded and "scipy.optimize" not in loaded
+                         cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == []
+    assert (tmp_path / "fit" / "curves.csv").exists()
 
 
 def run_cli(*argv):
