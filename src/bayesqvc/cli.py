@@ -23,6 +23,7 @@ from .diagnostics import psrf_report, psrf_report_trace
 from .io import (
     RunConfig,
     dump_json,
+    known_keys,
     load_json,
     load_samples,
     load_truth,
@@ -34,7 +35,7 @@ from .io import (
     write_truth,
 )
 from .samplers import fit as run_fit
-from .samplers.variants import METHODS, map_in_order, method_spec, resolve_workers
+from .samplers.variants import METHODS, map_in_order, resolve_workers
 from .simulate import (
     COVARIATE_KINDS,
     ERROR_KINDS,
@@ -248,14 +249,12 @@ def cmd_diagnose(args) -> int:
             "diagnose with --split to halve the single chain"
         )
     report = psrf_report(samples, split=args.split)
-    stored = samples.chains[0].stored
+    # A split halves each chain, so checkpoints count draws of the halves.
+    length = samples.chains[0].stored // (2 if args.split else 1)
     if args.checkpoints:
-        checkpoints = [c for c in args.checkpoints if c <= stored]
+        checkpoints = [c for c in args.checkpoints if c <= length]
     else:
-        step = 1000
-        checkpoints = list(range(step, (stored // 2 if args.split else stored) + 1, step))
-        if not checkpoints:
-            checkpoints = [stored // 2 if args.split else stored]
+        checkpoints = list(range(1000, length + 1, 1000)) or [length]
     trace = psrf_report_trace(samples, checkpoints, split=args.split)
     payload = {
         "config": config.to_dict(),
@@ -276,27 +275,32 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 # replicate-study
 
+def replicate_inputs(study: dict, scenario: dict, method: str, rep: int):
+    """The ScenarioSpec and RunConfig of one replicate; ValueError names an unknown key."""
+    seed = study.get("base_seed", 0) + rep
+    spec = ScenarioSpec(**known_keys(ScenarioSpec, {**scenario, "seed": seed}, "scenario"))
+    config = RunConfig.from_dict(
+        {
+            "method": method,
+            "tau": spec.tau,
+            **study.get("spline", {}),
+            **study.get("mcmc", {}),
+            "seed": seed,
+            "priors": study.get("priors", {}),
+            "workers": 1,
+        }
+    )
+    return spec, config
+
+
 def run_replicate(study: dict, scenario: dict, method: str, rep: int, rep_dir: Path) -> dict:
     """Simulate, fit and score one replicate in ``rep_dir``; returns its metrics.
 
     The chains run one after another in this process, so a replicate can
     itself run in a worker process of the study.
     """
-    base_seed = study.get("base_seed", 0)
-    spec = ScenarioSpec(**{**scenario, "seed": base_seed + rep})
+    spec, config = replicate_inputs(study, scenario, method, rep)
     dataset, curves, support = simulate_dataset(spec)
-    mcmc = dict(study.get("mcmc", {}))
-    config = RunConfig.from_dict(
-        {
-            "method": method,
-            "tau": spec.tau,
-            **study.get("spline", {}),
-            **mcmc,
-            "seed": base_seed + rep,
-            "priors": study.get("priors", {}),
-            "workers": 1,
-        }
-    )
     rep_dir.mkdir(parents=True, exist_ok=True)
     summary, estimates = fit_and_summarize(
         dataset, config, rep_dir, write_samples=study.get("save_samples", False)
@@ -345,7 +349,7 @@ def cmd_replicate_study(args) -> int:
     for scenario in study["scenarios"]:
         label = scenario_label(scenario)
         for method in study["methods"]:
-            method_spec(method)
+            replicate_inputs(study, scenario, method, 0)  # bad keys fail before any replicate
             rep_dirs = [out / label / method / f"rep_{rep:04d}" for rep in range(replicates)]
             cells.append((label, method, rep_dirs))
             pending += [

@@ -90,9 +90,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        cfg = cls(**payload)
+        cfg = cls(**known_keys(cls, payload, "config"))
         cfg.validate()
         return cfg
+
+
+def known_keys(cls, payload: dict, what: str) -> dict:
+    """``payload`` if each key names a field of dataclass ``cls``; else ValueError naming the rest."""
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    return payload
 
 
 def dump_json(path, payload) -> None:

@@ -348,6 +348,48 @@ def test_cli_diagnose_single_chain_advises_split(sim_dir, tmp_path, capsys):
     assert run_cli("diagnose", "--fit", out, "--split") == 0
 
 
+def test_cli_diagnose_split_checkpoints_count_half_chains(sim_dir, tmp_path):
+    out = tmp_path / "one"
+    assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--method", "bqrvcss",
+                   "--tau", 0.5, "--iterations", 250, "--burn-in", 100, "--seed", 2,
+                   "--out", out) == 0
+    assert run_cli("diagnose", "--fit", out, "--split", "--checkpoints", 50, 75, 150) == 0
+    report = json.loads((out / "psrf.json").read_text())
+    for trace in report["trace"].values():
+        assert [point[0] for point in trace] == [50, 75]
+
+
+def test_cli_fit_rejects_unknown_config_key(sim_dir, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"method": "bqrvcss", "iteratons": 50}))
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--config", cfg,
+                   "--out", out) == 1
+    assert "iteratons" in capsys.readouterr().err
+    assert not (out / "fit_summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, key",
+    [("mcmc", "iteratons"), ("spline", "degre"), ("scenario", "eror_kind")],
+)
+def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key):
+    scenarios = [{"covariate_kind": "gene", "error_kind": "normal", "n": 40, "p": 3},
+                 {"covariate_kind": "snp", "error_kind": "laplace", "n": 40, "p": 3}]
+    study = {"scenarios": scenarios, "methods": ["bvc", "bqrvcss"], "replicates": 2,
+             "mcmc": {"iterations": 40, "burn_in": 10}, "spline": {"degree": 1}}
+    if entry == "scenario":
+        scenarios[1][key] = "normal"
+    else:
+        study[entry][key] = 2
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(study))
+    out = tmp_path / "out"
+    assert run_cli("replicate-study", "--config", cfg, "--out", out) == 1
+    assert key in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_replicate_study(tmp_path):
     study = {
         "scenarios": [
