@@ -166,7 +166,7 @@ def write_truth(path, spec: ScenarioSpec, support) -> None:
 
 def load_truth(path):
     payload = load_json(path)
-    spec = ScenarioSpec(**payload["scenario"])
+    spec = ScenarioSpec(**known_keys(ScenarioSpec, payload["scenario"], "scenario"))
     return spec, set(payload["support"])
 
 

@@ -323,6 +323,15 @@ def test_cli_evaluate_roundtrip(sim_dir, fit_dir, tmp_path):
     assert m["timse"] == pytest.approx(manual)
 
 
+def test_cli_evaluate_rejects_unknown_truth_key(sim_dir, fit_dir, tmp_path, capsys):
+    payload = json.loads((sim_dir / "truth.json").read_text())
+    payload["scenario"]["eror_kind"] = "normal"
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(payload))
+    assert run_cli("evaluate", "--fit", fit_dir, "--truth", truth) == 1
+    assert "eror_kind" in capsys.readouterr().err
+
+
 def test_cli_evaluate_missing_truth(fit_dir, tmp_path, capsys):
     code = run_cli("evaluate", "--fit", fit_dir, "--truth", tmp_path / "none.json")
     assert code == 1
