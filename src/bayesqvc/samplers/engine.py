@@ -267,9 +267,8 @@ def _block_factors(grams: np.ndarray, slab: np.ndarray):
 def _stays_at_spike(half, logdet, slab, log_u, noise_scale: float, pi0: float):
     """Spike decisions: U < P(spike), compared as log U < log P(spike).
 
-    ``log_u`` holds log-uniform draws, -E with E ~ Exp(1).
-
-    ``half`` holds the whitened right-hand sides L^-1 b (last axis d).
+    ``log_u`` holds the log-uniform draws -E, E ~ Exp(1), and ``half`` the
+    whitened right-hand sides L^-1 b (last axis d).
     """
     log_p = block_log_spike_probability(half, logdet, slab, noise_scale, pi0)
     return (log_p >= 0.0) | (log_u < log_p)

@@ -75,9 +75,8 @@ def resolve_workers(workers: int | None, tasks: int) -> int:
 
 def _pool_context():
     # Forked workers inherit the imported package; a spawned worker imports
-    # the package and numpy again, which took 1.2 s or more per pool on a
-    # 2-vCPU Xeon while the package still imported scipy, longer than a short
-    # chain or a study replicate.
+    # the package and numpy again, about 0.4 s per worker on a 2-vCPU Xeon,
+    # longer than a short chain or a study replicate.
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return None
