@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, metrics
-from .basis import default_grid
 from .diagnostics import psrf_report, psrf_report_trace
 from .io import (
     RunConfig,
@@ -105,7 +104,7 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path, write_samples: bool
     """Run the requested chains, persist samples, curves, and summary JSON.
 
     ``samples.bin``/``samples.json`` are written only if ``write_samples``.
-    Returns the summary and the curve estimates written to ``curves.csv``.
+    Returns the summary and the curve bands written to ``curves.csv``.
     """
     workers = resolve_workers(config.workers, config.chains)
     start = time.perf_counter()
@@ -121,8 +120,7 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path, write_samples: bool
     sampled = time.perf_counter()
     wallclock = sampled - start
 
-    grid = default_grid()
-    estimates = inference.all_curve_estimates(samples, grid=grid)
+    bands = inference.all_curve_estimates(samples)
     summary = {
         "config": config.to_dict(),
         "method": config.method,
@@ -136,22 +134,16 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path, write_samples: bool
         "workers_used": workers,
         "scalar_summaries": inference.posterior_scalar_summaries(samples),
     }
-    if samples.is_spike:
-        inc = inference.inclusion_probabilities(samples)
-        summary["inclusion_probabilities"] = inc.probs.tolist()
-        summary["selected"] = inc.selected
-        summary["selection_rule"] = "mpm"
-    else:
-        selected = inference.ci_selection(samples)
-        summary["selected"] = selected
-        summary["selection_rule"] = "ci95"
+    summary["selection_rule"], summary["selected"], probs = inference.selection(samples)
+    if probs is not None:
+        summary["inclusion_probabilities"] = probs.tolist()
 
     if write_samples:
         save_samples(out, samples, config)
-    write_curves_csv(out / "curves.csv", estimates)
+    write_curves_csv(out / "curves.csv", bands)
     summary["output_seconds"] = time.perf_counter() - sampled
     dump_json(out / "fit_summary.json", summary)
-    return summary, estimates
+    return summary, bands
 
 
 def cmd_fit(args) -> int:
@@ -170,15 +162,16 @@ def cmd_fit(args) -> int:
 # evaluate
 
 def evaluate_fit(fit_dir: Path, truth_path: Path) -> dict:
-    """Score the ``curves.csv`` and ``fit_summary.json`` of a fit directory."""
-    grid, med, low, upp = read_curves_csv(fit_dir / "curves.csv")
+    """Score the ``curves.csv`` and ``fit_summary.json`` of a fit directory against a truth file."""
+    bands = read_curves_csv(fit_dir / "curves.csv")
     summary = load_json(fit_dir / "fit_summary.json")
-    return evaluate_curves(grid, med, low, upp, summary, truth_path)
-
-
-def evaluate_curves(grid, med, low, upp, summary: dict, truth_path: Path) -> dict:
-    """Metrics of one fit from its p+1 median, lower and upper curve rows on ``grid``."""
     spec, support = load_truth(truth_path)
+    return evaluate_curves(bands, summary, spec, support)
+
+
+def evaluate_curves(bands, summary: dict, spec: ScenarioSpec, support) -> dict:
+    """Metrics of one fit's curve bands and selection against the scenario it was fitted to."""
+    grid, med, low, upp = bands
     curves = TrueCurves(hard_intercept=spec.hard_intercept)
     per_curve = [metrics.imse(med[j], curves.evaluate(j, grid)) for j in range(len(med))]
     cov = {
@@ -243,16 +236,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     samples, config = load_samples(Path(args.fit))
-    if len(samples.chains) < 2 and not args.split:
-        raise ValueError(
-            "PSRF needs at least 2 chains; refit with --chains 2 or rerun "
-            "diagnose with --split to halve the single chain"
-        )
     report = psrf_report(samples, split=args.split)
     # A split halves each chain, so checkpoints count draws of the halves.
     length = samples.chains[0].stored // (2 if args.split else 1)
     if args.checkpoints:
         checkpoints = [c for c in args.checkpoints if c <= length]
+        for c in sorted(set(args.checkpoints) - set(checkpoints)):
+            print(f"warning: checkpoint {c} is past the {length} draws per chain; dropped",
+                  file=sys.stderr)
+        if not checkpoints:
+            raise ValueError(f"no checkpoint within the {length} draws per chain")
     else:
         checkpoints = list(range(1000, length + 1, 1000)) or [length]
     trace = psrf_report_trace(samples, checkpoints, split=args.split)
@@ -274,6 +267,23 @@ def cmd_diagnose(args) -> int:
 
 # ---------------------------------------------------------------------------
 # replicate-study
+
+STUDY_KEYS = ("replicates", "methods", "scenarios", "base_seed", "spline", "mcmc", "priors",
+              "save_samples", "workers", "out_dir")
+
+
+def check_study(study: dict) -> None:
+    """ValueError unless ``study`` has only known keys, replicates >= 1 and some cells."""
+    unknown = sorted(set(study) - set(STUDY_KEYS))
+    if unknown:
+        raise ValueError(f"unknown study keys: {unknown}")
+    replicates = study.get("replicates")
+    if not isinstance(replicates, int) or replicates < 1:
+        raise ValueError(f"study replicates must be an integer >= 1, got {replicates!r}")
+    for key in ("scenarios", "methods"):
+        if not isinstance(study.get(key), list) or not study[key]:
+            raise ValueError(f"study {key} must be a non-empty list")
+
 
 def replicate_inputs(study: dict, scenario: dict, method: str, rep: int):
     """The ScenarioSpec and RunConfig of one replicate; ValueError names an unknown key."""
@@ -300,14 +310,13 @@ def run_replicate(study: dict, scenario: dict, method: str, rep: int, rep_dir: P
     itself run in a worker process of the study.
     """
     spec, config = replicate_inputs(study, scenario, method, rep)
-    dataset, curves, support = simulate_dataset(spec)
+    dataset, _, support = simulate_dataset(spec)
     rep_dir.mkdir(parents=True, exist_ok=True)
-    summary, estimates = fit_and_summarize(
+    summary, bands = fit_and_summarize(
         dataset, config, rep_dir, write_samples=study.get("save_samples", False)
     )
     write_truth(rep_dir / "truth.json", spec, support)
-    med, low, upp = zip(*((est.median, est.lower, est.upper) for est in estimates))
-    result = evaluate_curves(estimates[0].grid, med, low, upp, summary, rep_dir / "truth.json")
+    result = evaluate_curves(bands, summary, spec, support)
     result["wallclock_seconds"] = summary["wallclock_seconds"]
     dump_json(rep_dir / "metrics.json", result)
     return result
@@ -342,9 +351,10 @@ def cmd_replicate_study(args) -> int:
     depends on the process count.
     """
     study = load_json(args.config)
+    check_study(study)
     out = Path(args.out if args.out else study.get("out_dir", _default_out()))
     out.mkdir(parents=True, exist_ok=True)
-    replicates = int(study["replicates"])
+    replicates = study["replicates"]
     cells, pending = [], []
     for scenario in study["scenarios"]:
         label = scenario_label(scenario)

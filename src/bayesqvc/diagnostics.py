@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import ci_selection, inclusion_probabilities
+from .inference import selection
 from .samplers.state import PosteriorSamples
 
 PSRF_CUTOFF = 1.1
@@ -56,7 +56,6 @@ def psrf_trace(chains: np.ndarray, checkpoints) -> list[tuple[int, float]]:
 class PsrfReport:
     values: dict[str, float]
     degenerate: dict[str, bool]
-    iteration: int
     cutoff: float = PSRF_CUTOFF
     converged: bool = field(init=False)
 
@@ -68,20 +67,15 @@ def tracked_parameters(samples: PosteriorSamples) -> dict[str, np.ndarray]:
     """Default tracked set: spline coefficients of the varying intercept and
     of the selected blocks, plus the likelihood scale.
 
-    Blocks are selected by the median-probability model for the spike
-    methods and by :func:`inference.ci_selection` for the others, whose
-    blocks are never exactly zero.
+    Blocks are selected by :func:`inference.selection`, the rule the fit's
+    summary reports.
 
     Returns name -> (m_chains, n_draws) arrays.  Tracking every block is
     possible but deliberately not the default for memory reasons.
     """
-    blocks = [0]
-    if samples.is_spike:
-        blocks += inclusion_probabilities(samples).selected
-    else:
-        blocks += ci_selection(samples)
+    _, selected, _ = selection(samples)
     out: dict[str, np.ndarray] = {}
-    for j in blocks:
+    for j in [0, *selected]:
         for s in range(samples.d):
             out[f"alpha[{j},{s}]"] = np.stack([c.alpha[:, j, s] for c in samples.chains])
     scale = samples.spec.scale
@@ -109,30 +103,28 @@ def split_chains(samples: PosteriorSamples) -> PosteriorSamples:
     return out
 
 
-def psrf_report(samples: PosteriorSamples, split: bool = False) -> PsrfReport:
-    """Multi-chain PSRF over the default tracked parameter set."""
+def _tracked_chains(samples: PosteriorSamples, split: bool) -> dict[str, np.ndarray]:
+    """The tracked set of ``samples``, halved first if ``split``; at least two chains."""
     if split:
         samples = split_chains(samples)
     if len(samples.chains) < 2:
         raise ValueError(
             "PSRF needs at least two chains; rerun with chains >= 2 or use split mode"
         )
-    tracked = tracked_parameters(samples)
+    return tracked_parameters(samples)
+
+
+def psrf_report(samples: PosteriorSamples, split: bool = False) -> PsrfReport:
+    """Multi-chain PSRF over the default tracked parameter set."""
     values, degenerate = {}, {}
-    n_draws = 0
-    for name, arr in tracked.items():
+    for name, arr in _tracked_chains(samples, split).items():
         values[name], degenerate[name] = psrf(arr)
-        n_draws = arr.shape[1]
-    return PsrfReport(values=values, degenerate=degenerate, iteration=n_draws)
+    return PsrfReport(values=values, degenerate=degenerate)
 
 
 def psrf_report_trace(
     samples: PosteriorSamples, checkpoints, split: bool = False
 ) -> dict[str, list[tuple[int, float]]]:
-    if split:
-        samples = split_chains(samples)
-    if len(samples.chains) < 2:
-        raise ValueError(
-            "PSRF needs at least two chains; rerun with chains >= 2 or use split mode"
-        )
-    return {name: psrf_trace(arr, checkpoints) for name, arr in tracked_parameters(samples).items()}
+    """PSRF of each tracked parameter at each checkpoint (draws per chain)."""
+    tracked = _tracked_chains(samples, split)
+    return {name: psrf_trace(arr, checkpoints) for name, arr in tracked.items()}

@@ -1,13 +1,15 @@
-"""Posterior summaries: selection decisions, curve estimates, credible bands.
+"""Posterior summaries: selection decisions, curve bands, scalar credible intervals.
 
-All quantiles are empirical with linear interpolation between order
-statistics (numpy default), and medians of even-length samples use the
-midpoint convention.
+A fit's curves are one :class:`CurveBands` of stacked (p+1, G) arrays, and its
+selection is one rule, :func:`selection`.  All quantiles are empirical with
+linear interpolation between order statistics (numpy default), and medians
+of even-length samples use the midpoint convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,18 +36,17 @@ class InclusionSummary:
         self.selected = [j + 1 for j in range(self.probs.size) if self.probs[j] >= self.threshold]
 
 
-@dataclass
-class CurveEstimate:
-    """Pointwise posterior median and equal-tailed band on the grid."""
+class CurveBands(NamedTuple):
+    """Pointwise posterior medians and equal-tailed bands of curves 0..p on one grid.
+
+    ``grid`` is (G,); ``median``, ``lower`` and ``upper`` are (p+1, G), with
+    the curve index as the leading axis.
+    """
 
     grid: np.ndarray
     median: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.lower > self.median) or np.any(self.median > self.upper):
-            raise ValueError("bands must bracket the median pointwise")
 
 
 def inclusion_probabilities(
@@ -77,29 +78,31 @@ def ci_selection(samples: PosteriorSamples, level: float = 0.95) -> list[int]:
     return [j for j in range(1, alpha.shape[1]) if bool(np.any(excludes[j]))]
 
 
-def curve_estimate(
-    samples: PosteriorSamples,
-    j: int,
-    grid: np.ndarray | None = None,
-    level: float = 0.95,
-) -> CurveEstimate:
-    """Pointwise median curve with an equal-tailed credible band for block j."""
-    grid, basis = _grid_basis(samples, grid)
-    median, lower, upper = _block_bands(samples.pooled_alpha(), [j], basis, level)
-    return CurveEstimate(grid=grid, median=median[0], lower=lower[0], upper=upper[0])
+def selection(samples: PosteriorSamples) -> tuple[str, list[int], np.ndarray | None]:
+    """The selected blocks of a fit: (rule, selected blocks, inclusion probabilities).
+
+    Spike methods select by the median-probability model ("mpm"); the others,
+    whose blocks are never exactly zero, by :func:`ci_selection` ("ci95") and
+    have no inclusion probabilities (None).
+    """
+    if samples.is_spike:
+        inc = inclusion_probabilities(samples)
+        return "mpm", inc.selected, inc.probs
+    return "ci95", ci_selection(samples), None
 
 
 def all_curve_estimates(
     samples: PosteriorSamples, grid: np.ndarray | None = None, level: float = 0.95
-) -> list[CurveEstimate]:
-    """Curve estimates of every block 0..p; each is a row view of (p+1, G) arrays.
+) -> CurveBands:
+    """Pointwise median curves and equal-tailed bands of every block 0..p.
 
     A block whose stored coefficients are all zero (the samplers' spike is
     +0.0) has +0.0 curve draws, so its median and band are +0.0 without
     computing the draws.  The other blocks go through :func:`_block_bands`
     in chunks of at most ``CURVE_CHUNK_BYTES`` of draws.
     """
-    grid, basis = _grid_basis(samples, grid)
+    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    basis = basis_values(grid, SplineConfig(samples.spline_degree, samples.interior_knots))
     alpha = samples.pooled_alpha()
     m, p1, _ = alpha.shape
     bands = np.zeros((3, p1, grid.size))
@@ -109,16 +112,9 @@ def all_curve_estimates(
         idx = live[start : start + per_chunk]
         bands[:, idx] = _block_bands(alpha, idx, basis, level)
     median, lower, upper = bands
-    return [
-        CurveEstimate(grid=grid, median=median[j], lower=lower[j], upper=upper[j])
-        for j in range(p1)
-    ]
-
-
-def _grid_basis(samples: PosteriorSamples, grid) -> tuple[np.ndarray, np.ndarray]:
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    config = SplineConfig(samples.spline_degree, samples.interior_knots)
-    return grid, basis_values(grid, config)
+    if np.any(lower > median) or np.any(median > upper):
+        raise ValueError("bands must bracket the median pointwise")
+    return CurveBands(grid, median, lower, upper)
 
 
 def _block_bands(alpha: np.ndarray, blocks, basis: np.ndarray, level: float):

@@ -8,6 +8,9 @@ Formats:
   arrays (``samples.bin``) plus a JSON sidecar index (``samples.json``)
   holding dtypes, shapes, offsets, and the full run configuration.  Both
   files are byte-deterministic given the draws.
+* curves: CSV with header ``j, grid_index, v, median, lower, upper``, one
+  row per (curve, grid point) of an :class:`inference.CurveBands`; floats
+  carry 17 significant digits.
 * summaries and metrics: JSON, always embedding the run configuration so a
   result is regenerable from the file alone.
 """
@@ -22,6 +25,7 @@ import numpy as np
 
 from .basis import SplineConfig
 from .data import Dataset
+from .inference import CurveBands
 from .samplers.config import McmcOptions
 from .samplers.state import ChainSamples, PosteriorSamples
 from .samplers.variants import method_spec, resolve_workers
@@ -272,11 +276,9 @@ def load_samples(directory):
 # ---------------------------------------------------------------------------
 # curve estimates CSV (plot-ready)
 
-def write_curves_csv(path, estimates) -> None:
-    """One row per (curve j, grid point t); every estimate must share one grid."""
-    grid = estimates[0].grid
-    if not all(np.array_equal(est.grid, grid) for est in estimates):
-        raise ValueError("curve estimates must share one grid")
+def write_curves_csv(path, bands: CurveBands) -> None:
+    """One row per (curve j, grid point t) of ``bands``, curve by curve."""
+    grid = bands.grid
     # Columns j, t, v, median, lower, upper of one curve's rows; j is set per curve.
     table = np.empty((grid.size, 6), dtype=object)
     table[:, 1] = range(grid.size)
@@ -286,20 +288,17 @@ def write_curves_csv(path, estimates) -> None:
     zero_tails = [f",{t},{v},0,0,0\n" for t, v in zip(table[:, 1], table[:, 2])]
     with open(path, "w") as fh:
         fh.write("j,grid_index,v,median,lower,upper\n")
-        for j, est in enumerate(estimates):
-            bands = (est.median, est.lower, est.upper)
-            if not any(b.any() or np.signbit(b).any() for b in bands):
+        for j, rows in enumerate(zip(bands.median, bands.lower, bands.upper)):
+            if not any(b.any() or np.signbit(b).any() for b in rows):
                 fh.write(str(j) + str(j).join(zero_tails))
                 continue
             table[:, 0] = j
-            table[:, 3] = est.median
-            table[:, 4] = est.lower
-            table[:, 5] = est.upper
+            table[:, 3], table[:, 4], table[:, 5] = rows
             _write_rows(fh, row_fmt, table)
 
 
-def read_curves_csv(path):
-    """Returns (grid, medians, lowers, uppers) with curve index as the leading axis."""
+def read_curves_csv(path) -> CurveBands:
+    """The :class:`inference.CurveBands` a :func:`write_curves_csv` file holds."""
     body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     n_curves = int(body[:, 0].max()) + 1
     g = int(body[:, 1].max()) + 1
@@ -311,4 +310,4 @@ def read_curves_csv(path):
     med = body[:, 3].reshape(n_curves, g)
     low = body[:, 4].reshape(n_curves, g)
     upp = body[:, 5].reshape(n_curves, g)
-    return grid, med, low, upp
+    return CurveBands(grid, med, low, upp)

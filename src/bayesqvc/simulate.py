@@ -92,9 +92,6 @@ class TrueCurves:
         intercept = _gamma0_hard if self.hard_intercept else _gamma0
         object.__setattr__(self, "curves", (intercept, _gamma1, _gamma2, _gamma3))
 
-    def __call__(self, j: int, v):
-        return self.evaluate(j, v)
-
     def evaluate(self, j: int, v):
         if j < 0:
             raise IndexError("curve index must be non-negative")
@@ -104,11 +101,6 @@ class TrueCurves:
         if j < len(self.curves):
             return self.curves[j](v)
         return np.zeros_like(v)
-
-
-def true_gamma(j: int, v, hard_intercept: bool = False):
-    out = TrueCurves(hard_intercept=hard_intercept).evaluate(j, v)
-    return float(out) if np.ndim(v) == 0 else out
 
 
 def generate_gene_covariates(rng: RngHandle, n: int, p: int) -> np.ndarray:
@@ -158,17 +150,19 @@ def _bisect_quantile(cdf: Callable[[float], float], tau: float) -> float:
             hi = mid
 
 
+def _mixture_wide_sd(mixture_sd_or_var: str) -> float:
+    """SD of the wide mixture component, its "3" read as a variance ("var") or an SD."""
+    if mixture_sd_or_var == "var":
+        return math.sqrt(MIXTURE_WIDE_VARIANCE)
+    return MIXTURE_WIDE_VARIANCE
+
+
 def error_quantile(error_kind: str, tau: float, mixture_sd_or_var: str = "var") -> float:
     """tau-quantile of the uncentered base error law."""
     if error_kind == "normal":
         return NormalDist().inv_cdf(tau)
     if error_kind == "normal_mixture":
-        wide_sd = (
-            math.sqrt(MIXTURE_WIDE_VARIANCE)
-            if mixture_sd_or_var == "var"
-            else MIXTURE_WIDE_VARIANCE
-        )
-        narrow, wide = NormalDist(), NormalDist(0.0, wide_sd)
+        narrow, wide = NormalDist(), NormalDist(0.0, _mixture_wide_sd(mixture_sd_or_var))
 
         def cdf(x):
             return MIXTURE_WEIGHT * narrow.cdf(x) + (1.0 - MIXTURE_WEIGHT) * wide.cdf(x)
@@ -198,14 +192,9 @@ def centered_error_sample(
     if error_kind == "normal":
         draws = gen.standard_normal(n)
     elif error_kind == "normal_mixture":
-        wide_sd = (
-            math.sqrt(MIXTURE_WIDE_VARIANCE)
-            if mixture_sd_or_var == "var"
-            else MIXTURE_WIDE_VARIANCE
-        )
         wide = gen.random(n) >= MIXTURE_WEIGHT
         draws = gen.standard_normal(n)
-        draws[wide] *= wide_sd
+        draws[wide] *= _mixture_wide_sd(mixture_sd_or_var)
     elif error_kind == "laplace":
         draws = gen.laplace(0.0, 1.0, size=n)
     elif error_kind == "lognormal":

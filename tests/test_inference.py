@@ -9,7 +9,6 @@ from bayesqvc.inference import (
     InclusionSummary,
     all_curve_estimates,
     ci_selection,
-    curve_estimate,
     inclusion_probabilities,
     posterior_scalar_summaries,
     scalar_summary,
@@ -106,18 +105,18 @@ def test_curve_estimate_identical_draws():
     coef = np.array([1.0, -2.0])
     alpha = np.tile(coef, (6, 2, 1))
     samples = make_samples(alpha)
-    est = curve_estimate(samples, 1, grid=grid)
+    bands = all_curve_estimates(samples, grid=grid)
     expected = basis_values(grid, cfg) @ coef
-    np.testing.assert_allclose(est.median, expected, atol=1e-12)
-    np.testing.assert_allclose(est.upper - est.lower, 0.0, atol=1e-12)
+    np.testing.assert_allclose(bands.median[1], expected, atol=1e-12)
+    np.testing.assert_allclose(bands.upper[1] - bands.lower[1], 0.0, atol=1e-12)
 
 
 def test_curve_estimate_zero_block():
     samples = make_samples(np.zeros((5, 2, 2)))
-    est = curve_estimate(samples, 1, grid=default_grid(10))
-    np.testing.assert_array_equal(est.median, 0.0)
-    np.testing.assert_array_equal(est.lower, 0.0)
-    np.testing.assert_array_equal(est.upper, 0.0)
+    bands = all_curve_estimates(samples, grid=default_grid(10))
+    np.testing.assert_array_equal(bands.median[1], 0.0)
+    np.testing.assert_array_equal(bands.lower[1], 0.0)
+    np.testing.assert_array_equal(bands.upper[1], 0.0)
 
 
 def test_curve_estimate_three_draw_median():
@@ -125,8 +124,8 @@ def test_curve_estimate_three_draw_median():
     alpha[:, 1, 0] = [1.0, 5.0, 2.0]
     samples = make_samples(alpha)
     grid = np.array([0.0])  # basis at 0 is (1, 0)
-    est = curve_estimate(samples, 1, grid=grid)
-    assert est.median[0] == pytest.approx(2.0)  # elementwise middle value
+    bands = all_curve_estimates(samples, grid=grid)
+    assert bands.median[1, 0] == pytest.approx(2.0)  # elementwise middle value
 
 
 def test_curve_bands_nested_by_level():
@@ -134,10 +133,10 @@ def test_curve_bands_nested_by_level():
     alpha = rng.normal(size=(500, 2, 2))
     samples = make_samples(alpha)
     grid = default_grid(30)
-    wide = curve_estimate(samples, 1, grid=grid, level=0.95)
-    narrow = curve_estimate(samples, 1, grid=grid, level=0.90)
-    assert np.all(wide.lower <= narrow.lower + 1e-12)
-    assert np.all(narrow.upper <= wide.upper + 1e-12)
+    wide = all_curve_estimates(samples, grid=grid, level=0.95)
+    narrow = all_curve_estimates(samples, grid=grid, level=0.90)
+    assert np.all(wide.lower[1] <= narrow.lower[1] + 1e-12)
+    assert np.all(narrow.upper[1] <= wide.upper[1] + 1e-12)
 
 
 def reference_curve_bands(samples, grid, level=0.95):
@@ -165,17 +164,12 @@ def test_all_curve_estimates_match_per_block_loop(m, one_block_per_chunk):
     alpha[:, 4, 1:] = 0.0                            # live, one coefficient only
     samples = make_samples(alpha, degree=2, knots=2)
     for level in (0.95, 0.9):
-        estimates = all_curve_estimates(samples, grid=grid, level=level)
-        assert len(estimates) == p1
-        for est, ref in zip(estimates, reference_curve_bands(samples, grid, level)):
-            for got, want in zip((est.median, est.lower, est.upper), ref):
+        bands = all_curve_estimates(samples, grid=grid, level=level)
+        assert len(bands.median) == p1
+        for j, ref in enumerate(reference_curve_bands(samples, grid, level)):
+            for got, want in zip((bands.median[j], bands.lower[j], bands.upper[j]), ref):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
-    ref = reference_curve_bands(samples, grid)
-    for j in (3, 4):
-        one = curve_estimate(samples, j, grid=grid)
-        for got, want in zip((one.median, one.lower, one.upper), ref[j]):
-            assert np.array_equal(got, want)
 
 
 def test_scalar_summaries():

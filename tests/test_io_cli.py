@@ -81,79 +81,66 @@ def test_samples_roundtrip(tmp_path):
 
 
 def test_curves_csv_roundtrip(tmp_path):
-    from bayesqvc.inference import CurveEstimate
+    from bayesqvc.inference import CurveBands
 
     grid = np.linspace(0, 1, 7)
     rng = np.random.default_rng(0)
-    estimates = []
-    for _ in range(3):
-        med = rng.normal(size=7)
-        estimates.append(
-            CurveEstimate(grid=grid, median=med, lower=med - 1.0, upper=med + 1.0)
-        )
+    med = rng.normal(size=(3, 7))
+    bands = CurveBands(grid=grid, median=med, lower=med - 1.0, upper=med + 1.0)
     path = tmp_path / "curves.csv"
-    write_curves_csv(path, estimates)
+    write_curves_csv(path, bands)
     g, med, low, upp = read_curves_csv(path)
     np.testing.assert_array_equal(g, grid)
-    for j, est in enumerate(estimates):
-        np.testing.assert_array_equal(med[j], est.median)
-        np.testing.assert_array_equal(low[j], est.lower)
-        np.testing.assert_array_equal(upp[j], est.upper)
+    np.testing.assert_array_equal(med, bands.median)
+    np.testing.assert_array_equal(low, bands.lower)
+    np.testing.assert_array_equal(upp, bands.upper)
 
 
-def reference_curves_text(estimates):
+def reference_curves_text(bands):
     """The row-by-row writer: one %.17g call per value."""
     lines = ["j,grid_index,v,median,lower,upper"]
-    for j, est in enumerate(estimates):
-        for t in range(est.grid.size):
-            fields = (est.grid[t], est.median[t], est.lower[t], est.upper[t])
+    for j in range(len(bands.median)):
+        for t in range(bands.grid.size):
+            fields = (bands.grid[t], bands.median[j, t], bands.lower[j, t], bands.upper[j, t])
             lines.append(f"{j},{t}," + ",".join("%.17g" % x for x in fields))
     return "\n".join(lines) + "\n"
 
 
 def test_curves_csv_matches_row_reference(tmp_path):
-    from bayesqvc.inference import CurveEstimate, all_curve_estimates
+    from bayesqvc.inference import CurveBands, all_curve_estimates
 
     grid = np.linspace(0, 1, 9)
     special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, 1 / 3, -7e-9])
-    estimates = [
-        CurveEstimate(grid=grid, median=special, lower=special - 1e301, upper=special + 1e301),
-        CurveEstimate(grid=grid, median=-special, lower=-special - 1e301,
-                      upper=-special + 1e301),
-    ]
+    med = np.stack([special, -special])
+    bands = CurveBands(grid=grid, median=med, lower=med - 1e301, upper=med + 1e301)
     ds, _, _ = simulate_dataset(ScenarioSpec(n=40, p=4, seed=6))
     samples = fit(ds, "bqrvc", tau=0.5, opts=McmcOptions(iterations=60, burn_in=20, seed=3))
-    for case, ests in (("special", estimates), ("fit", all_curve_estimates(samples))):
+    for case, case_bands in (("special", bands), ("fit", all_curve_estimates(samples))):
         path = tmp_path / f"{case}.csv"
-        write_curves_csv(path, ests)
-        assert path.read_bytes() == reference_curves_text(ests).encode()
-
-    shifted = CurveEstimate(grid=grid + 0.0, median=special, lower=special, upper=special)
-    shifted.grid[-1] = 0.5
-    with pytest.raises(ValueError, match="one grid"):
-        write_curves_csv(tmp_path / "bad.csv", [estimates[0], shifted])
+        write_curves_csv(path, case_bands)
+        assert path.read_bytes() == reference_curves_text(case_bands).encode()
 
 
 def test_curves_csv_zero_blocks_match_row_reference(tmp_path):
     """All-zero blocks take the constant-row path; a signed zero or a live value does not."""
-    from bayesqvc.inference import CurveEstimate, all_curve_estimates
+    from bayesqvc.inference import CurveBands, all_curve_estimates
 
     ds, _, _ = simulate_dataset(ScenarioSpec(n=60, p=12, seed=4))
     samples = fit(ds, "bqrvcss", tau=0.5, opts=McmcOptions(iterations=80, burn_in=40, seed=2))
-    estimates = all_curve_estimates(samples)
-    zero = [not (e.median.any() or e.lower.any() or e.upper.any()) for e in estimates]
+    bands = all_curve_estimates(samples)
+    zero = ~(bands.median.any(axis=1) | bands.lower.any(axis=1) | bands.upper.any(axis=1))
     assert any(zero) and not all(zero)
-    grid = estimates[0].grid
+    grid = bands.grid
+    # (band, curve, grid point) of four appended curves: in curve k < 3 band k
+    # holds a -0.0, and the last curve's upper band ends in the smallest subnormal.
+    extra = np.zeros((3, 4, grid.size))
     for band in range(3):
-        values = [np.zeros(grid.size) for _ in range(3)]
-        values[band][band] = -0.0
-        estimates.append(CurveEstimate(grid, *values))
-    tiny = np.zeros(grid.size)
-    tiny[-1] = 5e-324
-    estimates.append(CurveEstimate(grid, np.zeros(grid.size), np.zeros(grid.size), tiny))
+        extra[band, band, band] = -0.0
+    extra[2, 3, -1] = 5e-324
+    bands = CurveBands(grid, *(np.concatenate([b, e]) for b, e in zip(bands[1:], extra)))
     path = tmp_path / "curves.csv"
-    write_curves_csv(path, estimates)
-    assert path.read_bytes() == reference_curves_text(estimates).encode()
+    write_curves_csv(path, bands)
+    assert path.read_bytes() == reference_curves_text(bands).encode()
     assert "-0," in path.read_text()
 
 
@@ -368,6 +355,18 @@ def test_cli_diagnose_split_checkpoints_count_half_chains(sim_dir, tmp_path):
         assert [point[0] for point in trace] == [50, 75]
 
 
+def test_cli_diagnose_names_dropped_checkpoints(fit_dir, tmp_path, capsys):
+    out = tmp_path / "psrf.json"
+    assert run_cli("diagnose", "--fit", fit_dir, "--checkpoints", 100, 300, "--out", out) == 0
+    assert "checkpoint 300" in capsys.readouterr().err
+    out.unlink()
+    # 250 draws per chain: no checkpoint is left, so there is no trace to write
+    assert run_cli("diagnose", "--fit", fit_dir, "--checkpoints", 300, 500, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "checkpoint 300" in err and "checkpoint 500" in err and "no checkpoint" in err
+    assert not out.exists()
+
+
 def test_cli_fit_rejects_unknown_config_key(sim_dir, tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"method": "bqrvcss", "iteratons": 50}))
@@ -396,6 +395,25 @@ def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key):
     out = tmp_path / "out"
     assert run_cli("replicate-study", "--config", cfg, "--out", out) == 1
     assert key in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"replicates": None}, "replicates"), ({"replicates": 0}, "replicates"),
+     ({"methods": []}, "methods"), ({"scenarios": []}, "scenarios"),
+     ({"save_sample": True}, "save_sample")],
+    ids=["missing-replicates", "zero-replicates", "no-methods", "no-scenarios", "misspelt-key"],
+)
+def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
+    study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
+             "mcmc": {"iterations": 40, "burn_in": 10}, **change}
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps({k: v for k, v in study.items() if v is not None}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("replicate-study", "--config", cfg, "--out", out) == 1
+    assert message in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

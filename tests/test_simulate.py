@@ -16,7 +16,6 @@ from bayesqvc.simulate import (
     generate_gene_covariates,
     generate_response,
     simulate_dataset,
-    true_gamma,
 )
 
 
@@ -50,11 +49,12 @@ def test_dichotomize_proportions():
 
 
 def test_true_curves_values():
-    assert true_gamma(0, 0.0) == pytest.approx(2.0)
-    assert true_gamma(1, 0.5) == pytest.approx(2.0)
-    assert true_gamma(2, 0.5) == pytest.approx(-1.5)
-    assert true_gamma(3, 1.0) == pytest.approx(-4.0)
-    assert true_gamma(7, 0.3) == 0.0
+    curves = TrueCurves()
+    assert curves.evaluate(0, 0.0) == pytest.approx(2.0)
+    assert curves.evaluate(1, 0.5) == pytest.approx(2.0)
+    assert curves.evaluate(2, 0.5) == pytest.approx(-1.5)
+    assert curves.evaluate(3, 1.0) == pytest.approx(-4.0)
+    assert curves.evaluate(7, 0.3) == 0.0
     hard = TrueCurves(hard_intercept=True)
     assert hard.evaluate(0, 0.25) == pytest.approx(2.0 + 2.0 * math.sin(6 * math.pi * 0.25))
 
