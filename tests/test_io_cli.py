@@ -409,6 +409,7 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
     study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
              "mcmc": {"iterations": 40, "burn_in": 10}, **change}
     cfg = tmp_path / "study.json"
+    # A change to None drops the key.
     cfg.write_text(json.dumps({k: v for k, v in study.items() if v is not None}))
     out = tmp_path / "out"
     out.mkdir()
