@@ -273,7 +273,8 @@ STUDY_KEYS = ("replicates", "methods", "scenarios", "base_seed", "spline", "mcmc
 
 
 def check_study(study: dict) -> None:
-    """ValueError unless ``study`` has only known keys, replicates >= 1 and some cells."""
+    """ValueError unless ``study`` has only known keys, replicates >= 1, some cells and
+    objects where objects belong (each scenario, and mcmc, spline and priors)."""
     unknown = sorted(set(study) - set(STUDY_KEYS))
     if unknown:
         raise ValueError(f"unknown study keys: {unknown}")
@@ -283,6 +284,12 @@ def check_study(study: dict) -> None:
     for key in ("scenarios", "methods"):
         if not isinstance(study.get(key), list) or not study[key]:
             raise ValueError(f"study {key} must be a non-empty list")
+    for scenario in study["scenarios"]:
+        if not isinstance(scenario, dict):
+            raise ValueError(f"each of the study scenarios must be an object, got {scenario!r}")
+    for key in ("mcmc", "spline", "priors"):
+        if not isinstance(study.get(key, {}), dict):
+            raise ValueError(f"study {key} must be an object, got {study[key]!r}")
 
 
 def replicate_inputs(study: dict, scenario: dict, method: str, rep: int):

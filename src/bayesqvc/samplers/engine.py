@@ -21,26 +21,28 @@ module's globals.
 Spline block j is Z_j = diag(x_j) B, with B the n x d basis and x_j the j-th
 covariate column; the sampler reads only B and X, never the (p+1, n, d)
 block tensor.  Each block precision is factored once by Cholesky, P = L L'
-(Rue 2001): with half = L^-1 b, the quadratic form b' P^-1 b is |half|^2,
-log|P^-1| = -2 sum log diag L, and L^-T (half + sqrt(noise_scale) z) is a
-slab draw.
+(Rue 2001), and L^-1 is formed by forward substitution: with half = L^-1 b,
+the quadratic form b' P^-1 b is |half|^2, log|P^-1| = 2 sum log diag L^-1,
+and L^-T (half + sqrt(noise_scale) z) is a slab draw.
 
 The functions the tests check against oracles run the sweep's own code:
-:func:`spike_probability` and the block kernel share
-:func:`block_log_spike_probability`, :func:`alpha_block_moments` reads the
-factor the block draw uses, and the alpha_0 and beta updates draw from
-their moment functions' ``_fixed_effect``.
+:func:`spike_probability` and the block kernel's :func:`spike_thresholds`
+share :func:`slab_log_volume`, :func:`alpha_block_moments` reads the factor
+the block draw uses, and the alpha_0 and beta updates draw from their moment
+functions' ``_fixed_effect``.
 
 RNG contract of the block stage: a call that refreshes blocks first..last
 draws, before anything else, one ``standard_normal((k, d + 2))`` array with
 k = last - first + 1.  Row i belongs to block first + i: its first d entries
 are the slab innovation, and its last two entries z, z' decide the block.
 E = (z^2 + z'^2) / 2 is Exp(1), so -E has the law of log U for a uniform U,
-and the block goes to the spike iff -E < log P(spike).  The plain samplers
-draw the same array and ignore z, z'.  RNG consumption therefore does not
-depend on the data, a loop of single-block calls draws the same rows as one
-batched call, and a spike sampler with pi0 = 0 reproduces its plain sampler
-draw for draw.
+and the block goes to the spike iff -E < log P(spike).  That rule is applied
+as |half|^2 < t with one threshold t per block, all k of them computed from
+E before the loop (:func:`spike_thresholds`).  The plain samplers draw the
+same array and ignore z, z'.  RNG consumption therefore does not depend on
+the data, a loop of single-block calls draws the same rows as one batched
+call, and a spike sampler with pi0 = 0 reproduces its plain sampler draw for
+draw.
 """
 
 from __future__ import annotations
@@ -72,29 +74,35 @@ RUN_CHUNK = 64
 # ---------------------------------------------------------------------------
 # linear-algebra kernels
 
-def weighted_block_grams(
-    basis_outer: np.ndarray, xt: np.ndarray, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Grams sum_i w_i x_ji^2 B_i B_i' of the blocks with covariate rows ``xt``; (k, d, d).
+def weighted_block_grams(basis_outer: np.ndarray, sq_weights: np.ndarray) -> np.ndarray:
+    """Grams sum_i s_ji B_i B_i' of the blocks with weight rows ``sq_weights``; (k, d, d).
 
-    ``basis_outer`` holds the row outer products B_i B_i', shape (n, d, d), so
-    all k grams come from one (x^2 * w)' (B (x) B) matmul.
+    Row j of ``sq_weights`` is w * x_j^2 for block j's covariate row x_j and
+    working weights w.  ``basis_outer`` holds the row outer products B_i B_i',
+    shape (n, d, d), so all k grams come from one s' (B (x) B) matmul.
     """
     n, d, _ = basis_outer.shape
-    sq = xt * xt if weights is None else xt * xt * weights
-    return (sq @ basis_outer.reshape(n, d * d)).reshape(-1, d, d)
+    return (sq_weights @ basis_outer.reshape(n, d * d)).reshape(-1, d, d)
 
 
 def covariance_factors(precisions: np.ndarray):
     """Inverse Cholesky factors and covariance log-dets of a batch of SPD precisions.
 
-    With P = L L', returns (L^-1, log|P^-1|).  Raises LinAlgError if a
+    With P = L L', returns (L^-1, log|P^-1|).  L^-1 comes from a batched
+    forward substitution, row j being (e_j - L[j, :j] L^-1[:j]) / L[j, j],
+    and the log-det from its diagonal 1 / L[j, j].  Raises LinAlgError if a
     precision is not positive definite, which cannot happen for positive
     ridge terms.
     """
     chol = np.linalg.cholesky(precisions)
-    logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    return np.linalg.inv(chol), logdet
+    recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
+    linv = np.zeros_like(chol)
+    for j in range(chol.shape[-1]):
+        linv[:, j, j] = recip[:, j]
+        if j:
+            row = np.einsum("ki,kic->kc", chol[:, j, :j], linv[:, :j, :j])
+            linv[:, j, :j] = -recip[:, j, None] * row
+    return linv, 2.0 * np.sum(np.log(recip), axis=1)
 
 
 def log_spike_probability(log_bayes_factor, pi0: float) -> np.ndarray:
@@ -112,15 +120,33 @@ def log_spike_probability(log_bayes_factor, pi0: float) -> np.ndarray:
     return log_spike - np.logaddexp(log_spike, math.log1p(-pi0) + log_bf)
 
 
-def block_log_spike_probability(half, logdet, slab, noise_scale: float, pi0: float):
-    """log P(spike) of blocks with slab N(Sigma b, noise_scale * Sigma), Sigma = (G + I/g)^-1.
+def slab_log_volume(logdet, slab, d: int):
+    """(log|Sigma| - d log g) / 2: the log Bayes factor, slab over spike, of a zero right-hand side.
 
-    ``logdet`` is log|Sigma| and ``half`` (last axis d) has |half|^2 = b' Sigma b.
+    The slab prior of a block is N(0, noise_scale * g I) and its conditional
+    covariance noise_scale * Sigma, so the noise scale cancels.
     """
-    d = np.shape(half)[-1]
-    quad = np.einsum("...d,...d->...", half, half)
-    log_bf = 0.5 * (logdet - d * np.log(slab)) + 0.5 * quad / noise_scale
-    return log_spike_probability(log_bf, pi0)
+    return 0.5 * (logdet - d * np.log(slab))
+
+
+def spike_thresholds(logdet, slab, d: int, energy, noise_scale: float, pi0: float) -> np.ndarray:
+    """Thresholds t with a d-dimensional block at the spike iff |half|^2 < t, half = L^-1 b.
+
+    With E ~ Exp(1) in ``energy``, the decision -E < log P(spike) rearranges
+    exactly to |half|^2 < 2 noise_scale (log pi0 - log(1 - pi0) + log expm1(E)
+    - :func:`slab_log_volume`).  log expm1(E) is taken as E + log(-expm1(-E)),
+    finite for every E > 0 and -inf at E = 0.  t is -inf at pi0 = 0 and +inf
+    at pi0 = 1.
+    """
+    energy = np.asarray(energy, dtype=float)
+    if pi0 <= 0.0:
+        return np.full_like(energy, -np.inf)
+    if pi0 >= 1.0:
+        return np.full_like(energy, np.inf)
+    with np.errstate(divide="ignore"):
+        log_expm1 = energy + np.log(-np.expm1(-energy))
+    log_odds = math.log(pi0) - math.log1p(-pi0)
+    return 2.0 * noise_scale * (log_odds + log_expm1 - slab_log_volume(logdet, slab, d))
 
 
 def spike_probability(
@@ -133,7 +159,8 @@ def spike_probability(
     chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
     logdet = 2.0 * np.sum(np.log(np.diag(chol)))
     half = np.linalg.solve(chol, np.asarray(mu, dtype=float))
-    return float(np.exp(block_log_spike_probability(half, logdet, g, sigma_sq, pi0)))
+    log_bf = slab_log_volume(logdet, g, half.size) + 0.5 * (half @ half) / sigma_sq
+    return float(np.exp(log_spike_probability(log_bf, pi0)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +177,9 @@ class GibbsModel:
       the state attributes stored per draw, in storage order;
     * ``unit_scales()``: the likelihood's fields of the all-null start;
     * ``block_system(state, first, last)``: for blocks first..last, their
-      grams G_j, their weighted covariate rows w * x_j (k, n), and the
-      offset part c_j of their right-hand sides ((k, d) or 0.0), so that
-      b_j = B'(w * x_j * resid) + G_j alpha_j - c_j;
+      grams G_j, their weighted covariate rows w * x_j (k, n), and the shift
+      s of the working residual ((n,) or 0.0), so that
+      b_j = B'(w * x_j * (resid - s)) + G_j alpha_j;
     * ``linear_system(state, x, partial)``: the likelihood's gram and
       right-hand side of a fixed-effect term (alpha_0 or beta) with design x
       and partial residual;
@@ -254,83 +281,65 @@ def _check_block(model: GibbsModel, j: int) -> None:
         raise IndexError("block index must lie in 1..p")
 
 
-def _rhs_constants(grams: np.ndarray, alpha: np.ndarray, offset) -> np.ndarray:
-    """G_j alpha_j - c_j: the part of each right-hand side the residual does not carry."""
-    return (grams @ alpha[:, :, None])[:, :, 0] - offset
-
-
 def _block_factors(grams: np.ndarray, slab: np.ndarray):
     """:func:`covariance_factors` of the slab precisions G_j + I/g_j."""
     return covariance_factors(grams + np.eye(grams.shape[-1]) / slab[:, None, None])
-
-
-def _stays_at_spike(half, logdet, slab, log_u, noise_scale: float, pi0: float):
-    """Spike decisions: U < P(spike), compared as log U < log P(spike).
-
-    ``log_u`` holds the log-uniform draws -E, E ~ Exp(1), and ``half`` the
-    whitened right-hand sides L^-1 b (last axis d).
-    """
-    log_p = block_log_spike_probability(half, logdet, slab, noise_scale, pi0)
-    return (log_p >= 0.0) | (log_u < log_p)
 
 
 def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHandle) -> None:
     """Sequential mixture draws for blocks first..last; maintains the residual cache.
 
     Block j's slab is N(P_j^-1 b_j, noise_scale * P_j^-1), P_j = G_j + I/g_j.
-    A currently included block always changes the residual, so it is drawn
-    on its own.  A run of excluded blocks is scanned at once: one matmul
-    forms all their right-hand sides, and the first block that leaves the
-    spike is drawn before the scan resumes after it; a run that stays at the
-    spike changes nothing.
+    The stage works on the residual minus the likelihood's shift and adds
+    the shift back at the end.  A currently included block always changes
+    the residual, so it is drawn on its own.  A run of excluded blocks is
+    scanned at once: one matmul forms all their right-hand sides, and the
+    first block that leaves the spike is drawn before the scan resumes after
+    it; a run that stays at the spike changes nothing.
     """
     k, d = last - first + 1, model.d
     noise = rng.gen.standard_normal((k, d + 2))
-    grams, wxt, offset = model.block_system(state, first, last)
+    grams, wxt, shift = model.block_system(state, first, last)
     slab = state.slab[first - 1 : last]
     scale = state.noise_scale
     linv, logdet = _block_factors(grams, slab)
+    energy = 0.5 * (noise[:, d] ** 2 + noise[:, d + 1] ** 2)
+    pi0 = state.pi0 if model.spike else 0.0
+    thresholds = spike_thresholds(logdet, slab, d, energy, scale, pi0)
     alpha = state.alpha[first : last + 1]
     inclusion = state.inclusion[first - 1 : last]
-    const = _rhs_constants(grams, alpha, offset)
+    const = (grams @ alpha[:, :, None])[:, :, 0]
     shifts = math.sqrt(scale) * noise[:, :d]
-    log_u = -0.5 * (noise[:, d] ** 2 + noise[:, d + 1] ** 2) if model.spike else None
     basis, basis_t, xt = model.basis, model.basis.T, model.xt[first - 1 : last]
     # First included position at or after each position (k if none).
-    next_included = np.minimum.accumulate(np.where(inclusion, np.arange(k), k)[::-1])[::-1]
-    resid = state.resid.copy()
+    next_included = np.minimum.accumulate(np.where(inclusion, np.arange(k), k)[::-1])[::-1].tolist()
+    resid = state.resid - shift
 
     i = 0
     while i < k:
         if next_included[i] == i:
             half = linv[i] @ (basis_t @ (wxt[i] * resid) + const[i])
-            to_spike = model.spike and _stays_at_spike(
-                half, logdet[i], slab[i], log_u[i], scale, state.pi0
-            )
+            to_spike = half @ half < thresholds[i]
             new = np.zeros(d) if to_spike else linv[i].T @ (half + shifts[i])
         else:
-            stop = min(int(next_included[i]), i + RUN_CHUNK)
+            stop = min(next_included[i], i + RUN_CHUNK)
             rhs = wxt[i:stop] @ (basis * resid[:, None]) + const[i:stop]
             halves = (linv[i:stop] @ rhs[:, :, None])[:, :, 0]
-            hit = 0
-            if model.spike:
-                stays = _stays_at_spike(
-                    halves, logdet[i:stop], slab[i:stop], log_u[i:stop], scale, state.pi0
-                )
-                hit = int(np.argmin(stays))
-                if stays[hit]:
-                    i = stop
-                    continue
+            stays = np.einsum("kd,kd->k", halves, halves) < thresholds[i:stop]
+            hit = int(np.argmin(stays))
+            if stays[hit]:
+                i = stop
+                continue
             i += hit
             to_spike = False
             new = linv[i].T @ (halves[hit] + shifts[i])
-        if not to_spike and not new.any():
-            raise RuntimeError("slab draw produced an exactly-zero block")
         resid -= xt[i] * (basis @ (new - alpha[i]))
         alpha[i] = new
         inclusion[i] = not to_spike
         i += 1
-    state.resid = resid
+    if np.any(inclusion & ~alpha.any(axis=1)):
+        raise RuntimeError("slab draw produced an exactly-zero block")
+    state.resid = resid + shift
 
 
 def alpha_block_moments(state, model: GibbsModel, j: int):
@@ -341,9 +350,8 @@ def alpha_block_moments(state, model: GibbsModel, j: int):
     the returned factor.
     """
     _check_block(model, j)
-    grams, wxt, offset = model.block_system(state, j, j)
-    const = _rhs_constants(grams, state.alpha[j : j + 1], offset)
-    rhs = model.basis.T @ (wxt[0] * state.resid) + const[0]
+    grams, wxt, shift = model.block_system(state, j, j)
+    rhs = model.basis.T @ (wxt[0] * (state.resid - shift)) + grams[0] @ state.alpha[j]
     linv = _block_factors(grams, state.slab[j - 1 : j])[0][0]
     return linv.T @ (linv @ rhs), linv.T @ linv
 

@@ -53,7 +53,7 @@ class GaussianModel(GibbsModel):
         return {"sigma_sq": 1.0, "zeta_sq": np.ones(self.p), "lambda_sq": 1.0}
 
     def block_system(self, state: GaussianSamplerState, first: int, last: int):
-        """Unweighted grams from build; b_j = Z_j' r_j."""
+        """Unweighted grams from build and no shift; b_j = Z_j' r_j."""
         return self.block_grams[first - 1 : last], self.xt[first - 1 : last], 0.0
 
     def linear_system(self, state: GaussianSamplerState, x, partial):
@@ -81,7 +81,7 @@ def build_gaussian_model(
 ) -> GaussianModel:
     design = expand_design(dataset, spline_config)
     model = GaussianModel.build(dataset, design, prior, spike)
-    model.block_grams = weighted_block_grams(model.basis_outer, model.xt)
+    model.block_grams = weighted_block_grams(model.basis_outer, model.xt * model.xt)
     return model
 
 

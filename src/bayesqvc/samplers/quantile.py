@@ -6,7 +6,9 @@ and working response r - kappa1 u.  What that changes in the sweep lives
 here; everything else is in :mod:`.engine`:
 
 * the block grams are weighted by w and recomputed every sweep, and the
-  working response of block j is w * (r_j - kappa1 u);
+  block stage runs on the working residual r - kappa1 u: ``block_system``
+  returns the shift kappa1 u, and block j's working response is
+  w * (r_j - kappa1 u);
 * the latent-u update;
 * the theta update.
 
@@ -63,13 +65,11 @@ class QuantileModel(GibbsModel):
         return {"u_tilde": np.ones(self.n), "g": np.ones(self.p), "theta": 1.0, "eta_sq": 1.0}
 
     def block_system(self, state: SamplerState, first: int, last: int):
-        """Grams weighted by w, recomputed every call; b_j = Z_j'(w * (r_j - kappa1 u))."""
-        w = _weights(state, self)
+        """Grams weighted by w, recomputed every call, and the working-residual shift kappa1 u."""
         xt = self.xt[first - 1 : last]
-        wxt = xt * w
-        grams = weighted_block_grams(self.basis_outer, xt, w)
-        offset = wxt @ (self.basis * (self.consts.kappa1 * state.u_tilde)[:, None])
-        return grams, wxt, offset
+        wxt = xt * _weights(state, self)
+        grams = weighted_block_grams(self.basis_outer, wxt * xt)
+        return grams, wxt, self.consts.kappa1 * state.u_tilde
 
     def linear_system(self, state: SamplerState, x, partial):
         """Weighted gram (x * w)'x, recomputed every call; rhs x'(w * (partial - kappa1 u))."""

@@ -1,6 +1,7 @@
 """The structured spike-and-slab block kernel: its RNG contract, the run scan
 of excluded blocks against the one-block path, the log-domain spike
-probability, the per-sweep finite check and the one model that `fit` builds per fit."""
+probability, the triangular factor inverses, the spike thresholds, the
+per-sweep finite check and the one model that `fit` builds per fit."""
 
 import copy
 import math
@@ -15,11 +16,14 @@ from bayesqvc import SplineConfig, fit
 from bayesqvc.samplers import gaussian, quantile
 from bayesqvc.samplers.engine import (
     alpha_block_moments,
+    covariance_factors,
     full_residual,
     initial_state,
     log_spike_probability,
     run_chain,
+    slab_log_volume,
     spike_probability,
+    spike_thresholds,
     update_alpha_block,
     update_alpha_blocks,
 )
@@ -119,6 +123,57 @@ def test_vectorized_spike_probability_matches_scalar(pi0):
         ours = np.exp(log_spike_probability(log_bf, pi0))
     scalar = [scalar_spike_probability(b, pi0) for b in log_bf]
     np.testing.assert_allclose(ours, scalar, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 3, 5, 8])
+def test_covariance_factors_match_inverse_cholesky(d):
+    rng = np.random.default_rng(d)
+    a = rng.normal(size=(40, d, d))
+    precisions = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    linv, logdet = covariance_factors(precisions)
+    reference = np.linalg.inv(np.linalg.cholesky(precisions))
+    scale = np.abs(reference).max(axis=(1, 2), keepdims=True)
+    np.testing.assert_allclose(linv / scale, reference / scale, rtol=1e-12, atol=1e-12)
+    assert not np.triu(linv, 1).any()
+    np.testing.assert_allclose(logdet, -np.linalg.slogdet(precisions)[1], rtol=1e-12, atol=1e-12)
+
+
+def test_covariance_factors_reject_a_non_positive_definite_member():
+    precisions = np.tile(np.eye(3), (4, 1, 1))
+    precisions[2, 1, 1] = -1.0
+    with pytest.raises(np.linalg.LinAlgError):
+        covariance_factors(precisions)
+
+
+@pytest.mark.parametrize("pi0", [0.0, 1e-300, 0.03, 0.5, 0.97, 1.0])
+@pytest.mark.parametrize("noise_scale", [0.3, 2.7])
+def test_spike_thresholds_match_log_uniform_rule(pi0, noise_scale):
+    rng = np.random.default_rng(7)
+    k, d = 20000, 5
+    energy = np.concatenate([[0.0, 40.0], rng.uniform(0.0, 40.0, k - 2)])
+    energy[2:200] = rng.uniform(0.0, 1e-6, 198)
+    logdet = rng.uniform(-12.0, 2.0, k)
+    slab = np.exp(rng.uniform(-3.0, 3.0, k))
+    half = rng.normal(size=(k, d)) * np.exp(rng.uniform(-3.0, 2.0, k))[:, None]
+    quad = np.einsum("kd,kd->k", half, half)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        thresholds = spike_thresholds(logdet, slab, d, energy, noise_scale, pi0)
+        log_bf = slab_log_volume(logdet, slab, d) + 0.5 * quad / noise_scale
+        log_p = log_spike_probability(log_bf, pi0)
+    ours = quad < thresholds
+    reference = (log_p >= 0.0) | (-energy < log_p)
+    near = np.isfinite(thresholds) & (
+        np.abs(quad - thresholds) <= 1e-9 * np.maximum(np.abs(quad), np.abs(thresholds))
+    )
+    assert near.sum() < k // 1000
+    np.testing.assert_array_equal(ours[~near], reference[~near])
+    if pi0 == 0.0:
+        assert not ours.any()
+    elif pi0 == 1.0:
+        assert ours.all()
+    elif pi0 > 0.01:
+        assert 0.01 < ours.mean() < 0.99
 
 
 @pytest.mark.parametrize("method", ["bqrvcss", "bvcss"])

@@ -402,8 +402,10 @@ def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key):
     "change, message",
     [({"replicates": None}, "replicates"), ({"replicates": 0}, "replicates"),
      ({"methods": []}, "methods"), ({"scenarios": []}, "scenarios"),
-     ({"save_sample": True}, "save_sample")],
-    ids=["missing-replicates", "zero-replicates", "no-methods", "no-scenarios", "misspelt-key"],
+     ({"save_sample": True}, "save_sample"), ({"scenarios": ["gene"]}, "scenarios"),
+     ({"mcmc": [20]}, "mcmc"), ({"spline": 2}, "spline"), ({"priors": "flat"}, "priors")],
+    ids=["missing-replicates", "zero-replicates", "no-methods", "no-scenarios", "misspelt-key",
+         "scenario-not-object", "mcmc-not-object", "spline-not-object", "priors-not-object"],
 )
 def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
     study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
