@@ -138,7 +138,6 @@ def spike_thresholds(logdet, slab, d: int, energy, noise_scale: float, pi0: floa
     finite for every E > 0 and -inf at E = 0.  t is -inf at pi0 = 0 and +inf
     at pi0 = 1.
     """
-    energy = np.asarray(energy, dtype=float)
     if pi0 <= 0.0:
         return np.full_like(energy, -np.inf)
     if pi0 >= 1.0:
