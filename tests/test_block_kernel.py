@@ -150,6 +150,7 @@ def test_covariance_factors_reject_a_non_positive_definite_member():
 def test_spike_thresholds_match_log_uniform_rule(pi0, noise_scale):
     rng = np.random.default_rng(7)
     k, d = 20000, 5
+    # both ends of E, and many E near 0, where log expm1(E) differs most from E
     energy = np.concatenate([[0.0, 40.0], rng.uniform(0.0, 40.0, k - 2)])
     energy[2:200] = rng.uniform(0.0, 1e-6, 198)
     logdet = rng.uniform(-12.0, 2.0, k)
@@ -162,6 +163,7 @@ def test_spike_thresholds_match_log_uniform_rule(pi0, noise_scale):
         log_bf = slab_log_volume(logdet, slab, d) + 0.5 * quad / noise_scale
         log_p = log_spike_probability(log_bf, pi0)
     ours = quad < thresholds
+    # the log-uniform rule U < P(spike) as log U = -E < log P(spike); P(spike) = 1 always spikes
     reference = (log_p >= 0.0) | (-energy < log_p)
     near = np.isfinite(thresholds) & (
         np.abs(quad - thresholds) <= 1e-9 * np.maximum(np.abs(quad), np.abs(thresholds))
