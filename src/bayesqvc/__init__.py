@@ -2,12 +2,8 @@
 
 from .ald import AldConstants, ald_constants, ald_log_density, check_loss
 from .basis import (
-    BasisMatrix,
-    ExpandedDesign,
     SplineConfig,
-    basis_matrix,
     default_grid,
-    evaluate_basis,
     expand_design,
     knot_sequence,
 )
@@ -29,12 +25,8 @@ __all__ = [
     "ald_constants",
     "ald_log_density",
     "check_loss",
-    "BasisMatrix",
-    "ExpandedDesign",
     "SplineConfig",
-    "basis_matrix",
     "default_grid",
-    "evaluate_basis",
     "expand_design",
     "knot_sequence",
     "Dataset",

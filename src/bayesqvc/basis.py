@@ -1,4 +1,4 @@
-"""Normalized B-spline bases on [0, 1] and grouped design expansion.
+"""Normalized B-spline bases on [0, 1] and the basis matrix of a dataset.
 
 Knots are uniform in the interior with clamped boundaries (each endpoint
 repeated degree+1 times), the standard normalized construction.  Evaluation
@@ -91,64 +91,19 @@ def basis_values(v, config: SplineConfig) -> np.ndarray:
     return out
 
 
-def evaluate_basis(v: float, config: SplineConfig) -> np.ndarray:
-    """Basis vector at a single point; non-negative entries summing to one."""
-    return basis_values([float(v)], config)[0]
+def expand_design(dataset: Dataset, config: SplineConfig) -> np.ndarray:
+    """The (n, d) basis matrix B at the index values v of ``dataset``.
 
-
-@dataclass
-class BasisMatrix:
-    """Basis rows for the observed index values."""
-
-    config: SplineConfig
-    values: np.ndarray
-
-    def validate(self) -> None:
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValueError("basis entries must lie in [0, 1]")
-        if np.any(np.abs(self.values.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("basis rows must sum to one")
-
-
-def basis_matrix(v: np.ndarray, config: SplineConfig) -> BasisMatrix:
-    bm = BasisMatrix(config=config, values=basis_values(v, config))
-    bm.validate()
-    return bm
-
-
-@dataclass
-class ExpandedDesign:
-    """Per-predictor spline blocks: block j has rows basis(V_i) * X_ij.
-
-    Block 0 is the varying intercept (X_i0 = 1), i.e. the basis matrix itself.
-    Only the n x d basis and the n x p covariates are stored; ``blocks``
-    builds the (p+1, n, d) tensor on demand.
+    Raises ValueError unless its entries lie in [0, 1] and its rows sum to
+    one.  Spline block j of the design is Z_j = diag(x_j) B; the samplers
+    read B and the covariates and never build the blocks.  The name and
+    signature stay because the traced benchmark wraps this function and
+    reads ``dataset.n``, ``dataset.p`` and ``config.basis_count`` from its
+    arguments.
     """
-
-    basis: BasisMatrix
-    x: np.ndarray
-
-    @property
-    def blocks(self) -> np.ndarray:
-        b = self.basis.values
-        return np.concatenate([b[None], b[None] * self.x.T[:, :, None]])
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.basis.values.shape[1]
-
-
-def expand_design(dataset: Dataset, config: SplineConfig) -> ExpandedDesign:
-    """Deterministic expansion of the raw design into p+1 grouped spline blocks."""
-    if dataset.x.shape[0] != dataset.v.shape[0]:
-        raise ValueError("x and v must have the same number of rows")
-    bm = basis_matrix(dataset.v, config)
-    return ExpandedDesign(basis=bm, x=np.array(dataset.x, dtype=float))
+    basis = basis_values(dataset.v, config)
+    if np.any(basis < 0.0) or np.any(basis > 1.0):
+        raise ValueError("basis entries must lie in [0, 1]")
+    if np.any(np.abs(basis.sum(axis=1) - 1.0) > 1e-12):
+        raise ValueError("basis rows must sum to one")
+    return basis

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +13,8 @@ class Dataset:
 
     ``x`` holds the p high-dimensional predictors (the always-present
     varying intercept is implicit and corresponds to a column of ones).
-    ``e`` holds the q clinical covariates, or None when q = 0.
+    ``e`` holds the q clinical covariates as an (n, q) matrix; None is
+    accepted and stored as the (n, 0) matrix of q = 0.
     ``v`` is the index variable, constrained to [0, 1].
     """
 
@@ -26,12 +27,12 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.e is not None:
-            self.e = np.asarray(self.e, dtype=float)
+        if self.e is None:
+            self.e = np.empty((self.y.size, 0))
+        self.e = np.asarray(self.e, dtype=float)
         # NaN fails every comparison, so it would pass the range check on v.
         for name in ("y", "x", "v", "e"):
-            value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains NaN or infinite values")
         if self.y.ndim != 1:
             raise ValueError("y must be a vector")
@@ -42,11 +43,8 @@ class Dataset:
             raise ValueError("v must align with y")
         if np.any(self.v < 0.0) or np.any(self.v > 1.0):
             raise ValueError("index variable v must lie in [0, 1]")
-        if self.e is not None:
-            if self.e.ndim != 2 or self.e.shape[0] != n:
-                raise ValueError("e must be an (n, q) matrix")
-            if self.e.shape[1] == 0:
-                self.e = None
+        if self.e.ndim != 2 or self.e.shape[0] != n:
+            raise ValueError(f"e must be an (n, q) matrix with n={n}")
 
     @property
     def n(self) -> int:
@@ -58,4 +56,4 @@ class Dataset:
 
     @property
     def q(self) -> int:
-        return 0 if self.e is None else self.e.shape[1]
+        return self.e.shape[1]

@@ -133,12 +133,7 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
     header += [f"E_{k}" for k in range(1, dataset.q + 1)]
     header += [f"X_{j}" for j in range(1, dataset.p + 1)]
     header += ["Y"]
-    cols = [dataset.v]
-    if dataset.q > 0:
-        cols += [dataset.e[:, k] for k in range(dataset.q)]
-    cols += [dataset.x[:, j] for j in range(dataset.p)]
-    cols += [dataset.y]
-    body = np.column_stack(cols)
+    body = np.column_stack([dataset.v, dataset.e, dataset.x, dataset.y])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, ",".join([FLOAT_FMT] * body.shape[1]) + "\n", body)
@@ -155,7 +150,7 @@ def read_dataset_csv(path) -> Dataset:
     if 2 + q + p != len(header):
         raise ValueError("unrecognized columns in dataset CSV")
     v = body[:, 0]
-    e = body[:, 1 : 1 + q] if q else None
+    e = body[:, 1 : 1 + q]
     x = body[:, 1 + q : 1 + q + p]
     y = body[:, -1]
     return Dataset(y=y, x=x, v=v, e=e)

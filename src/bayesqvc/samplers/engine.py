@@ -52,7 +52,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..basis import ExpandedDesign
 from ..data import Dataset
 from ..rng import (
     RngHandle,
@@ -190,36 +189,34 @@ class GibbsModel:
     """
 
     y: np.ndarray
-    e: np.ndarray | None
-    design: ExpandedDesign
+    e: np.ndarray = field(repr=False)  # (n, q) clinical covariates E
+    basis: np.ndarray = field(repr=False)  # (n, d) spline basis B
+    xt: np.ndarray = field(repr=False)  # (p, n) covariates, row j-1 = x_j
     prior: PriorConfig | GaussianPriorConfig
     spike: bool
     sigma_beta: np.ndarray = field(repr=False, default=None)
     sigma_beta_inv: np.ndarray = field(repr=False, default=None)
     sigma_alpha0: np.ndarray = field(repr=False, default=None)
     sigma_alpha0_inv: np.ndarray = field(repr=False, default=None)
-    basis: np.ndarray = field(repr=False, default=None)  # (n, d) spline basis B
     basis_outer: np.ndarray = field(repr=False, default=None)  # (n, d, d) rows B_i B_i'
-    xt: np.ndarray = field(repr=False, default=None)  # (p, n) covariates, row j-1 = x_j
 
     @classmethod
-    def build(cls, dataset: Dataset, design: ExpandedDesign, prior, spike: bool, **extra):
+    def build(cls, dataset: Dataset, basis: np.ndarray, prior, spike: bool, **extra):
+        """The model of ``dataset`` with its (n, d) spline ``basis`` B."""
         model = cls(
             y=dataset.y.copy(),
-            e=None if dataset.e is None else dataset.e.copy(),
-            design=design,
+            e=dataset.e.copy(),
+            basis=basis,
+            xt=np.ascontiguousarray(dataset.x.T),
             prior=prior,
             spike=spike,
             **extra,
         )
-        if model.q > 0:
-            model.sigma_beta = prior.resolved_sigma_beta(model.q)
-            model.sigma_beta_inv = np.linalg.inv(model.sigma_beta)
+        model.sigma_beta = prior.resolved_sigma_beta(model.q)
+        model.sigma_beta_inv = np.linalg.inv(model.sigma_beta)
         model.sigma_alpha0 = prior.resolved_sigma_alpha0(model.d)
         model.sigma_alpha0_inv = np.linalg.inv(model.sigma_alpha0)
-        model.basis = design.basis.values
-        model.basis_outer = model.basis[:, :, None] * model.basis[:, None, :]
-        model.xt = np.ascontiguousarray(design.x.T)
+        model.basis_outer = basis[:, :, None] * basis[:, None, :]
         return model
 
     @property
@@ -228,15 +225,15 @@ class GibbsModel:
 
     @property
     def p(self) -> int:
-        return self.design.p
+        return self.xt.shape[0]
 
     @property
     def q(self) -> int:
-        return 0 if self.e is None else self.e.shape[1]
+        return self.e.shape[1]
 
     @property
     def d(self) -> int:
-        return self.design.d
+        return self.basis.shape[1]
 
 
 def initial_state(model: GibbsModel):
@@ -262,10 +259,7 @@ def _spline_predictor(model: GibbsModel, alpha: np.ndarray) -> np.ndarray:
 
 def full_residual(state, model: GibbsModel) -> np.ndarray:
     """y - E beta - sum_j Z_j alpha_j, computed from scratch."""
-    resid = model.y - _spline_predictor(model, state.alpha)
-    if model.q > 0:
-        resid = resid - model.e @ state.beta
-    return resid
+    return model.y - _spline_predictor(model, state.alpha) - model.e @ state.beta
 
 
 def refresh_residual(state, model: GibbsModel) -> None:
@@ -550,8 +544,7 @@ def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
             scale = math.sqrt(state.noise_scale * state.slab[j - 1])
             state.alpha[j] = scale * rng.gen.standard_normal(model.d)
             state.inclusion[j - 1] = True
-    if model.q > 0:
-        state.beta = sample_mvn(rng, np.zeros(model.q), model.sigma_beta)
+    state.beta = sample_mvn(rng, np.zeros(model.q), model.sigma_beta)
     model.draw_latents_from_prior(state, rng)
     refresh_residual(state, model)
     return state
@@ -559,8 +552,6 @@ def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
 
 def draw_response(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     """Simulate y from the working likelihood given the current latents."""
-    mean = _spline_predictor(model, state.alpha)
-    if model.q > 0:
-        mean = mean + model.e @ state.beta
+    mean = _spline_predictor(model, state.alpha) + model.e @ state.beta
     shift, sd = model.response_noise(state)
     return mean + shift + sd * rng.gen.standard_normal(model.n)

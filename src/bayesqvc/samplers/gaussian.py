@@ -79,8 +79,8 @@ def build_gaussian_model(
     prior: GaussianPriorConfig,
     spike: bool = True,
 ) -> GaussianModel:
-    design = expand_design(dataset, spline_config)
-    model = GaussianModel.build(dataset, design, prior, spike)
+    basis = expand_design(dataset, spline_config)
+    model = GaussianModel.build(dataset, basis, prior, spike)
     model.block_grams = weighted_block_grams(model.basis_outer, model.xt * model.xt)
     return model
 

@@ -98,8 +98,8 @@ def build_quantile_model(
     tau: float,
     spike: bool = True,
 ) -> QuantileModel:
-    design = expand_design(dataset, spline_config)
-    return QuantileModel.build(dataset, design, prior, spike, consts=ald_constants(tau))
+    basis = expand_design(dataset, spline_config)
+    return QuantileModel.build(dataset, basis, prior, spike, consts=ald_constants(tau))
 
 
 def _weights(state: SamplerState, model: QuantileModel) -> np.ndarray:

@@ -121,6 +121,18 @@ def scalar_spike_probability(log_bayes_factor: float, pi0: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# dense design tensor
+
+def dense_blocks(model) -> np.ndarray:
+    """The (p+1, n, d) spline blocks of a sampler model: Z_0 = B and Z_j = diag(x_j) B.
+
+    The samplers never build this tensor; the dense oracles multiply by it.
+    """
+    basis = model.basis
+    return np.concatenate([basis[None], model.xt[:, :, None] * basis[None]])
+
+
+# ---------------------------------------------------------------------------
 # quadrature check of a positive scalar conditional density
 
 def density_cdf_oracle(log_density, draws, grid_hi=None, n_grid=20001):

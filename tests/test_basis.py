@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bayesqvc import Dataset
-from bayesqvc.basis import (
-    SplineConfig,
-    basis_matrix,
-    basis_values,
-    evaluate_basis,
-    expand_design,
-    knot_sequence,
-)
+from bayesqvc import basis as basis_module
+from bayesqvc.basis import SplineConfig, basis_values, expand_design, knot_sequence
 
 from oracles import naive_bspline
 
@@ -39,21 +33,21 @@ def test_config_validation():
 def test_degree_zero_single_basis():
     cfg = SplineConfig(0, 0)
     for v in (0.0, 0.3, 1.0):
-        np.testing.assert_allclose(evaluate_basis(v, cfg), [1.0])
+        np.testing.assert_allclose(basis_values(v, cfg)[0], [1.0])
 
 
 def test_clamped_endpoints():
     cfg = SplineConfig(2, 2)
-    np.testing.assert_allclose(evaluate_basis(0.0, cfg), [1, 0, 0, 0, 0])
+    np.testing.assert_allclose(basis_values(0.0, cfg)[0], [1, 0, 0, 0, 0])
     # left-limit convention at v=1: the final basis equals one
-    np.testing.assert_allclose(evaluate_basis(1.0, cfg), [0, 0, 0, 0, 1])
+    np.testing.assert_allclose(basis_values(1.0, cfg)[0], [0, 0, 0, 0, 1])
 
 
 def test_rejects_points_outside_unit_interval():
     with pytest.raises(ValueError):
-        evaluate_basis(-0.01, SplineConfig(2, 2))
+        basis_values(-0.01, SplineConfig(2, 2))
     with pytest.raises(ValueError):
-        evaluate_basis(1.01, SplineConfig(2, 2))
+        basis_values(1.01, SplineConfig(2, 2))
 
 
 def test_against_divided_difference_oracle():
@@ -65,7 +59,7 @@ def test_against_divided_difference_oracle():
             for v in rng.random(8):
                 if np.any(np.isclose(v, knots)):
                     continue
-                ours = evaluate_basis(v, cfg)
+                ours = basis_values(v, cfg)[0]
                 oracle = [
                     naive_bspline(knots, i, degree, v) for i in range(cfg.basis_count)
                 ]
@@ -90,7 +84,7 @@ def test_partition_of_unity_grid():
 def test_local_support(v, degree, interior):
     cfg = SplineConfig(degree, interior)
     knots = knot_sequence(cfg)
-    values = evaluate_basis(v, cfg)
+    values = basis_values(v, cfg)[0]
     for s in range(cfg.basis_count):
         lo, hi = knots[s], knots[s + degree + 1]
         inside = lo <= v <= hi
@@ -111,30 +105,18 @@ def test_degree_one_reproduces_linear_interpolation():
     np.testing.assert_allclose(at_mids, (coef[:-1] + coef[1:]) / 2, atol=1e-14)
 
 
-def test_basis_matrix_validates():
-    bm = basis_matrix(np.array([0.2, 0.8]), SplineConfig(2, 2))
-    assert bm.values.shape == (2, 5)
-    bm.validate()
-
-
-def test_expand_design_blocks():
+def test_expand_design_returns_basis_values(monkeypatch):
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(3, 2))
-    ds = Dataset(y=np.zeros(3), x=x, v=np.array([0.1, 0.5, 0.9]))
-    design = expand_design(ds, SplineConfig(1, 0))
-    # block 0 is exactly the basis matrix
-    np.testing.assert_array_equal(design.blocks[0], design.basis.values)
-    # entrywise: block j = basis * x_j
-    for j in (1, 2):
-        np.testing.assert_allclose(
-            design.blocks[j], design.basis.values * x[:, j - 1][:, None]
-        )
-    zeros = Dataset(y=np.zeros(3), x=np.zeros((3, 1)), v=ds.v)
-    np.testing.assert_array_equal(expand_design(zeros, SplineConfig(1, 0)).blocks[1], 0.0)
-    ones = Dataset(y=np.zeros(3), x=np.ones((3, 1)), v=ds.v)
-    np.testing.assert_array_equal(
-        expand_design(ones, SplineConfig(1, 0)).blocks[1], design.basis.values
-    )
+    ds = Dataset(y=np.zeros(3), x=rng.normal(size=(3, 2)), v=np.array([0.1, 0.5, 0.9]))
+    cfg = SplineConfig(2, 2)
+    basis = expand_design(ds, cfg)
+    assert basis.shape == (3, 5)
+    np.testing.assert_array_equal(basis, basis_values(ds.v, cfg))
+    # The checks reject a basis that leaves [0, 1] or whose rows do not sum to one.
+    for bad, message in (([[1.5, -0.5]], r"\[0, 1\]"), ([[0.5, 0.4]], "sum to one")):
+        monkeypatch.setattr(basis_module, "basis_values", lambda v, config: np.array(bad))
+        with pytest.raises(ValueError, match=message):
+            expand_design(ds, cfg)
 
 
 def test_expand_design_rejects_bad_v():

@@ -27,7 +27,7 @@ from bayesqvc.samplers.gaussian import (
     update_zeta_sq,
 )
 
-from oracles import assert_moments, spike_probability_oracle_gaussian
+from oracles import assert_moments, dense_blocks, spike_probability_oracle_gaussian
 
 
 @pytest.fixture
@@ -51,9 +51,9 @@ def test_alpha_block_moments_dense_oracle(small_model, small_state):
     model, state = small_model, small_state
     for j in (1, 2, 3):
         mu, sigma = alpha_block_moments(state, model, j)
-        zj = model.design.blocks[j]
+        zj = dense_blocks(model)[j]
         others = sum(
-            model.design.blocks[k] @ state.alpha[k]
+            dense_blocks(model)[k] @ state.alpha[k]
             for k in range(model.p + 1)
             if k != j
         )

@@ -35,6 +35,7 @@ from bayesqvc.samplers.quantile import (
 
 from oracles import (
     assert_moments,
+    dense_blocks,
     density_cdf_oracle,
     quantile_block_fixture,
     spike_probability_oracle_quantile,
@@ -159,10 +160,10 @@ def test_alpha_block_moments_dense_oracle():
     for j in (1, 2):
         mu, sigma = alpha_block_moments(state, model, j)
         # dense normal-equations oracle
-        zj = model.design.blocks[j]
+        zj = dense_blocks(model)[j]
         w = np.diag(state.theta / (c.kappa2_sq * state.u_tilde))
         others = sum(
-            model.design.blocks[k] @ state.alpha[k] for k in range(p + 1) if k != j
+            dense_blocks(model)[k] @ state.alpha[k] for k in range(p + 1) if k != j
         )
         r = model.y - others - c.kappa1 * state.u_tilde
         sigma_oracle = np.linalg.inv(zj.T @ w @ zj + np.eye(model.d) / state.g[j - 1])
@@ -219,7 +220,7 @@ def test_beta_moments_dense_ridge_oracle(tiny_model, tiny_state):
     c = model.consts
     mu, cov = beta_conditional_moments(state, model)
     w = np.diag(state.theta / (c.kappa2_sq * state.u_tilde))
-    zsum = np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
+    zsum = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
     r = model.y - zsum - c.kappa1 * state.u_tilde
     cov_oracle = np.linalg.inv(model.e.T @ w @ model.e + model.sigma_beta_inv)
     mu_oracle = cov_oracle @ (model.e.T @ w @ r)
@@ -231,9 +232,9 @@ def test_alpha0_moments_dense_ridge_oracle(tiny_model, tiny_state):
     model, state = tiny_model, tiny_state
     c = model.consts
     mu, cov = alpha0_conditional_moments(state, model)
-    z0 = model.design.blocks[0]
+    z0 = dense_blocks(model)[0]
     w = np.diag(state.theta / (c.kappa2_sq * state.u_tilde))
-    others = np.einsum("jnd,jd->n", model.design.blocks[1:], state.alpha[1:])
+    others = np.einsum("jnd,jd->n", dense_blocks(model)[1:], state.alpha[1:])
     r = model.y - model.e @ state.beta - others - c.kappa1 * state.u_tilde
     cov_oracle = np.linalg.inv(z0.T @ w @ z0 + model.sigma_alpha0_inv)
     mu_oracle = cov_oracle @ (z0.T @ w @ r)
@@ -257,7 +258,7 @@ def test_beta_diffuse_prior_matches_weighted_projection(tiny_dataset):
     refresh_residual(state, model)
     mu, _ = beta_conditional_moments(state, model)
     c = model.consts
-    zsum = np.einsum("jnd,jd->n", model.design.blocks, state.alpha)
+    zsum = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
     target = model.y - zsum - c.kappa1 * state.u_tilde
     projection, *_ = np.linalg.lstsq(model.e, target, rcond=None)
     np.testing.assert_allclose(mu, projection, rtol=1e-5)
