@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -128,11 +129,12 @@ def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # dataset CSV
 
+def _dataset_header(q: int, p: int) -> list[str]:
+    return ["V", *(f"E_{k}" for k in range(1, q + 1)), *(f"X_{j}" for j in range(1, p + 1)), "Y"]
+
+
 def write_dataset_csv(path, dataset: Dataset) -> None:
-    header = ["V"]
-    header += [f"E_{k}" for k in range(1, dataset.q + 1)]
-    header += [f"X_{j}" for j in range(1, dataset.p + 1)]
-    header += ["Y"]
+    header = _dataset_header(dataset.q, dataset.p)
     body = np.column_stack([dataset.v, dataset.e, dataset.x, dataset.y])
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -140,19 +142,25 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
 
 
 def read_dataset_csv(path) -> Dataset:
+    """The :class:`Dataset` of a :func:`write_dataset_csv` file.
+
+    ValueError unless the header is exactly V, E_1..E_q, X_1..X_p, Y and
+    every row has one value per header column.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header[0] != "V" or header[-1] != "Y":
-        raise ValueError("dataset CSV must have columns V, [E_*], [X_*], Y")
-    q = sum(1 for name in header if name.startswith("E_"))
-    p = sum(1 for name in header if name.startswith("X_"))
-    if 2 + q + p != len(header):
-        raise ValueError("unrecognized columns in dataset CSV")
-    v = body[:, 0]
-    e = body[:, 1 : 1 + q]
-    x = body[:, 1 + q : 1 + q + p]
-    y = body[:, -1]
+    q = sum(name.startswith("E_") for name in header)
+    p = sum(name.startswith("X_") for name in header)
+    pairs = zip_longest(header, _dataset_header(q, p), fillvalue="nothing")
+    for col, (got, want) in enumerate(pairs, start=1):
+        if got != want:
+            raise ValueError(f"dataset CSV header must be V, E_1..E_q, X_1..X_p, Y in order: "
+                             f"column {col} is {got}, expected {want}")
+    if body.shape[1] != len(header):
+        raise ValueError(f"dataset CSV header names {len(header)} columns, "
+                         f"but its rows have {body.shape[1]}")
+    v, e, x, y = body[:, 0], body[:, 1 : 1 + q], body[:, 1 + q : -1], body[:, -1]
     return Dataset(y=y, x=x, v=v, e=e)
 
 

@@ -64,6 +64,24 @@ def test_cli_fit_rejects_nan_in_csv(tmp_path, capsys):
     assert "x contains NaN" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("V,X_1,X_2,Y\n0.1,1,2\n0.5,3,4\n", "header names 4 columns, but its rows have 3"),
+     ("V,X_1,E_1,Y\n0.1,1,2,3\n0.5,3,4,5\n", "column 2 is X_1, expected E_1"),
+     ("V,X_1,Y\n0.1,1,2,3\n0.5,3,4,5\n", "header names 3 columns, but its rows have 4")],
+    ids=["short-rows", "e-after-x", "long-rows"],
+)
+def test_cli_fit_rejects_malformed_csv(tmp_path, capsys, text, message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    out = tmp_path / "fit"
+    code = main(["fit", "--data", str(path), "--method", "bqrvcss", "--iterations", "20",
+                 "--burn-in", "10", "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "fit_summary.json").exists()
+
+
 def test_samples_roundtrip(tmp_path):
     ds, _, _ = simulate_dataset(ScenarioSpec(n=40, p=4, seed=2))
     config = RunConfig(method="bqrvcss", iterations=60, burn_in=20, chains=2, seed=5)
