@@ -85,7 +85,7 @@ def cmd_simulate(args) -> int:
 
 def _config_from_args(args) -> RunConfig:
     """The ``--config`` file, if any, overridden by the flags given; flag dests are field names."""
-    payload = load_json(args.config) if args.config else {}
+    payload = known_keys(RunConfig, load_json(args.config), "config") if args.config else {}
     for name in (fld.name for fld in fields(RunConfig)):
         if name != "priors" and getattr(args, name) is not None:
             payload[name] = getattr(args, name)
@@ -273,14 +273,20 @@ STUDY_KEYS = ("replicates", "methods", "scenarios", "base_seed", "spline", "mcmc
 
 
 def check_study(study: dict) -> None:
-    """ValueError unless ``study`` has only known keys, replicates >= 1, some cells and
-    objects where objects belong (each scenario, and mcmc, spline and priors)."""
+    """ValueError unless ``study`` has only known keys, integer replicates >= 1 and
+    base_seed >= 0, a boolean save_samples, some cells and objects where objects
+    belong (each scenario, and mcmc, spline and priors)."""
     unknown = sorted(set(study) - set(STUDY_KEYS))
     if unknown:
         raise ValueError(f"unknown study keys: {unknown}")
     replicates = study.get("replicates")
-    if not isinstance(replicates, int) or replicates < 1:
+    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
         raise ValueError(f"study replicates must be an integer >= 1, got {replicates!r}")
+    base_seed = study.get("base_seed", 0)
+    if not isinstance(base_seed, int) or isinstance(base_seed, bool) or base_seed < 0:
+        raise ValueError(f"study base_seed must be an integer >= 0, got {base_seed!r}")
+    if not isinstance(study.get("save_samples", False), bool):
+        raise ValueError(f"study save_samples must be true or false, got {study['save_samples']!r}")
     for key in ("scenarios", "methods"):
         if not isinstance(study.get(key), list) or not study[key]:
             raise ValueError(f"study {key} must be a non-empty list")

@@ -18,7 +18,7 @@ Formats:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import zip_longest
 from pathlib import Path
 
@@ -88,6 +88,9 @@ class RunConfig:
         unknown = set(extra) - allowed
         if unknown:
             raise ValueError(f"unknown prior fields for {self.method}: {sorted(unknown)}")
+        for name, value in extra.items():
+            if not _takes(1.0, value):
+                raise ValueError(f"prior {name} must be a number, got {value!r}")
         return cls(**extra)
 
     def to_dict(self) -> dict:
@@ -100,11 +103,34 @@ class RunConfig:
         return cfg
 
 
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               dict: "an object"}
+
+
+def _takes(default, value) -> bool:
+    """Whether a field defaulting to ``default`` takes ``value``: a bool field only a
+    bool, an int field only a non-bool int, a float field a non-bool int or float."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def known_keys(cls, payload: dict, what: str) -> dict:
-    """``payload`` if each key names a field of dataclass ``cls``; else ValueError naming the rest."""
-    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+    """``payload`` if each key names a field of dataclass ``cls`` and each value has
+    the type of the field's default (fields defaulting to None are not checked);
+    else ValueError naming the unknown keys or the first value of the wrong type.
+    """
+    by_name = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(payload) - set(by_name))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
+    for name, value in payload.items():
+        fld = by_name[name]
+        default = fld.default if fld.default_factory is MISSING else fld.default_factory()
+        if type(default) in _KIND_NAMES and not _takes(default, value):
+            raise ValueError(f"{what} {name} must be {_KIND_NAMES[type(default)]}, got {value!r}")
     return payload
 
 

@@ -438,6 +438,53 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, change, message",
+    [("fit", {"seed": 1.5}, "config seed must be an integer, got 1.5"),
+     ("fit", {"seed": "3"}, "config seed must be an integer"),
+     ("fit", {"iterations": 20.5}, "config iterations must be an integer"),
+     ("fit", {"chains": 2.0}, "config chains must be an integer"),
+     ("fit", {"degree": 1.5}, "config degree must be an integer"),
+     ("fit", {"thin": True}, "config thin must be an integer, got True"),
+     ("fit", {"store_latents": "no"}, "config store_latents must be true or false"),
+     ("fit", {"tau": "0.5"}, "config tau must be a number"),
+     ("fit", {"method": 1}, "config method must be a string"),
+     ("fit", {"priors": {"a": "1"}}, "prior a must be a number"),
+     ("fit", {"priors": {"a": True}}, "prior a must be a number"),
+     ("fit", {"priors": 5}, "config priors must be an object"),
+     ("study", {"base_seed": "7"}, "study base_seed must be an integer >= 0"),
+     ("study", {"base_seed": 1.5}, "study base_seed must be an integer >= 0"),
+     ("study", {"base_seed": -1}, "study base_seed must be an integer >= 0"),
+     ("study", {"replicates": True}, "study replicates must be an integer"),
+     ("study", {"save_samples": "no"}, "study save_samples must be true or false"),
+     ("study", {"mcmc": {"iterations": 40.0, "burn_in": 10}}, "config iterations must be"),
+     ("study", {"scenarios": [{"n": 40, "p": 3, "heteroscedastic": "no"}]},
+      "scenario heteroscedastic must be true or false"),
+     ("study", {"scenarios": [{"n": "30", "p": 3}]}, "scenario n must be an integer")],
+    ids=["seed-float", "seed-str", "iterations-float", "chains-float", "degree-float",
+         "thin-bool", "store_latents-str", "tau-str", "method-int", "prior-str", "prior-bool",
+         "priors-int", "base_seed-str", "base_seed-float", "base_seed-negative",
+         "replicates-bool", "save_samples-str", "mcmc-iterations-float",
+         "scenario-heteroscedastic-str", "scenario-n-str"],
+)
+def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys, command,
+                                                      change, message):
+    cfg = tmp_path / "config.json"
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "fit":
+        cfg.write_text(json.dumps({"method": "bqrvcss", "iterations": 20, "burn_in": 10, **change}))
+        code = run_cli("fit", "--data", sim_dir / "dataset.csv", "--config", cfg, "--out", out)
+    else:
+        study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
+                 "mcmc": {"iterations": 40, "burn_in": 10}, **change}
+        cfg.write_text(json.dumps(study))
+        code = run_cli("replicate-study", "--config", cfg, "--out", out)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_replicate_study(tmp_path):
     study = {
         "scenarios": [
