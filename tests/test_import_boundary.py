@@ -1,6 +1,7 @@
-"""The package's import boundary: numpy is its only runtime dependency."""
+"""The package's import boundary: numpy is its only runtime dependency, and its exports resolve."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -36,3 +37,11 @@ def test_runtime_dependencies_are_numpy_only():
     block = re.search(r"^dependencies = \[(.*?)\]", text, re.MULTILINE | re.DOTALL).group(1)
     names = [re.match(r"[\w.-]+", dep).group() for dep in re.findall(r'"([^"]+)"', block)]
     assert names == ["numpy"]
+
+
+@pytest.mark.parametrize("module", ["bayesqvc", "bayesqvc.samplers"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, missing
+    assert len(set(mod.__all__)) == len(mod.__all__)

@@ -44,6 +44,25 @@ def test_dataset_csv_roundtrip_bit_exact(tmp_path):
     assert header == "V,E_1,E_2,X_1,X_2,X_3,Y"
 
 
+@pytest.mark.parametrize("e", [None, np.empty((4, 0))], ids=["none", "empty"])
+def test_dataset_without_clinical_covariates_holds_an_empty_matrix(e):
+    ds = Dataset(y=np.zeros(4), x=np.zeros((4, 2)), v=np.full(4, 0.5), e=e)
+    assert ds.e.shape == (4, 0)
+    assert ds.q == 0
+
+
+@pytest.mark.parametrize("q", [0, 2])
+def test_dataset_csv_roundtrip_keeps_e(tmp_path, q):
+    rng = np.random.default_rng(q)
+    ds = Dataset(y=rng.normal(size=5), x=rng.normal(size=(5, 3)), v=rng.random(5),
+                 e=rng.normal(size=(5, q)))
+    path = tmp_path / "d.csv"
+    write_dataset_csv(path, ds)
+    back = read_dataset_csv(path)
+    assert back.e.shape == (5, q) and back.q == q
+    np.testing.assert_array_equal(back.e, ds.e)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["y", "x", "v", "e"])
 def test_dataset_rejects_non_finite(name, bad):
