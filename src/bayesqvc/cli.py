@@ -276,6 +276,8 @@ def check_study(study: dict) -> None:
     """ValueError unless ``study`` has only known keys, integer replicates >= 1 and
     base_seed >= 0, a boolean save_samples, some cells and objects where objects
     belong (each scenario, and mcmc, spline and priors)."""
+    if not isinstance(study, dict):
+        raise ValueError(f"study config must be an object, got {study!r}")
     unknown = sorted(set(study) - set(STUDY_KEYS))
     if unknown:
         raise ValueError(f"unknown study keys: {unknown}")

@@ -122,6 +122,8 @@ def known_keys(cls, payload: dict, what: str) -> dict:
     the type of the field's default (fields defaulting to None are not checked);
     else ValueError naming the unknown keys or the first value of the wrong type.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be an object, got {payload!r}")
     by_name = {f.name: f for f in fields(cls)}
     unknown = sorted(set(payload) - set(by_name))
     if unknown:
@@ -183,6 +185,8 @@ def read_dataset_csv(path) -> Dataset:
         if got != want:
             raise ValueError(f"dataset CSV header must be V, E_1..E_q, X_1..X_p, Y in order: "
                              f"column {col} is {got}, expected {want}")
+    if body.size == 0:
+        raise ValueError("dataset CSV has no data rows")
     if body.shape[1] != len(header):
         raise ValueError(f"dataset CSV header names {len(header)} columns, "
                          f"but its rows have {body.shape[1]}")

@@ -87,8 +87,9 @@ def test_cli_fit_rejects_nan_in_csv(tmp_path, capsys):
     "text, message",
     [("V,X_1,X_2,Y\n0.1,1,2\n0.5,3,4\n", "header names 4 columns, but its rows have 3"),
      ("V,X_1,E_1,Y\n0.1,1,2,3\n0.5,3,4,5\n", "column 2 is X_1, expected E_1"),
-     ("V,X_1,Y\n0.1,1,2,3\n0.5,3,4,5\n", "header names 3 columns, but its rows have 4")],
-    ids=["short-rows", "e-after-x", "long-rows"],
+     ("V,X_1,Y\n0.1,1,2,3\n0.5,3,4,5\n", "header names 3 columns, but its rows have 4"),
+     ("V,X_1,Y\n", "no data rows")],
+    ids=["short-rows", "e-after-x", "long-rows", "no-rows"],
 )
 def test_cli_fit_rejects_malformed_csv(tmp_path, capsys, text, message):
     path = tmp_path / "d.csv"
@@ -471,6 +472,8 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
      ("fit", {"priors": {"a": "1"}}, "prior a must be a number"),
      ("fit", {"priors": {"a": True}}, "prior a must be a number"),
      ("fit", {"priors": 5}, "config priors must be an object"),
+     ("fit", [{"seed": 1}], "config must be an object"),
+     ("study", [1], "study config must be an object"),
      ("study", {"base_seed": "7"}, "study base_seed must be an integer >= 0"),
      ("study", {"base_seed": 1.5}, "study base_seed must be an integer >= 0"),
      ("study", {"base_seed": -1}, "study base_seed must be an integer >= 0"),
@@ -482,7 +485,7 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
      ("study", {"scenarios": [{"n": "30", "p": 3}]}, "scenario n must be an integer")],
     ids=["seed-float", "seed-str", "iterations-float", "chains-float", "degree-float",
          "thin-bool", "store_latents-str", "tau-str", "method-int", "prior-str", "prior-bool",
-         "priors-int", "base_seed-str", "base_seed-float", "base_seed-negative",
+         "priors-int", "fit-config-list", "study-config-list", "base_seed-str", "base_seed-float", "base_seed-negative",
          "replicates-bool", "save_samples-str", "mcmc-iterations-float",
          "scenario-heteroscedastic-str", "scenario-n-str"],
 )
@@ -492,12 +495,15 @@ def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys,
     out = tmp_path / "out"
     out.mkdir()
     if command == "fit":
-        cfg.write_text(json.dumps({"method": "bqrvcss", "iterations": 20, "burn_in": 10, **change}))
+        if isinstance(change, dict):
+            change = {"method": "bqrvcss", "iterations": 20, "burn_in": 10, **change}
+        cfg.write_text(json.dumps(change))
         code = run_cli("fit", "--data", sim_dir / "dataset.csv", "--config", cfg, "--out", out)
     else:
-        study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
-                 "mcmc": {"iterations": 40, "burn_in": 10}, **change}
-        cfg.write_text(json.dumps(study))
+        if isinstance(change, dict):
+            change = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
+                      "mcmc": {"iterations": 40, "burn_in": 10}, **change}
+        cfg.write_text(json.dumps(change))
         code = run_cli("replicate-study", "--config", cfg, "--out", out)
     assert code == 1
     assert message in capsys.readouterr().err
