@@ -19,11 +19,15 @@ which calls the stages in the likelihood's fixed order through that
 module's globals.
 
 Spline block j is Z_j = diag(x_j) B, with B the n x d basis and x_j the j-th
-covariate column; the sampler reads only B and X, never the (p+1, n, d)
-block tensor.  Each block precision is factored once by Cholesky, P = L L'
-(Rue 2001), and L^-1 is formed by forward substitution: with half = L^-1 b,
-the quadratic form b' P^-1 b is |half|^2, log|P^-1| = 2 sum log diag L^-1,
-and L^-T (half + sqrt(noise_scale) z) is a slab draw.
+covariate column.  The model holds the design once, as B, the (p, n)
+transposed covariates X' and the (n, q) clinical matrix E, and never builds
+the (p+1, n, d) block tensor.  E is a matrix also when q = 0, so the
+residual, the prior draw and ``draw_response`` have no q branch; only
+``update_beta`` returns early on an empty E.  Each block precision is
+factored once by Cholesky, P = L L' (Rue 2001), and L^-1 is formed by
+forward substitution: with half = L^-1 b, the quadratic form b' P^-1 b is
+|half|^2, log|P^-1| = 2 sum log diag L^-1, and
+L^-T (half + sqrt(noise_scale) z) is a slab draw.
 
 The functions the tests check against oracles run the sweep's own code:
 :func:`spike_probability` and the block kernel's :func:`spike_thresholds`
@@ -167,6 +171,11 @@ def spike_probability(
 @dataclass
 class GibbsModel:
     """Immutable-except-y bundle of data, design and priors.
+
+    The design is held once, as three arrays: the (n, d) spline basis B,
+    the (p, n) transposed covariates X' (``xt``) and the (n, q) clinical
+    matrix E, an (n, 0) matrix when q = 0.  p and d are read from them.
+    :meth:`build` is the one place that forms them from a :class:`Dataset`.
 
     The engine reads ``prior.shrink_prior`` and ``prior.pi0_prior``.  A
     likelihood subclasses the model and supplies, besides its own constants:
@@ -399,7 +408,11 @@ def beta_conditional_moments(state, model: GibbsModel):
 
 
 def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
-    """Gaussian refresh of the clinical coefficients; no-op when q = 0."""
+    """Gaussian refresh of the clinical coefficients; no-op when q = 0.
+
+    The sweep's one branch on q: a draw over an empty E would still cost
+    about 30 us of small-matrix calls per sweep.
+    """
     if model.q == 0:
         return state.beta
     state.beta = _draw_fixed_effect(state, model, model.e, state.beta, model.sigma_beta_inv, rng)
