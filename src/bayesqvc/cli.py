@@ -274,8 +274,8 @@ STUDY_KEYS = ("replicates", "methods", "scenarios", "base_seed", "spline", "mcmc
 
 def check_study(study: dict) -> None:
     """ValueError unless ``study`` has only known keys, integer replicates >= 1 and
-    base_seed >= 0, a boolean save_samples, some cells and objects where objects
-    belong (each scenario, and mcmc, spline and priors)."""
+    base_seed >= 0, a boolean save_samples, a string out_dir, some cells and objects
+    where objects belong (each scenario, and mcmc, spline and priors)."""
     if not isinstance(study, dict):
         raise ValueError(f"study config must be an object, got {study!r}")
     unknown = sorted(set(study) - set(STUDY_KEYS))
@@ -289,6 +289,8 @@ def check_study(study: dict) -> None:
         raise ValueError(f"study base_seed must be an integer >= 0, got {base_seed!r}")
     if not isinstance(study.get("save_samples", False), bool):
         raise ValueError(f"study save_samples must be true or false, got {study['save_samples']!r}")
+    if not isinstance(study.get("out_dir", ""), str):
+        raise ValueError(f"study out_dir must be a string, got {study['out_dir']!r}")
     for key in ("scenarios", "methods"):
         if not isinstance(study.get(key), list) or not study[key]:
             raise ValueError(f"study {key} must be a non-empty list")

@@ -479,15 +479,17 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
      ("study", {"base_seed": -1}, "study base_seed must be an integer >= 0"),
      ("study", {"replicates": True}, "study replicates must be an integer"),
      ("study", {"save_samples": "no"}, "study save_samples must be true or false"),
+     ("study", {"out_dir": 5}, "study out_dir must be a string"),
      ("study", {"mcmc": {"iterations": 40.0, "burn_in": 10}}, "config iterations must be"),
      ("study", {"scenarios": [{"n": 40, "p": 3, "heteroscedastic": "no"}]},
       "scenario heteroscedastic must be true or false"),
      ("study", {"scenarios": [{"n": "30", "p": 3}]}, "scenario n must be an integer")],
     ids=["seed-float", "seed-str", "iterations-float", "chains-float", "degree-float",
          "thin-bool", "store_latents-str", "tau-str", "method-int", "prior-str", "prior-bool",
-         "priors-int", "fit-config-list", "study-config-list", "base_seed-str", "base_seed-float", "base_seed-negative",
-         "replicates-bool", "save_samples-str", "mcmc-iterations-float",
-         "scenario-heteroscedastic-str", "scenario-n-str"],
+         "priors-int", "fit-config-list", "study-config-list", "base_seed-str",
+         "base_seed-float", "base_seed-negative", "replicates-bool", "save_samples-str",
+         "out_dir-int", "mcmc-iterations-float", "scenario-heteroscedastic-str",
+         "scenario-n-str"],
 )
 def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys, command,
                                                       change, message):
