@@ -2,10 +2,9 @@
 
 Given its latents, each likelihood is Gaussian in the coefficients, so all
 four samplers run one skeleton: model build, the residual cache, the
-spike-and-slab block draw and its batched update, the alpha_0 and beta
-updates, the slab-scale, shrinkage and pi0 updates, the chain storage loop,
-the forward prior draw and ``draw_response``.  The Gaussian likelihood is
-the quantile one with three changes:
+coefficient updates, the slab-scale, shrinkage and pi0 updates, the chain
+storage loop, the forward prior draw and ``draw_response``.  The Gaussian
+likelihood is the quantile one with three changes:
 
 1. uniform working weights 1/sigma_sq in place of theta / (kappa2^2 u_i);
 2. no kappa1 * u offset in the working response;
@@ -23,11 +22,22 @@ covariate column.  The model holds the design once, as B, the (p, n)
 transposed covariates X' and the (n, q) clinical matrix E, and never builds
 the (p+1, n, d) block tensor.  E is a matrix also when q = 0, so the
 residual, the prior draw and ``draw_response`` have no q branch; only
-``update_beta`` returns early on an empty E.  Each block precision is
-factored once by Cholesky, P = L L' (Rue 2001), and L^-1 is formed by
-forward substitution: with half = L^-1 b, the quadratic form b' P^-1 b is
-|half|^2, log|P^-1| = 2 sum log diag L^-1, and
-L^-T (half + sqrt(noise_scale) z) is a slab draw.
+``update_beta`` returns early on an empty E.
+
+The coefficients are drawn in one of two ways.
+
+* The spike samplers (bqrvcss, bvcss) refresh blocks 1..p one at a time
+  with the spike-and-slab block draw, then alpha_0 and beta, each from its
+  conditional.  Each block precision is factored once by Cholesky,
+  P = L L' (Rue 2001), and L^-1 is formed by forward substitution: with
+  half = L^-1 b, the quadratic form b' P^-1 b is |half|^2,
+  log|P^-1| = 2 sum log diag L^-1, and L^-T (half + sqrt(noise_scale) z)
+  is a slab draw.
+* The plain samplers (bqrvc, bvc) include every block, so given the
+  likelihood's latents and scales all coefficients are jointly Gaussian.
+  :func:`update_coefficients` draws (alpha_0, blocks 1..p, beta) at once
+  through one n x n solve, in place of the block stage and the alpha_0
+  and beta updates.
 
 The functions the tests check against oracles run the sweep's own code:
 :func:`spike_probability` and the block kernel's :func:`spike_thresholds`
@@ -42,11 +52,12 @@ are the slab innovation, and its last two entries z, z' decide the block.
 E = (z^2 + z'^2) / 2 is Exp(1), so -E has the law of log U for a uniform U,
 and the block goes to the spike iff -E < log P(spike).  That rule is applied
 as |half|^2 < t with one threshold t per block, all k of them computed from
-E before the loop (:func:`spike_thresholds`).  The plain samplers draw the
-same array and ignore z, z'.  RNG consumption therefore does not depend on
-the data, a loop of single-block calls draws the same rows as one batched
-call, and a spike sampler with pi0 = 0 reproduces its plain sampler draw for
-draw.
+E before the loop (:func:`spike_thresholds`).  RNG consumption therefore
+does not depend on the data, and a loop of single-block calls draws the same
+rows as one batched call.  The joint draw's contract is in
+:func:`update_coefficients`; it too draws a fixed number of normals.  A
+spike sampler with pi0 pinned at zero targets the same conditional as its
+plain sampler, but it no longer reproduces the plain sampler's draws.
 """
 
 from __future__ import annotations
@@ -177,12 +188,19 @@ class GibbsModel:
     matrix E, an (n, 0) matrix when q = 0.  p and d are read from them.
     :meth:`build` is the one place that forms them from a :class:`Dataset`.
 
+    A plain model (``spike`` False) also holds the data-only parts of the
+    joint coefficient draw, built here once: B B', the Cholesky factors of
+    Sigma_alpha0 and Sigma_beta, and [B, E] times those factors.
+
     The engine reads ``prior.shrink_prior`` and ``prior.pi0_prior``.  A
     likelihood subclasses the model and supplies, besides its own constants:
 
     * ``state_class``, ``scalar_names`` and ``latent_names``: its state and
       the state attributes stored per draw, in storage order;
     * ``unit_scales()``: the likelihood's fields of the all-null start;
+    * ``working_likelihood(state)``: the (n,) working weights w and the
+      shift s ((n,) or 0.0) with y - s ~ N(Z coef, diag(1/w)) given the
+      latents;
     * ``block_system(state, first, last)``: for blocks first..last, their
       grams G_j, their weighted covariate rows w * x_j (k, n), and the shift
       s of the working residual ((n,) or 0.0), so that
@@ -208,6 +226,11 @@ class GibbsModel:
     sigma_alpha0: np.ndarray = field(repr=False, default=None)
     sigma_alpha0_inv: np.ndarray = field(repr=False, default=None)
     basis_outer: np.ndarray = field(repr=False, default=None)  # (n, d, d) rows B_i B_i'
+    # Plain models only (None with a spike): the constants of the joint draw.
+    basis_gram: np.ndarray = field(repr=False, default=None)  # (n, n) B B'
+    alpha0_chol: np.ndarray = field(repr=False, default=None)  # Cholesky factor of Sigma_a0
+    beta_chol: np.ndarray = field(repr=False, default=None)  # Cholesky factor of Sigma_b
+    fixed_factor: np.ndarray = field(repr=False, default=None)  # (n, d+q) [B, E] times those
 
     @classmethod
     def build(cls, dataset: Dataset, basis: np.ndarray, prior, spike: bool, **extra):
@@ -226,6 +249,11 @@ class GibbsModel:
         model.sigma_alpha0 = prior.resolved_sigma_alpha0(model.d)
         model.sigma_alpha0_inv = np.linalg.inv(model.sigma_alpha0)
         model.basis_outer = basis[:, :, None] * basis[:, None, :]
+        if not spike:
+            model.basis_gram = basis @ basis.T
+            model.alpha0_chol = np.linalg.cholesky(model.sigma_alpha0)
+            model.beta_chol = np.linalg.cholesky(model.sigma_beta)
+            model.fixed_factor = np.hstack([basis @ model.alpha0_chol, model.e @ model.beta_chol])
         return model
 
     @property
@@ -306,8 +334,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     scale = state.noise_scale
     linv, logdet = _block_factors(grams, slab)
     energy = 0.5 * (noise[:, d] ** 2 + noise[:, d + 1] ** 2)
-    pi0 = state.pi0 if model.spike else 0.0
-    thresholds = spike_thresholds(logdet, slab, d, energy, scale, pi0)
+    thresholds = spike_thresholds(logdet, slab, d, energy, scale, state.pi0)
     alpha = state.alpha[first : last + 1]
     inclusion = state.inclusion[first - 1 : last]
     const = (grams @ alpha[:, :, None])[:, :, 0]
@@ -417,6 +444,57 @@ def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
         return state.beta
     state.beta = _draw_fixed_effect(state, model, model.e, state.beta, model.sigma_beta_inv, rng)
     return state.beta
+
+
+# ---------------------------------------------------------------------------
+# all coefficients at once (plain samplers)
+
+def update_coefficients(state, model: GibbsModel, rng: RngHandle) -> None:
+    """Exact joint draw of (alpha_0, blocks 1..p, beta) from their Gaussian full conditional.
+
+    With the model's working weights w and shift s, y - s ~ N(Z coef,
+    diag(1/w)) for the design Z = [B, Z_1..Z_p, E], and the prior is
+    coef ~ N(0, D) with D block diagonal: Sigma_alpha0, c_j I for block j
+    (c_j = noise_scale * g_j) and Sigma_beta.  The sampler of Bhattacharya,
+    Chakraborty & Mallick (2016, Biometrika 103:985) draws
+    coef = u + D Z' S v, with S = diag(sqrt w), u a prior draw,
+    delta ~ N(0, I_n), v = M^-1 (S (y - s - Z u) - delta) and
+    M = I + S Z D Z' S.  Since
+    Z D Z' = (B B') o (X diag(c) X') + B Sigma_alpha0 B' + E Sigma_beta E',
+    M costs one n x p x n product and one n x n solve, and neither the
+    block tensor nor the (n, D) design is formed.
+
+    RNG contract: one ``standard_normal((p+1) d + q + n)`` array, drawn
+    first.  Its first (p+1) d entries, read as a (p+1, d) array, give the
+    prior draw of alpha: row 0 times the Cholesky factor of Sigma_alpha0,
+    row j times sqrt(c_j).  The next q, times the Cholesky factor of
+    Sigma_beta, give that of beta, and the last n are delta.  Every block
+    ends included, and the residual cache is refreshed.
+    """
+    n, size = model.n, (model.p + 1) * model.d
+    w, shift = model.working_likelihood(state)
+    root_w = np.sqrt(w)
+    cov = state.noise_scale * state.slab
+    root_cov = np.sqrt(cov)[:, None]
+    noise = rng.gen.standard_normal(size + model.q + n)
+    prior_alpha = noise[:size].reshape(model.p + 1, model.d)
+    prior_alpha[0] = model.alpha0_chol @ prior_alpha[0]
+    prior_alpha[1:] *= root_cov
+    prior_beta = model.beta_chol @ noise[size:-n]
+    # M, with S folded into the factors of each term of Z D Z'
+    scaled_xt = model.xt * (root_cov * root_w)
+    system = scaled_xt.T @ scaled_xt
+    system *= model.basis_gram
+    scaled_fixed = model.fixed_factor * root_w[:, None]
+    system += scaled_fixed @ scaled_fixed.T
+    system.flat[:: n + 1] += 1.0
+    target = model.y - shift - _spline_predictor(model, prior_alpha) - model.e @ prior_beta
+    weighted = root_w * np.linalg.solve(system, root_w * target - noise[-n:])
+    state.alpha[0] = prior_alpha[0] + model.sigma_alpha0 @ (model.basis.T @ weighted)
+    state.alpha[1:] = prior_alpha[1:] + cov[:, None] * ((model.xt * weighted) @ model.basis)
+    state.beta = prior_beta + model.sigma_beta @ (model.e.T @ weighted)
+    state.inclusion[:] = True
+    refresh_residual(state, model)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ sweep lives here; everything else is in :mod:`.engine`:
   the state's noise scale;
 * the sigma_sq update.
 
-Sweep order: alpha blocks 1..p, alpha_0, beta, sigma_sq, lambda_sq,
-zeta_sq, pi0.
+The spike-and-slab variant (bvcss) draws the blocks one at a time, then
+alpha_0 and beta; the plain variant (bvc) draws all coefficients at once
+(``update_coefficients``).  Sweep order, spike: alpha blocks 1..p, alpha_0,
+beta, sigma_sq, lambda_sq, zeta_sq, pi0.  Plain: all coefficients,
+sigma_sq, lambda_sq, zeta_sq.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .engine import (
     update_alpha0,
     update_alpha_blocks,
     update_beta,
+    update_coefficients,
     update_pi0,
     weighted_block_grams,
 )
@@ -51,6 +55,10 @@ class GaussianModel(GibbsModel):
 
     def unit_scales(self) -> dict:
         return {"sigma_sq": 1.0, "zeta_sq": np.ones(self.p), "lambda_sq": 1.0}
+
+    def working_likelihood(self, state: GaussianSamplerState):
+        """Uniform weights 1/sigma_sq and no shift."""
+        return np.full(self.n, 1.0 / state.sigma_sq), 0.0
 
     def block_system(self, state: GaussianSamplerState, first: int, last: int):
         """Unweighted grams from build and no shift; b_j = Z_j' r_j."""
@@ -101,10 +109,14 @@ def update_sigma_sq(state: GaussianSamplerState, model: GaussianModel, rng: RngH
 
 
 def gibbs_sweep(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> None:
+    """One full sweep in the fixed update order."""
     refresh_residual(state, model)
-    update_alpha_blocks(state, model, rng)
-    update_alpha0(state, model, rng)
-    update_beta(state, model, rng)
+    if model.spike:
+        update_alpha_blocks(state, model, rng)
+        update_alpha0(state, model, rng)
+        update_beta(state, model, rng)
+    else:
+        update_coefficients(state, model, rng)
     update_sigma_sq(state, model, rng)
     update_lambda_sq(state, model, rng)
     update_zeta_sq(state, model, rng)

@@ -5,21 +5,21 @@ the coefficients with per-observation weights w_i = theta / (kappa2^2 u_i)
 and working response r - kappa1 u.  What that changes in the sweep lives
 here; everything else is in :mod:`.engine`:
 
-* the block grams are weighted by w and recomputed every sweep, and the
-  block stage runs on the working residual r - kappa1 u: ``block_system``
-  returns the shift kappa1 u, and block j's working response is
-  w * (r_j - kappa1 u);
+* the working weights and the shift kappa1 u (``working_likelihood``),
+  which change every sweep, so the block grams are recomputed every sweep
+  and the block stage runs on the working residual r - kappa1 u;
 * the latent-u update;
 * the theta update.
 
 The slab is not scaled by a noise variance: the state's noise scale is an
-exact 1.0.  The spike-and-slab variant draws each spline block from a
-two-component mixture (point mass at zero vs multivariate normal); the
-plain variant is the same sweep with the spike machinery disabled, so a
-sweep with the spike weight pinned at zero reproduces it draw for draw.
+exact 1.0.  The spike-and-slab variant (bqrvcss) draws each spline block
+from a two-component mixture (point mass at zero vs multivariate normal),
+then alpha_0 and beta.  The plain variant (bqrvc) includes every block and
+draws all coefficients at once (``update_coefficients``).
 
-Sweep order is fixed for reproducibility: latent u, alpha blocks 1..p,
-alpha_0, beta, theta, eta_sq, g, pi0.
+Sweep order is fixed for reproducibility.  Spike: latent u, alpha blocks
+1..p, alpha_0, beta, theta, eta_sq, g, pi0.  Plain: latent u, all
+coefficients, theta, eta_sq, g.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .engine import (
     update_alpha0,
     update_alpha_blocks,
     update_beta,
+    update_coefficients,
     update_pi0,
     weighted_block_grams,
 )
@@ -64,18 +65,22 @@ class QuantileModel(GibbsModel):
     def unit_scales(self) -> dict:
         return {"u_tilde": np.ones(self.n), "g": np.ones(self.p), "theta": 1.0, "eta_sq": 1.0}
 
+    def working_likelihood(self, state: SamplerState):
+        """Weights theta / (kappa2^2 u_i) and the working-response shift kappa1 u."""
+        c = self.consts
+        return state.theta / (c.kappa2_sq * state.u_tilde), c.kappa1 * state.u_tilde
+
     def block_system(self, state: SamplerState, first: int, last: int):
         """Grams weighted by w, recomputed every call, and the working-residual shift kappa1 u."""
         xt = self.xt[first - 1 : last]
-        wxt = xt * _weights(state, self)
-        grams = weighted_block_grams(self.basis_outer, wxt * xt)
-        return grams, wxt, self.consts.kappa1 * state.u_tilde
+        w, shift = self.working_likelihood(state)
+        wxt = xt * w
+        return weighted_block_grams(self.basis_outer, wxt * xt), wxt, shift
 
     def linear_system(self, state: SamplerState, x, partial):
         """Weighted gram (x * w)'x, recomputed every call; rhs x'(w * (partial - kappa1 u))."""
-        w = _weights(state, self)
-        target = partial - self.consts.kappa1 * state.u_tilde
-        return (x * w[:, None]).T @ x, x.T @ (w * target)
+        w, shift = self.working_likelihood(state)
+        return (x * w[:, None]).T @ x, x.T @ (w * (partial - shift))
 
     def sweep(self, state: SamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)
@@ -100,11 +105,6 @@ def build_quantile_model(
 ) -> QuantileModel:
     basis = expand_design(dataset, spline_config)
     return QuantileModel.build(dataset, basis, prior, spike, consts=ald_constants(tau))
-
-
-def _weights(state: SamplerState, model: QuantileModel) -> np.ndarray:
-    """Per-observation Gaussian working weights theta / (kappa2^2 * u_i)."""
-    return state.theta / (model.consts.kappa2_sq * state.u_tilde)
 
 
 def update_latent_u(state: SamplerState, model: QuantileModel, rng: RngHandle) -> np.ndarray:
@@ -139,9 +139,12 @@ def gibbs_sweep(state: SamplerState, model: QuantileModel, rng: RngHandle) -> No
     """One full sweep in the fixed update order."""
     refresh_residual(state, model)
     update_latent_u(state, model, rng)
-    update_alpha_blocks(state, model, rng)
-    update_alpha0(state, model, rng)
-    update_beta(state, model, rng)
+    if model.spike:
+        update_alpha_blocks(state, model, rng)
+        update_alpha0(state, model, rng)
+        update_beta(state, model, rng)
+    else:
+        update_coefficients(state, model, rng)
     update_theta(state, model, rng)
     update_eta_sq(state, model, rng)
     update_g(state, model, rng)

@@ -132,6 +132,29 @@ def dense_blocks(model) -> np.ndarray:
     return np.concatenate([basis[None], model.xt[:, :, None] * basis[None]])
 
 
+def dense_coefficient_posterior(model, weights, target, slab_cov):
+    """Mean and covariance of (alpha_0, blocks 1..p, beta) from the dense (n, D) design.
+
+    The working likelihood is target ~ N(Z coef, diag(1/weights)), and the
+    prior is N(0, blockdiag(Sigma_alpha0, slab_cov_j I, ..., Sigma_beta)).
+    Coefficients are in the order of alpha.ravel() followed by beta.
+    """
+    blocks = dense_blocks(model)
+    design = np.hstack([*blocks, model.e])
+    prior_blocks = [model.sigma_alpha0] + [c * np.eye(model.d) for c in slab_cov]
+    prior_blocks.append(model.sigma_beta)
+    size = design.shape[1]
+    prior = np.zeros((size, size))
+    start = 0
+    for block in prior_blocks:
+        stop = start + block.shape[0]
+        prior[start:stop, start:stop] = block
+        start = stop
+    weighted = design.T * weights
+    cov = np.linalg.inv(weighted @ design + np.linalg.inv(prior))
+    return cov @ (weighted @ target), cov
+
+
 # ---------------------------------------------------------------------------
 # quadrature check of a positive scalar conditional density
 

@@ -1,7 +1,8 @@
-"""The structured spike-and-slab block kernel: its RNG contract, the run scan
-of excluded blocks against the one-block path, the log-domain spike
-probability, the triangular factor inverses, the spike thresholds, the
-per-sweep finite check and the one model that `fit` builds per fit."""
+"""The structured spike-and-slab block kernel: its RNG contract and that of
+the plain samplers' joint draw, the run scan of excluded blocks against the
+one-block path, the log-domain spike probability, the triangular factor
+inverses, the spike thresholds, the per-sweep finite check and the one
+model that `fit` builds per fit."""
 
 import copy
 import math
@@ -26,6 +27,7 @@ from bayesqvc.samplers.engine import (
     spike_thresholds,
     update_alpha_block,
     update_alpha_blocks,
+    update_coefficients,
 )
 from bayesqvc.simulate import ScenarioSpec, simulate_dataset
 
@@ -40,7 +42,7 @@ def _rng_state(rng: RngHandle) -> bytes:
     return pickle.dumps(rng.gen.bit_generator.state)
 
 
-def _p12_model(likelihood: str):
+def _p12_model(likelihood: str, spike: bool = True):
     rng = np.random.default_rng(12)
     n, p = 40, 12
     x = rng.normal(size=(n, p))
@@ -48,8 +50,10 @@ def _p12_model(likelihood: str):
     y = x[:, 4] + 0.3 * rng.normal(size=n)
     ds = Dataset(y=y, x=x, v=v, e=rng.normal(size=(n, 1)))
     if likelihood == "quantile":
-        return quantile.build_quantile_model(ds, SplineConfig(1, 1), PriorConfig(), tau=0.4)
-    return gaussian.build_gaussian_model(ds, SplineConfig(1, 1), GaussianPriorConfig())
+        return quantile.build_quantile_model(ds, SplineConfig(1, 1), PriorConfig(), tau=0.4,
+                                             spike=spike)
+    return gaussian.build_gaussian_model(ds, SplineConfig(1, 1), GaussianPriorConfig(),
+                                         spike=spike)
 
 
 def _mixed_state(model):
@@ -103,16 +107,22 @@ def test_spike_frequency_matches_conditional_probability(likelihood, j):
 
 @pytest.mark.parametrize("likelihood", ["quantile", "gaussian"])
 def test_rng_consumption_does_not_depend_on_data(likelihood):
-    model = _p12_model(likelihood)
-    other = copy.deepcopy(model)
-    other.y = -5.0 * model.y + 1.0
-    rngs = []
-    for m in (model, other):
-        state = _mixed_state(m)
-        rng = RngHandle(8, 0)
-        update_alpha_blocks(state, m, rng)
-        rngs.append(_rng_state(rng))
-    assert rngs[0] == rngs[1]
+    # the block stage of the spike model and the plain model's joint draw,
+    # which takes one standard_normal((p+1) d + q + n) array
+    for spike, update in ((True, update_alpha_blocks), (False, update_coefficients)):
+        model = _p12_model(likelihood, spike)
+        other = copy.deepcopy(model)
+        other.y = -5.0 * model.y + 1.0
+        rngs = []
+        for m in (model, other):
+            state = _mixed_state(m)
+            rng = RngHandle(8, 0)
+            update(state, m, rng)
+            rngs.append(_rng_state(rng))
+        assert rngs[0] == rngs[1]
+    reference = RngHandle(8, 0)
+    reference.gen.standard_normal((model.p + 1) * model.d + model.q + model.n)
+    assert rngs[0] == _rng_state(reference)
 
 
 @pytest.mark.parametrize("pi0", [0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0])

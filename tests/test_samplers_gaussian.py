@@ -162,23 +162,6 @@ def test_zeta_sq_branches():
     assert_moments(1.0 / z, mean=mu, var=mu**3 / 3.0, nse=4.0, label="1/zeta")
 
 
-def test_bvc_matches_bvcss_at_pi0_zero():
-    cfg = SplineConfig(1, 0)
-    rng_state = np.random.default_rng(9)
-    ds = Dataset(
-        y=rng_state.normal(size=6), x=rng_state.normal(size=(6, 3)), v=rng_state.random(6)
-    )
-    m_spike = build_gaussian_model(ds, cfg, GaussianPriorConfig(), spike=True)
-    m_plain = build_gaussian_model(ds, cfg, GaussianPriorConfig(), spike=False)
-    s_spike = draw_state_from_prior(m_spike, RngHandle(13, 0))
-    s_plain = copy.deepcopy(s_spike)
-    s_spike.pi0 = 0.0
-    update_alpha_blocks(s_spike, m_spike, RngHandle(14, 0))
-    update_alpha_blocks(s_plain, m_plain, RngHandle(14, 0))
-    np.testing.assert_array_equal(s_spike.alpha, s_plain.alpha)
-    assert np.all(s_plain.inclusion)
-
-
 def test_single_vs_batched_block_updates(small_model):
     s1 = draw_state_from_prior(small_model, RngHandle(15, 0))
     s2 = copy.deepcopy(s1)

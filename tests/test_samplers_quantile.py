@@ -199,19 +199,6 @@ def test_block_updates_match_single_and_batched(tiny_model):
     np.testing.assert_array_equal(s1.inclusion, s2.inclusion)
 
 
-def test_bqrvc_matches_spike_sampler_at_pi0_zero(tiny_dataset):
-    cfg = SplineConfig(1, 0)
-    m_spike = build_quantile_model(tiny_dataset, cfg, PriorConfig(), 0.3, spike=True)
-    m_plain = build_quantile_model(tiny_dataset, cfg, PriorConfig(), 0.3, spike=False)
-    s_spike = draw_state_from_prior(m_spike, RngHandle(21, 1))
-    s_plain = copy.deepcopy(s_spike)
-    s_spike.pi0 = 0.0
-    update_alpha_blocks(s_spike, m_spike, RngHandle(77, 0))
-    update_alpha_blocks(s_plain, m_plain, RngHandle(77, 0))
-    np.testing.assert_array_equal(s_spike.alpha, s_plain.alpha)
-    assert np.all(s_plain.inclusion)  # plain sampler never lands on zero
-
-
 # ---------------------------------------------------------------------------
 # alpha0 / beta conditionals
 
