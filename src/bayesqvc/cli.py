@@ -94,7 +94,10 @@ def _config_from_args(args) -> RunConfig:
         key, _, value = item.partition("=")
         if not _:
             raise ValueError(f"--prior expects key=value, got {item!r}")
-        priors[key] = float(value)
+        try:
+            priors[key] = float(value)
+        except ValueError:
+            raise ValueError(f"--prior {key} must be a number, got {value!r}") from None
     payload["priors"] = priors
     config = RunConfig.from_dict(payload)
     return config

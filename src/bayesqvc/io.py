@@ -177,16 +177,19 @@ def read_dataset_csv(path) -> Dataset:
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        q = sum(name.startswith("E_") for name in header)
+        p = sum(name.startswith("X_") for name in header)
+        pairs = zip_longest(header, _dataset_header(q, p), fillvalue="nothing")
+        for col, (got, want) in enumerate(pairs, start=1):
+            if got != want:
+                raise ValueError(f"dataset CSV header must be V, E_1..E_q, X_1..X_p, Y in "
+                                 f"order: column {col} is {got}, expected {want}")
+        # np.loadtxt only warns on an empty body, so look for a row first.
+        start = fh.tell()
+        if not any(line.strip() for line in fh):
+            raise ValueError("dataset CSV has no data rows")
+        fh.seek(start)
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    q = sum(name.startswith("E_") for name in header)
-    p = sum(name.startswith("X_") for name in header)
-    pairs = zip_longest(header, _dataset_header(q, p), fillvalue="nothing")
-    for col, (got, want) in enumerate(pairs, start=1):
-        if got != want:
-            raise ValueError(f"dataset CSV header must be V, E_1..E_q, X_1..X_p, Y in order: "
-                             f"column {col} is {got}, expected {want}")
-    if body.size == 0:
-        raise ValueError("dataset CSV has no data rows")
     if body.shape[1] != len(header):
         raise ValueError(f"dataset CSV header names {len(header)} columns, "
                          f"but its rows have {body.shape[1]}")

@@ -416,6 +416,18 @@ def test_cli_fit_rejects_unknown_config_key(sim_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "item, message",
+    [("a=abc", "--prior a must be a number, got 'abc'"), ("a", "--prior expects key=value")],
+    ids=["not-a-number", "no-equals"],
+)
+def test_cli_fit_rejects_malformed_prior_flag(sim_dir, tmp_path, capsys, item, message):
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--prior", item, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "fit_summary.json").exists()
+
+
+@pytest.mark.parametrize(
     "entry, key",
     [("mcmc", "iteratons"), ("spline", "degre"), ("scenario", "eror_kind")],
 )
