@@ -386,7 +386,7 @@ def alpha_block_moments(state, model: GibbsModel, j: int):
 
 
 def update_alpha_block(state, model: GibbsModel, j: int, rng: RngHandle) -> None:
-    """Spike-and-slab (or plain normal) refresh of a single block."""
+    """Spike-and-slab refresh of a single block (a plain normal one at pi0 = 0)."""
     _check_block(model, j)
     _update_blocks(state, model, j, j, rng)
 
