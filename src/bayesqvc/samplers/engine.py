@@ -188,9 +188,10 @@ class GibbsModel:
     matrix E, an (n, 0) matrix when q = 0.  p and d are read from them.
     :meth:`build` is the one place that forms them from a :class:`Dataset`.
 
-    A plain model (``spike`` False) also holds the data-only parts of the
-    joint coefficient draw, built here once: B B', the Cholesky factors of
-    Sigma_alpha0 and Sigma_beta, and [B, E] times those factors.
+    Besides them, a spike model holds the row outer products B_i B_i' its
+    block grams are formed from, and a plain model (``spike`` False) the
+    data-only parts of the joint coefficient draw: B B', the Cholesky
+    factors of Sigma_alpha0 and Sigma_beta, and [B, E] times those factors.
 
     The engine reads ``prior.shrink_prior`` and ``prior.pi0_prior``.  A
     likelihood subclasses the model and supplies, besides its own constants:
@@ -225,8 +226,9 @@ class GibbsModel:
     sigma_beta_inv: np.ndarray = field(repr=False, default=None)
     sigma_alpha0: np.ndarray = field(repr=False, default=None)
     sigma_alpha0_inv: np.ndarray = field(repr=False, default=None)
-    basis_outer: np.ndarray = field(repr=False, default=None)  # (n, d, d) rows B_i B_i'
-    # Plain models only (None with a spike): the constants of the joint draw.
+    # Spike models only: (n, d, d) rows B_i B_i'.
+    basis_outer: np.ndarray = field(repr=False, default=None)
+    # Plain models only: the constants of the joint draw.
     basis_gram: np.ndarray = field(repr=False, default=None)  # (n, n) B B'
     alpha0_chol: np.ndarray = field(repr=False, default=None)  # Cholesky factor of Sigma_a0
     beta_chol: np.ndarray = field(repr=False, default=None)  # Cholesky factor of Sigma_b
@@ -248,8 +250,9 @@ class GibbsModel:
         model.sigma_beta_inv = np.linalg.inv(model.sigma_beta)
         model.sigma_alpha0 = prior.resolved_sigma_alpha0(model.d)
         model.sigma_alpha0_inv = np.linalg.inv(model.sigma_alpha0)
-        model.basis_outer = basis[:, :, None] * basis[:, None, :]
-        if not spike:
+        if spike:
+            model.basis_outer = basis[:, :, None] * basis[:, None, :]
+        else:
             model.basis_gram = basis @ basis.T
             model.alpha0_chol = np.linalg.cholesky(model.sigma_alpha0)
             model.beta_chol = np.linalg.cholesky(model.sigma_beta)

@@ -47,7 +47,8 @@ from .state import GaussianSamplerState
 
 @dataclass
 class GaussianModel(GibbsModel):
-    block_grams: np.ndarray = field(repr=False, default=None)  # (p, d, d), unweighted
+    # Spike models only: (p, d, d) unweighted block grams.
+    block_grams: np.ndarray = field(repr=False, default=None)
 
     state_class = GaussianSamplerState
     scalar_names = ("sigma_sq", "lambda_sq", "pi0")
@@ -89,7 +90,8 @@ def build_gaussian_model(
 ) -> GaussianModel:
     basis = expand_design(dataset, spline_config)
     model = GaussianModel.build(dataset, basis, prior, spike)
-    model.block_grams = weighted_block_grams(model.basis_outer, model.xt * model.xt)
+    if spike:
+        model.block_grams = weighted_block_grams(model.basis_outer, model.xt * model.xt)
     return model
 
 
