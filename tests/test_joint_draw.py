@@ -35,14 +35,11 @@ def _model(likelihood: str, p: int, q: int):
     n = 9
     ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, p)), v=rng.random(n),
                  e=rng.normal(size=(n, q)))
-    cfg = SplineConfig(2, 1)
+    cfg = SplineConfig(2, 1)  # d = 4
+    covs = {"sigma_alpha0": np.diag([2.0, 1.0, 3.0, 0.5]) + 0.3, "sigma_beta": np.eye(q) + 0.2}
     if likelihood == "quantile":
-        prior = PriorConfig(sigma_alpha0=np.diag([2.0, 1.0, 3.0, 0.5]) + 0.3,
-                            sigma_beta=np.eye(q) + 0.2)
-        return quantile.build_quantile_model(ds, cfg, prior, tau=0.3, spike=False)
-    prior = GaussianPriorConfig(sigma_alpha0=np.diag([2.0, 1.0, 3.0, 0.5]) + 0.3,
-                                sigma_beta=np.eye(q) + 0.2)
-    return gaussian.build_gaussian_model(ds, cfg, prior, spike=False)
+        return quantile.build_quantile_model(ds, cfg, PriorConfig(**covs), tau=0.3, spike=False)
+    return gaussian.build_gaussian_model(ds, cfg, GaussianPriorConfig(**covs), spike=False)
 
 
 def _working_likelihood(state, model, likelihood):
