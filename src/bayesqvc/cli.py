@@ -21,6 +21,7 @@ from . import inference, metrics
 from .diagnostics import psrf_report, psrf_report_trace
 from .io import (
     RunConfig,
+    StudyConfig,
     dump_json,
     known_keys,
     load_json,
@@ -29,6 +30,7 @@ from .io import (
     read_curves_csv,
     read_dataset_csv,
     save_samples,
+    scenario_label,
     write_curves_csv,
     write_dataset_csv,
     write_truth,
@@ -60,17 +62,7 @@ def _out_dir(args) -> Path:
 # simulate
 
 def cmd_simulate(args) -> int:
-    spec = ScenarioSpec(
-        n=args.n,
-        p=args.p,
-        covariate_kind=args.covariate_kind,
-        error_kind=args.error,
-        heteroscedastic=args.heteroscedastic,
-        tau=args.tau,
-        seed=args.seed,
-        hard_intercept=args.hard_intercept,
-        mixture_sd_or_var=args.mixture_sd_or_var,
-    )
+    spec = ScenarioSpec(**{fld.name: getattr(args, fld.name) for fld in fields(ScenarioSpec)})
     dataset, _, support = simulate_dataset(spec)
     out = _out_dir(args)
     write_dataset_csv(out / "dataset.csv", dataset)
@@ -271,84 +263,22 @@ def cmd_diagnose(args) -> int:
 # ---------------------------------------------------------------------------
 # replicate-study
 
-STUDY_KEYS = ("replicates", "methods", "scenarios", "base_seed", "spline", "mcmc", "priors",
-              "save_samples", "workers", "out_dir")
-
-
-def check_study(study: dict) -> None:
-    """ValueError unless ``study`` has only known keys, integer replicates >= 1 and
-    base_seed >= 0, a boolean save_samples, a string out_dir, some cells and objects
-    where objects belong (each scenario, and mcmc, spline and priors)."""
-    if not isinstance(study, dict):
-        raise ValueError(f"study config must be an object, got {study!r}")
-    unknown = sorted(set(study) - set(STUDY_KEYS))
-    if unknown:
-        raise ValueError(f"unknown study keys: {unknown}")
-    replicates = study.get("replicates")
-    if not isinstance(replicates, int) or isinstance(replicates, bool) or replicates < 1:
-        raise ValueError(f"study replicates must be an integer >= 1, got {replicates!r}")
-    base_seed = study.get("base_seed", 0)
-    if not isinstance(base_seed, int) or isinstance(base_seed, bool) or base_seed < 0:
-        raise ValueError(f"study base_seed must be an integer >= 0, got {base_seed!r}")
-    if not isinstance(study.get("save_samples", False), bool):
-        raise ValueError(f"study save_samples must be true or false, got {study['save_samples']!r}")
-    if not isinstance(study.get("out_dir", ""), str):
-        raise ValueError(f"study out_dir must be a string, got {study['out_dir']!r}")
-    for key in ("scenarios", "methods"):
-        if not isinstance(study.get(key), list) or not study[key]:
-            raise ValueError(f"study {key} must be a non-empty list")
-    for scenario in study["scenarios"]:
-        if not isinstance(scenario, dict):
-            raise ValueError(f"each of the study scenarios must be an object, got {scenario!r}")
-    for key in ("mcmc", "spline", "priors"):
-        if not isinstance(study.get(key, {}), dict):
-            raise ValueError(f"study {key} must be an object, got {study[key]!r}")
-
-
-def replicate_inputs(study: dict, scenario: dict, method: str, rep: int):
-    """The ScenarioSpec and RunConfig of one replicate; ValueError names an unknown key."""
-    seed = study.get("base_seed", 0) + rep
-    spec = ScenarioSpec(**known_keys(ScenarioSpec, {**scenario, "seed": seed}, "scenario"))
-    config = RunConfig.from_dict(
-        {
-            "method": method,
-            "tau": spec.tau,
-            **study.get("spline", {}),
-            **study.get("mcmc", {}),
-            "seed": seed,
-            "priors": study.get("priors", {}),
-            "workers": 1,
-        }
-    )
-    return spec, config
-
-
-def run_replicate(study: dict, scenario: dict, method: str, rep: int, rep_dir: Path) -> dict:
+def run_replicate(study: StudyConfig, scenario: ScenarioSpec, method: str, rep: int,
+                  rep_dir: Path) -> dict:
     """Simulate, fit and score one replicate in ``rep_dir``; returns its metrics.
 
     The chains run one after another in this process, so a replicate can
     itself run in a worker process of the study.
     """
-    spec, config = replicate_inputs(study, scenario, method, rep)
+    spec, config = study.replicate(scenario, method, rep)
     dataset, _, support = simulate_dataset(spec)
     rep_dir.mkdir(parents=True, exist_ok=True)
-    summary, bands = fit_and_summarize(
-        dataset, config, rep_dir, write_samples=study.get("save_samples", False)
-    )
+    summary, bands = fit_and_summarize(dataset, config, rep_dir, write_samples=study.save_samples)
     write_truth(rep_dir / "truth.json", spec, support)
     result = evaluate_curves(bands, summary, spec, support)
     result["wallclock_seconds"] = summary["wallclock_seconds"]
     dump_json(rep_dir / "metrics.json", result)
     return result
-
-
-def scenario_label(scenario: dict) -> str:
-    kind = scenario.get("covariate_kind", "gene")
-    err = scenario.get("error_kind", "normal")
-    het = "het" if scenario.get("heteroscedastic", False) else "iid"
-    tau = scenario.get("tau", 0.5)
-    hard = "-hard" if scenario.get("hard_intercept", False) else ""
-    return f"{kind}_{het}_{err}_tau{tau}{hard}"
 
 
 def _study_task(job) -> None:
@@ -370,28 +300,23 @@ def cmd_replicate_study(args) -> int:
     (scenario, method, replicate) order, so no output but the timing fields
     depends on the process count.
     """
-    study = load_json(args.config)
-    check_study(study)
-    out = Path(args.out if args.out else study.get("out_dir", _default_out()))
+    study = StudyConfig.from_dict(load_json(args.config))
+    out = Path(args.out or (_default_out() if study.out_dir is None else study.out_dir))
     out.mkdir(parents=True, exist_ok=True)
-    replicates = study["replicates"]
     cells, pending = [], []
-    for scenario in study["scenarios"]:
-        label = scenario_label(scenario)
-        for method in study["methods"]:
-            replicate_inputs(study, scenario, method, 0)  # bad keys fail before any replicate
-            rep_dirs = [out / label / method / f"rep_{rep:04d}" for rep in range(replicates)]
-            cells.append((label, method, rep_dirs))
-            pending += [
-                (scenario, method, rep, rep_dir)
-                for rep, rep_dir in enumerate(rep_dirs)
-                if not (rep_dir / "manifest.json").exists()
-            ]
-    workers = resolve_workers(study.get("workers"), len(pending))
+    for label, scenario, method in study.cells():
+        rep_dirs = [out / label / method / f"rep_{rep:04d}" for rep in range(study.replicates)]
+        cells.append((label, method, rep_dirs))
+        pending += [
+            (scenario, method, rep, rep_dir)
+            for rep, rep_dir in enumerate(rep_dirs)
+            if not (rep_dir / "manifest.json").exists()
+        ]
+    workers = resolve_workers(study.workers, len(pending))
     done = map_in_order(_study_task, [(study, *task, workers) for task in pending], workers)
     for (scenario, method, rep, _), _ in zip(pending, done):
-        label = scenario_label(scenario)
-        print(f"{label}/{method} replicate {rep + 1}/{replicates} done", flush=True)
+        print(f"{scenario_label(scenario)}/{method} replicate {rep + 1}/{study.replicates} done",
+              flush=True)
     aggregate_rows = []
     for label, method, rep_dirs in cells:
         rows = [load_json(rep_dir / "manifest.json") for rep_dir in rep_dirs]
@@ -412,11 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bayesqvc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Flag dests are ScenarioSpec field names.
     sim = sub.add_parser("simulate", help="generate one simulated dataset")
     sim.add_argument("--n", type=int, default=200)
     sim.add_argument("--p", type=int, default=100)
     sim.add_argument("--covariate-kind", choices=COVARIATE_KINDS, default="gene")
-    sim.add_argument("--error", choices=ERROR_KINDS, default="normal")
+    sim.add_argument("--error", dest="error_kind", choices=ERROR_KINDS, default="normal")
     sim.add_argument("--heteroscedastic", action="store_true")
     sim.add_argument("--tau", type=float, default=0.5)
     sim.add_argument("--seed", type=int, default=0)
@@ -463,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("replicate-study", help="scenario grid with seeded replicates")
     rep.add_argument(
         "--config", required=True,
-        help="study config JSON; its optional \"workers\" key caps the processes the "
-             "replicates run on (default: one per usable CPU)",
+        help="study config JSON. " + StudyConfig.__doc__,
     )
     rep.add_argument("--out", default=None)
     rep.set_defaults(func=cmd_replicate_study)

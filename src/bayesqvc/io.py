@@ -18,7 +18,7 @@ Formats:
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -71,27 +71,13 @@ class RunConfig:
         return SplineConfig(self.degree, self.interior_knots)
 
     def mcmc_options(self) -> McmcOptions:
-        return McmcOptions(
-            iterations=self.iterations,
-            burn_in=self.burn_in,
-            thin=self.thin,
-            chains=self.chains,
-            seed=self.seed,
-            store_latents=self.store_latents,
-        )
+        return McmcOptions(**{fld.name: getattr(self, fld.name) for fld in fields(McmcOptions)})
 
     def prior_config(self):
-        extra = dict(self.priors)
         cls = method_spec(self.method).prior
         # Prior covariance matrices are not settable from the flat config.
-        allowed = {f.name for f in fields(cls)} - {"sigma_beta", "sigma_alpha0"}
-        unknown = set(extra) - allowed
-        if unknown:
-            raise ValueError(f"unknown prior fields for {self.method}: {sorted(unknown)}")
-        for name, value in extra.items():
-            if not _takes(1.0, value):
-                raise ValueError(f"prior {name} must be a number, got {value!r}")
-        return cls(**extra)
+        covariances = ("sigma_beta", "sigma_alpha0")
+        return cls(**known_keys(cls, self.priors, f"{self.method} prior", covariances))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -103,36 +89,115 @@ class RunConfig:
         return cfg
 
 
-_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-               dict: "an object"}
+def scenario_label(spec: ScenarioSpec) -> str:
+    """A scenario's directory in a study; it leaves out n, p, seed and mixture_sd_or_var."""
+    het = "het" if spec.heteroscedastic else "iid"
+    hard = "-hard" if spec.hard_intercept else ""
+    return f"{spec.covariate_kind}_{het}_{spec.error_kind}_tau{spec.tau}{hard}"
 
 
-def _takes(default, value) -> bool:
-    """Whether a field defaulting to ``default`` takes ``value``: a bool field only a
-    bool, an int field only a non-bool int, a float field a non-bool int or float."""
-    if isinstance(default, bool) or isinstance(value, bool):
-        return isinstance(default, bool) and isinstance(value, bool)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
+@dataclass
+class StudyConfig:
+    """A replicate study: seeded replicates of each (scenario, method) cell.
 
-
-def known_keys(cls, payload: dict, what: str) -> dict:
-    """``payload`` if each key names a field of dataclass ``cls`` and each value has
-    the type of the field's default (fields defaulting to None are not checked);
-    else ValueError naming the unknown keys or the first value of the wrong type.
+    JSON keys: replicates (integer >= 1); scenarios (non-empty list of objects
+    with the simulate keys: integers n, p; strings covariate_kind, error_kind,
+    mixture_sd_or_var; number tau; bools heteroscedastic, hard_intercept);
+    methods (non-empty list of method names); optional base_seed (integer >= 0,
+    default 0), spline (object of integers degree, interior_knots), mcmc (object
+    of integers iterations, burn_in, thin, chains and bool store_latents), priors
+    (object of numbers for every method), save_samples (bool, default false),
+    workers (integer >= 1 or null: processes for the replicates, default one per
+    usable CPU), out_dir (string, default $BAYESQVC_OUT or .).  Replicate rep of
+    each cell simulates and fits with seed base_seed + rep, so no scenario or
+    mcmc object takes a seed.  Methods and scenario labels, which leave out n, p
+    and mixture_sd_or_var, are unique.
     """
+
+    replicates: int
+    scenarios: list[ScenarioSpec]
+    methods: list[str]
+    base_seed: int = 0
+    spline: SplineConfig = field(default_factory=SplineConfig)
+    mcmc: McmcOptions = field(default_factory=McmcOptions)
+    priors: dict = field(default_factory=dict)
+    save_samples: bool = False
+    workers: int | None = None
+    out_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.replicates < 1:
+            raise ValueError(f"study replicates must be an integer >= 1, got {self.replicates}")
+        if self.base_seed < 0:
+            raise ValueError(f"study base_seed must be an integer >= 0, got {self.base_seed}")
+        for name in ("scenarios", "methods"):
+            if not getattr(self, name):
+                raise ValueError(f"study {name} must be a non-empty list")
+        resolve_workers(self.workers, 1)  # raises on a bad worker count
+        labels = [scenario_label(spec) for spec in self.scenarios]
+        for what, names in (("scenario label", labels), ("method", self.methods)):
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ValueError(f"study has the {what} {repeated[0]!r} twice; "
+                                 "each cell needs its own directory")
+        for _, spec, method in self.cells():
+            self.replicate(spec, method, 0)  # raises on a method, tau or prior it rejects
+
+    def cells(self) -> list[tuple[str, ScenarioSpec, str]]:
+        """The (label, scenario, method) of every cell, scenario by scenario."""
+        return [(scenario_label(s), s, method) for s in self.scenarios for method in self.methods]
+
+    def replicate(self, spec: ScenarioSpec, method: str, rep: int):
+        """Replicate ``rep`` of a cell: its ScenarioSpec and its one-process RunConfig."""
+        seed = self.base_seed + rep
+        config = RunConfig(method=method, tau=spec.tau, **asdict(self.spline),
+                           **asdict(replace(self.mcmc, seed=seed)), priors=self.priors,
+                           workers=1)
+        config.validate()
+        return replace(spec, seed=seed), config
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "StudyConfig":
+        study = dict(known_keys(cls, payload, "study"))
+        study["scenarios"] = [
+            ScenarioSpec(**known_keys(ScenarioSpec, spec, f"study scenarios[{i}]", ("seed",)))
+            for i, spec in enumerate(study["scenarios"])
+        ]
+        for name, part in (("spline", SplineConfig), ("mcmc", McmcOptions)):
+            if name in study:
+                study[name] = part(**known_keys(part, study[name], f"study {name}", ("seed",)))
+        return cls(**study)
+
+
+_KINDS = {"bool": (bool, "true or false"), "int": (int, "an integer"),
+          "float": ((int, float), "a number"), "str": (str, "a string"),
+          "dict": (dict, "an object"), "list": (list, "a list")}
+
+
+def known_keys(cls, payload: dict, what: str, drop: tuple = ()) -> dict:
+    """``payload`` if its keys name fields of dataclass ``cls`` but not ``drop``, it has
+    each field without a default, and each value has the field's annotated type (only
+    a bool field takes a bool, a float field also takes an int, ``list[...]`` is a list,
+    ``X | None`` takes null, other types are not checked); else ValueError naming the
+    keys or the first value of the wrong type."""
     if not isinstance(payload, dict):
         raise ValueError(f"{what} must be an object, got {payload!r}")
-    by_name = {f.name: f for f in fields(cls)}
+    by_name = {f.name: f for f in fields(cls) if f.name not in drop}
     unknown = sorted(set(payload) - set(by_name))
     if unknown:
         raise ValueError(f"unknown {what} keys: {unknown}")
+    missing = [name for name, f in by_name.items() if name not in payload
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} keys: {missing}")
     for name, value in payload.items():
-        fld = by_name[name]
-        default = fld.default if fld.default_factory is MISSING else fld.default_factory()
-        if type(default) in _KIND_NAMES and not _takes(default, value):
-            raise ValueError(f"{what} {name} must be {_KIND_NAMES[type(default)]}, got {value!r}")
+        # Annotations are strings: every module here postpones their evaluation.
+        annotation = by_name[name].type
+        kind = annotation.removesuffix(" | None").partition("[")[0]
+        if kind not in _KINDS or value is None and annotation.endswith(" | None"):
+            continue
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _KINDS[kind][0]):
+            raise ValueError(f"{what} {name} must be {_KINDS[kind][1]}, got {value!r}")
     return payload
 
 

@@ -46,7 +46,7 @@ METHODS = {
 
 def method_spec(method: str) -> Method:
     """The table row of ``method``; ValueError for an unknown name."""
-    if method not in METHODS:
+    if not isinstance(method, str) or method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     return METHODS[method]
 

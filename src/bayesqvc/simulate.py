@@ -58,6 +58,8 @@ class ScenarioSpec:
             raise ValueError("tau must lie in (0, 1)")
         if self.mixture_sd_or_var not in ("sd", "var"):
             raise ValueError("mixture_sd_or_var must be 'sd' or 'var'")
+        if self.heteroscedastic and self.p < 2:
+            raise ValueError("heteroscedastic errors need at least two predictors")
 
 
 def _gamma0(v):

@@ -428,24 +428,26 @@ def test_cli_fit_rejects_malformed_prior_flag(sim_dir, tmp_path, capsys, item, m
 
 
 @pytest.mark.parametrize(
-    "entry, key",
-    [("mcmc", "iteratons"), ("spline", "degre"), ("scenario", "eror_kind")],
+    "entry, key, value",
+    [("mcmc", "iteratons", 2), ("spline", "degre", 2), ("scenario", "eror_kind", "normal"),
+     # Keys a replicate would take over or silently replace: a method, tau and seeds.
+     ("spline", "method", "bvc"), ("mcmc", "tau", 0.9), ("mcmc", "seed", 3),
+     ("scenario", "seed", 3)],
+    ids=["mcmc-iteratons", "spline-degre", "scenario-eror_kind", "spline-method", "mcmc-tau",
+         "mcmc-seed", "scenario-seed"],
 )
-def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key):
+def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key, value):
     scenarios = [{"covariate_kind": "gene", "error_kind": "normal", "n": 40, "p": 3},
                  {"covariate_kind": "snp", "error_kind": "laplace", "n": 40, "p": 3}]
     study = {"scenarios": scenarios, "methods": ["bvc", "bqrvcss"], "replicates": 2,
              "mcmc": {"iterations": 40, "burn_in": 10}, "spline": {"degree": 1}}
-    if entry == "scenario":
-        scenarios[1][key] = "normal"
-    else:
-        study[entry][key] = 2
+    (scenarios[1] if entry == "scenario" else study[entry])[key] = value
     cfg = tmp_path / "study.json"
     cfg.write_text(json.dumps(study))
     out = tmp_path / "out"
     assert run_cli("replicate-study", "--config", cfg, "--out", out) == 1
     assert key in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -453,9 +455,19 @@ def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key):
     [({"replicates": None}, "replicates"), ({"replicates": 0}, "replicates"),
      ({"methods": []}, "methods"), ({"scenarios": []}, "scenarios"),
      ({"save_sample": True}, "save_sample"), ({"scenarios": ["gene"]}, "scenarios"),
-     ({"mcmc": [20]}, "mcmc"), ({"spline": 2}, "spline"), ({"priors": "flat"}, "priors")],
+     ({"mcmc": [20]}, "mcmc"), ({"spline": 2}, "spline"), ({"priors": "flat"}, "priors"),
+     ({"methods": [["bvc"]]}, "unknown method ['bvc']"),
+     # Cells that would share a directory, and a scenario no replicate can simulate.
+     ({"scenarios": [{"n": 40, "p": 3}, {"n": 60, "p": 3}]}, "'gene_iid_normal_tau0.5' twice"),
+     ({"scenarios": [{"n": 40, "p": 3}, {"n": 40, "p": 3, "mixture_sd_or_var": "sd"}]},
+      "'gene_iid_normal_tau0.5' twice"),
+     ({"methods": ["bvc", "bqrvcss", "bvc"]}, "method 'bvc' twice"),
+     ({"scenarios": [{"n": 40, "p": 3}, {"n": 40, "p": 1, "heteroscedastic": True}]},
+      "heteroscedastic errors need at least two predictors")],
     ids=["missing-replicates", "zero-replicates", "no-methods", "no-scenarios", "misspelt-key",
-         "scenario-not-object", "mcmc-not-object", "spline-not-object", "priors-not-object"],
+         "scenario-not-object", "mcmc-not-object", "spline-not-object", "priors-not-object",
+         "method-not-string", "scenarios-differ-in-n", "scenarios-differ-in-mixture",
+         "repeated-method", "heteroscedastic-p1"],
 )
 def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
     study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
@@ -464,10 +476,9 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
     # A change to None drops the key.
     cfg.write_text(json.dumps({k: v for k, v in study.items() if v is not None}))
     out = tmp_path / "out"
-    out.mkdir()
     assert run_cli("replicate-study", "--config", cfg, "--out", out) == 1
     assert message in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -485,29 +496,30 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
      ("fit", {"priors": {"a": True}}, "prior a must be a number"),
      ("fit", {"priors": 5}, "config priors must be an object"),
      ("fit", [{"seed": 1}], "config must be an object"),
-     ("study", [1], "study config must be an object"),
-     ("study", {"base_seed": "7"}, "study base_seed must be an integer >= 0"),
-     ("study", {"base_seed": 1.5}, "study base_seed must be an integer >= 0"),
+     ("study", [1], "study must be an object"),
+     ("study", {"base_seed": "7"}, "study base_seed must be an integer, got '7'"),
+     ("study", {"base_seed": 1.5}, "study base_seed must be an integer, got 1.5"),
      ("study", {"base_seed": -1}, "study base_seed must be an integer >= 0"),
      ("study", {"replicates": True}, "study replicates must be an integer"),
      ("study", {"save_samples": "no"}, "study save_samples must be true or false"),
      ("study", {"out_dir": 5}, "study out_dir must be a string"),
-     ("study", {"mcmc": {"iterations": 40.0, "burn_in": 10}}, "config iterations must be"),
+     ("study", {"mcmc": {"iterations": 40.0, "burn_in": 10}}, "study mcmc iterations must be"),
      ("study", {"scenarios": [{"n": 40, "p": 3, "heteroscedastic": "no"}]},
-      "scenario heteroscedastic must be true or false"),
-     ("study", {"scenarios": [{"n": "30", "p": 3}]}, "scenario n must be an integer")],
+      "study scenarios[0] heteroscedastic must be true or false"),
+     ("study", {"scenarios": [{"n": "30", "p": 3}]}, "study scenarios[0] n must be an integer"),
+     ("study", {"workers": 0}, "workers must be a positive integer or null (auto), got 0"),
+     ("study", {"workers": "two"}, "study workers must be an integer, got 'two'")],
     ids=["seed-float", "seed-str", "iterations-float", "chains-float", "degree-float",
          "thin-bool", "store_latents-str", "tau-str", "method-int", "prior-str", "prior-bool",
          "priors-int", "fit-config-list", "study-config-list", "base_seed-str",
          "base_seed-float", "base_seed-negative", "replicates-bool", "save_samples-str",
          "out_dir-int", "mcmc-iterations-float", "scenario-heteroscedastic-str",
-         "scenario-n-str"],
+         "scenario-n-str", "study-workers-zero", "study-workers-str"],
 )
 def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys, command,
                                                       change, message):
     cfg = tmp_path / "config.json"
     out = tmp_path / "out"
-    out.mkdir()
     if command == "fit":
         if isinstance(change, dict):
             change = {"method": "bqrvcss", "iterations": 20, "burn_in": 10, **change}
@@ -521,7 +533,7 @@ def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys,
         code = run_cli("replicate-study", "--config", cfg, "--out", out)
     assert code == 1
     assert message in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_replicate_study(tmp_path):

@@ -145,3 +145,5 @@ def test_spec_validation():
         ScenarioSpec(tau=1.0)
     with pytest.raises(ValueError):
         ScenarioSpec(mixture_sd_or_var="variance")
+    with pytest.raises(ValueError, match="at least two predictors"):
+        ScenarioSpec(p=1, heteroscedastic=True)
