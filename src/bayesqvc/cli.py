@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, metrics
-from .diagnostics import psrf_report, psrf_report_trace
+from .diagnostics import psrf_report, psrf_report_trace, tracked_parameters
 from .io import (
     RunConfig,
     StudyConfig,
@@ -160,6 +160,9 @@ def evaluate_fit(fit_dir: Path, truth_path: Path) -> dict:
     """Score the ``curves.csv`` and ``fit_summary.json`` of a fit directory against a truth file."""
     bands = read_curves_csv(fit_dir / "curves.csv")
     summary = load_json(fit_dir / "fit_summary.json")
+    if len(bands.median) != summary["p"] + 1:
+        raise ValueError(f"{fit_dir / 'curves.csv'} holds {len(bands.median)} curves, but the "
+                         f"fit has p = {summary['p']}, so it needs {summary['p'] + 1}")
     spec, support = load_truth(truth_path)
     return evaluate_curves(bands, summary, spec, support)
 
@@ -231,9 +234,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     samples, config = load_samples(Path(args.fit))
-    report = psrf_report(samples, split=args.split)
-    # A split halves each chain, so checkpoints count draws of the halves.
-    length = samples.chains[0].stored // (2 if args.split else 1)
+    tracked = tracked_parameters(samples)
+    report = psrf_report(tracked)
+    length = samples.chains[0].stored
     if args.checkpoints:
         checkpoints = [c for c in args.checkpoints if c <= length]
         for c in sorted(set(args.checkpoints) - set(checkpoints)):
@@ -243,7 +246,7 @@ def cmd_diagnose(args) -> int:
             raise ValueError(f"no checkpoint within the {length} draws per chain")
     else:
         checkpoints = list(range(1000, length + 1, 1000)) or [length]
-    trace = psrf_report_trace(samples, checkpoints, split=args.split)
+    trace = psrf_report_trace(tracked, checkpoints)
     payload = {
         "config": config.to_dict(),
         "cutoff": report.cutoff,
@@ -255,7 +258,7 @@ def cmd_diagnose(args) -> int:
     out = Path(args.out) if args.out else Path(args.fit) / "psrf.json"
     dump_json(out, payload)
     flag = "converged" if report.converged else "NOT converged"
-    print(f"{flag}: max PSRF {max(report.values.values()):.4f} over "
+    print(f"{flag}: max split PSRF {max(report.values.values()):.4f} over "
           f"{len(report.values)} tracked parameters; wrote {out}")
     return 0
 
@@ -292,13 +295,27 @@ def _study_task(job) -> None:
     tmp.rename(manifest)
 
 
+def _check_resumed(rep_dir: Path, spec: ScenarioSpec, config: RunConfig) -> None:
+    """ValueError naming the first key where a finished replicate's manifest config or
+    truth scenario differs from what the study gives now."""
+    for file, part, current in (("manifest.json", "config", config.to_dict()),
+                                ("truth.json", "scenario", asdict(spec))):
+        saved = load_json(rep_dir / file)[part]
+        for key in sorted(saved.keys() | current.keys()):
+            if saved.get(key) != current.get(key):
+                raise ValueError(f"{rep_dir} has {file} {part} {key} = {saved.get(key)!r}, "
+                                 f"but the study now gives {current.get(key)!r}; remove that "
+                                 "replicate directory to rerun it")
+
+
 def cmd_replicate_study(args) -> int:
     """Run every replicate without a ``manifest.json``, then aggregate all of them.
 
     The pending replicates run on the study's ``workers`` processes (default:
     one per usable CPU).  Progress lines and the aggregate follow the fixed
     (scenario, method, replicate) order, so no output but the timing fields
-    depends on the process count.
+    depends on the process count.  A replicate with a manifest is reused only
+    if the study still gives its config and scenario; else nothing runs.
     """
     study = StudyConfig.from_dict(load_json(args.config))
     out = Path(args.out or (_default_out() if study.out_dir is None else study.out_dir))
@@ -307,11 +324,11 @@ def cmd_replicate_study(args) -> int:
     for label, scenario, method in study.cells():
         rep_dirs = [out / label / method / f"rep_{rep:04d}" for rep in range(study.replicates)]
         cells.append((label, method, rep_dirs))
-        pending += [
-            (scenario, method, rep, rep_dir)
-            for rep, rep_dir in enumerate(rep_dirs)
-            if not (rep_dir / "manifest.json").exists()
-        ]
+        for rep, rep_dir in enumerate(rep_dirs):
+            if (rep_dir / "manifest.json").exists():
+                _check_resumed(rep_dir, *study.replicate(scenario, method, rep))
+            else:
+                pending.append((scenario, method, rep, rep_dir))
     workers = resolve_workers(study.workers, len(pending))
     done = map_in_order(_study_task, [(study, *task, workers) for task in pending], workers)
     for (scenario, method, rep, _), _ in zip(pending, done):
@@ -379,10 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", default=None, help="metrics JSON path (default: stdout)")
     ev.set_defaults(func=cmd_evaluate)
 
-    diag = sub.add_parser("diagnose", help="PSRF convergence report for a fit")
-    diag.add_argument("--fit", required=True)
-    diag.add_argument("--split", action="store_true", help="halve a single chain")
-    diag.add_argument("--checkpoints", nargs="*", type=int, default=None)
+    diag = sub.add_parser("diagnose", help="split-chain PSRF convergence report for a fit")
+    diag.add_argument("--fit", required=True,
+                      help="fit output dir; every chain, even a single one, is split into "
+                           "halves, so each needs at least 4 stored draws")
+    diag.add_argument("--checkpoints", nargs="*", type=int, default=None,
+                      help="stored draws per chain (each >= 4) at which to trace the PSRF; "
+                           "default every 1000, or the chain length if shorter")
     diag.add_argument("--out", default=None)
     diag.set_defaults(func=cmd_diagnose)
 

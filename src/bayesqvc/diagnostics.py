@@ -1,10 +1,17 @@
-"""Gelman-Rubin potential scale reduction factor for convergence assessment.
+"""Split-chain potential scale reduction factor for convergence assessment.
 
 PSRF for m chains of length n:
     B = n * Var(chain means),  W = mean(within-chain variances),
     var_plus = (n-1)/n * W + B/n,  PSRF = sqrt(var_plus / W),
 with sample variances using the n-1 divisor.  Values at or below the 1.1
 cutoff count as converged.
+
+The reports split every chain into halves first (split PSRF: Gelman et al.,
+Bayesian Data Analysis, 3rd ed., 2013, section 11.4; Vehtari et al. 2021,
+arXiv:1903.08008).  Plain PSRF assumes over-dispersed starts, but every
+chain here starts from the same all-null state, so it misses a transient
+the chains share; the halves of such a chain differ.  A single chain can
+be diagnosed too.
 """
 
 from __future__ import annotations
@@ -40,18 +47,6 @@ def psrf(chains: np.ndarray) -> tuple[float, bool]:
     return float(np.sqrt(var_plus / w)), False
 
 
-def psrf_trace(chains: np.ndarray, checkpoints) -> list[tuple[int, float]]:
-    """PSRF computed on the chain prefixes ending at each checkpoint."""
-    x = np.asarray(chains, dtype=float)
-    out = []
-    for stop in checkpoints:
-        if not 2 <= stop <= x.shape[1]:
-            raise ValueError(f"checkpoint {stop} outside the chain length")
-        value, _ = psrf(x[:, :stop])
-        out.append((int(stop), value))
-    return out
-
-
 @dataclass
 class PsrfReport:
     values: dict[str, float]
@@ -83,48 +78,31 @@ def tracked_parameters(samples: PosteriorSamples) -> dict[str, np.ndarray]:
     return out
 
 
-def split_chains(samples: PosteriorSamples) -> PosteriorSamples:
-    """Halve each stored chain into two pseudo-chains (single-chain convenience)."""
-    import copy
-
-    new_chains = []
-    for chain in samples.chains:
-        m = chain.stored // 2
-        for half in (slice(0, m), slice(m, 2 * m)):
-            c = copy.copy(chain)
-            c.alpha = chain.alpha[half]
-            c.beta = chain.beta[half]
-            c.inclusion = chain.inclusion[half]
-            c.scalars = {k: v[half] for k, v in chain.scalars.items()}
-            c.latents = {k: v[half] for k, v in chain.latents.items()}
-            new_chains.append(c)
-    out = copy.copy(samples)
-    out.chains = new_chains
-    return out
+def split_psrf(chains: np.ndarray) -> tuple[float, bool]:
+    """:func:`psrf` of the (2m, n // 2) halves of an (m, n) array; an odd last draw is dropped."""
+    x = np.asarray(chains, dtype=float)
+    m, n = x.shape
+    if n < 4:
+        raise ValueError(f"split PSRF needs at least 4 draws per chain, got {n}")
+    return psrf(x[:, : n - n % 2].reshape(2 * m, n // 2))
 
 
-def _tracked_chains(samples: PosteriorSamples, split: bool) -> dict[str, np.ndarray]:
-    """The tracked set of ``samples``, halved first if ``split``; at least two chains."""
-    if split:
-        samples = split_chains(samples)
-    if len(samples.chains) < 2:
-        raise ValueError(
-            "PSRF needs at least two chains; rerun with chains >= 2 or use split mode"
-        )
-    return tracked_parameters(samples)
-
-
-def psrf_report(samples: PosteriorSamples, split: bool = False) -> PsrfReport:
-    """Multi-chain PSRF over the default tracked parameter set."""
+def psrf_report(tracked: dict[str, np.ndarray]) -> PsrfReport:
+    """Split PSRF of each (m, n) array of a :func:`tracked_parameters` set."""
     values, degenerate = {}, {}
-    for name, arr in _tracked_chains(samples, split).items():
-        values[name], degenerate[name] = psrf(arr)
+    for name, arr in tracked.items():
+        values[name], degenerate[name] = split_psrf(arr)
     return PsrfReport(values=values, degenerate=degenerate)
 
 
 def psrf_report_trace(
-    samples: PosteriorSamples, checkpoints, split: bool = False
+    tracked: dict[str, np.ndarray], checkpoints
 ) -> dict[str, list[tuple[int, float]]]:
-    """PSRF of each tracked parameter at each checkpoint (draws per chain)."""
-    tracked = _tracked_chains(samples, split)
-    return {name: psrf_trace(arr, checkpoints) for name, arr in tracked.items()}
+    """Split PSRF of the first c draws per chain of each tracked array, for each checkpoint c."""
+    n = min(arr.shape[1] for arr in tracked.values())
+    for stop in checkpoints:
+        if not 4 <= stop <= n:
+            raise ValueError(f"checkpoint {stop} is outside the 4..{n} draws per chain "
+                             "that split PSRF needs")
+    return {name: [(int(stop), split_psrf(arr[:, :stop])[0]) for stop in checkpoints]
+            for name, arr in tracked.items()}

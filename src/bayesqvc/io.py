@@ -160,13 +160,22 @@ class StudyConfig:
     def from_dict(cls, payload: dict) -> "StudyConfig":
         study = dict(known_keys(cls, payload, "study"))
         study["scenarios"] = [
-            ScenarioSpec(**known_keys(ScenarioSpec, spec, f"study scenarios[{i}]", ("seed",)))
+            _build(ScenarioSpec, spec, f"study scenarios[{i}]")
             for i, spec in enumerate(study["scenarios"])
         ]
         for name, part in (("spline", SplineConfig), ("mcmc", McmcOptions)):
             if name in study:
-                study[name] = part(**known_keys(part, study[name], f"study {name}", ("seed",)))
+                study[name] = _build(part, study[name], f"study {name}")
         return cls(**study)
+
+
+def _build(cls, payload: dict, what: str):
+    """``cls`` of the :func:`known_keys` of ``payload`` but seed; range errors name ``what``."""
+    kwargs = known_keys(cls, payload, what, ("seed",))
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 _KINDS = {"bool": (bool, "true or false"), "int": (int, "an integer"),
@@ -219,6 +228,17 @@ def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
         fh.write(row_fmt * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
+def _read_rows(fh, what: str) -> np.ndarray:
+    """The rows of a CSV file after the header line ``fh`` has read, as an (rows, columns)
+    float array; ValueError naming ``what`` if there is none."""
+    # np.loadtxt only warns on an empty body, so look for a row first.
+    start = fh.tell()
+    if not any(line.strip() for line in fh):
+        raise ValueError(f"{what} CSV has no data rows")
+    fh.seek(start)
+    return np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
 # ---------------------------------------------------------------------------
 # dataset CSV
 
@@ -249,12 +269,7 @@ def read_dataset_csv(path) -> Dataset:
             if got != want:
                 raise ValueError(f"dataset CSV header must be V, E_1..E_q, X_1..X_p, Y in "
                                  f"order: column {col} is {got}, expected {want}")
-        # np.loadtxt only warns on an empty body, so look for a row first.
-        start = fh.tell()
-        if not any(line.strip() for line in fh):
-            raise ValueError("dataset CSV has no data rows")
-        fh.seek(start)
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        body = _read_rows(fh, "dataset")
     if body.shape[1] != len(header):
         raise ValueError(f"dataset CSV header names {len(header)} columns, "
                          f"but its rows have {body.shape[1]}")
@@ -400,7 +415,9 @@ def write_curves_csv(path, bands: CurveBands) -> None:
 
 def read_curves_csv(path) -> CurveBands:
     """The :class:`inference.CurveBands` a :func:`write_curves_csv` file holds."""
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path) as fh:
+        fh.readline()
+        body = _read_rows(fh, "curves")
     n_curves = int(body[:, 0].max()) + 1
     g = int(body[:, 1].max()) + 1
     if body.shape[0] != n_curves * g:

@@ -1,4 +1,4 @@
-"""Potential scale reduction factor."""
+"""Potential scale reduction factor, plain and split-chain."""
 
 import math
 
@@ -10,8 +10,8 @@ from bayesqvc import Dataset, PriorConfig, RngHandle, SplineConfig
 from bayesqvc.diagnostics import (
     psrf,
     psrf_report,
-    psrf_trace,
-    split_chains,
+    psrf_report_trace,
+    split_psrf,
     tracked_parameters,
 )
 from bayesqvc.inference import ci_selection
@@ -75,18 +75,38 @@ def test_psrf_input_validation():
         psrf(np.zeros(10))
 
 
-def test_psrf_trace_matches_slicing():
+def test_split_psrf_is_psrf_of_the_chain_halves():
     rng = np.random.default_rng(1)
-    x = rng.normal(size=(2, 500))
-    trace = psrf_trace(x, [100, 250, 500])
-    assert len(trace) == 3
-    for stop, value in trace:
-        expected, _ = psrf(x[:, :stop])
-        assert value == pytest.approx(expected)
-    single = psrf_trace(x, [500])
-    assert single[0][1] == pytest.approx(psrf(x)[0])
-    with pytest.raises(ValueError):
-        psrf_trace(x, [501])
+    x = rng.normal(size=(2, 501))  # the odd last draw is dropped
+    halves = np.stack([x[0, :250], x[0, 250:500], x[1, :250], x[1, 250:500]])
+    assert split_psrf(x) == psrf(halves)
+    with pytest.raises(ValueError, match="at least 4 draws per chain, got 3"):
+        split_psrf(x[:, :3])
+
+
+def test_split_psrf_sees_a_drift_the_chains_share():
+    # Both chains start at the same point and drift alike: their means agree,
+    # so the plain PSRF reads converged, but the halves of each chain differ.
+    rng = np.random.default_rng(0)
+    x = np.linspace(0, 3, 200) + rng.normal(size=(2, 200))
+    assert psrf(x)[0] < 1.01
+    report = psrf_report({"a": x})
+    assert report.values["a"] > 1.1
+    assert not report.converged
+
+
+def test_report_trace_matches_slicing():
+    rng = np.random.default_rng(1)
+    tracked = {"a": rng.normal(size=(2, 500)), "b": rng.normal(size=(1, 500))}
+    trace = psrf_report_trace(tracked, [100, 251, 500])
+    for name, arr in tracked.items():
+        assert [stop for stop, _ in trace[name]] == [100, 251, 500]
+        for stop, value in trace[name]:
+            assert value == split_psrf(arr[:, :stop])[0]
+    assert trace["a"][-1][1] == psrf_report(tracked).values["a"]
+    for stop in (3, 501):
+        with pytest.raises(ValueError, match=f"checkpoint {stop} is outside the 4..500"):
+            psrf_report_trace(tracked, [100, stop])
 
 
 @pytest.fixture(scope="module")
@@ -104,24 +124,24 @@ def two_chain_fit():
 
 
 def test_report_tracks_selected_blocks_and_scale(two_chain_fit):
-    report = psrf_report(two_chain_fit)
+    report = psrf_report(tracked_parameters(two_chain_fit))
     assert "theta" in report.values
     assert any(name.startswith("alpha[0,") for name in report.values)
     assert any(name.startswith("alpha[1,") for name in report.values)
     assert report.converged == all(v <= 1.1 for v in report.values.values())
 
 
-def test_report_requires_two_chains_or_split(two_chain_fit):
-    single = split_chains(two_chain_fit)  # sanity: split doubles chain count
-    assert len(single.chains) == 4
+def test_report_of_a_single_chain_compares_its_halves(two_chain_fit):
     import copy
 
     one = copy.copy(two_chain_fit)
     one.chains = two_chain_fit.chains[:1]
-    with pytest.raises(ValueError, match="split"):
-        psrf_report(one)
-    report = psrf_report(one, split=True)
-    assert report.values
+    tracked = tracked_parameters(one)
+    report = psrf_report(tracked)
+    assert report.values.keys() == tracked.keys()
+    for name, arr in tracked.items():
+        half = arr.shape[1] // 2
+        assert report.values[name] == psrf(np.stack([arr[0, :half], arr[0, half:2 * half]]))[0]
 
 
 def test_tracked_parameters_shapes(two_chain_fit):

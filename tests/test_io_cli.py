@@ -363,6 +363,25 @@ def test_cli_evaluate_missing_truth(fit_dir, tmp_path, capsys):
     assert "truth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "keep, message",
+    [(0, "curves CSV has no data rows"), (200, "holds 1 curves, but the fit has p = 6, so it "
+                                               "needs 7")],
+    ids=["header-only", "one-curve"],
+)
+def test_cli_evaluate_rejects_malformed_curves(sim_dir, fit_dir, tmp_path, capsys, keep, message):
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    (fit / "fit_summary.json").write_bytes((fit_dir / "fit_summary.json").read_bytes())
+    lines = (fit_dir / "curves.csv").read_text().splitlines(keepends=True)
+    (fit / "curves.csv").write_text("".join(lines[: 1 + keep]))  # header, then curve 0
+    out = tmp_path / "metrics.json"
+    assert run_cli("evaluate", "--fit", fit, "--truth", sim_dir / "truth.json",
+                   "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_diagnose(fit_dir):
     assert run_cli("diagnose", "--fit", fit_dir, "--checkpoints", 100, 250) == 0
     report = json.loads((fit_dir / "psrf.json").read_text())
@@ -372,25 +391,56 @@ def test_cli_diagnose(fit_dir):
         assert [point[0] for point in trace] == [100, 250]
 
 
-def test_cli_diagnose_single_chain_advises_split(sim_dir, tmp_path, capsys):
-    out = tmp_path / "one"
-    run_cli("fit", "--data", sim_dir / "dataset.csv", "--method", "bqrvcss",
-            "--tau", 0.5, "--iterations", 200, "--burn-in", 100, "--seed", 2,
-            "--out", out)
-    assert run_cli("diagnose", "--fit", out) == 1
-    assert "split" in capsys.readouterr().err
-    assert run_cli("diagnose", "--fit", out, "--split") == 0
-
-
-def test_cli_diagnose_split_checkpoints_count_half_chains(sim_dir, tmp_path):
+def test_cli_diagnose_splits_a_single_chain(sim_dir, tmp_path, capsys):
     out = tmp_path / "one"
     assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--method", "bqrvcss",
                    "--tau", 0.5, "--iterations", 250, "--burn-in", 100, "--seed", 2,
                    "--out", out) == 0
-    assert run_cli("diagnose", "--fit", out, "--split", "--checkpoints", 50, 75, 150) == 0
+    # checkpoints count the 150 stored draws of the one chain, not of its halves
+    assert run_cli("diagnose", "--fit", out, "--checkpoints", 50, 75, 150) == 0
     report = json.loads((out / "psrf.json").read_text())
+    assert report["psrf"]
     for trace in report["trace"].values():
-        assert [point[0] for point in trace] == [50, 75]
+        assert [point[0] for point in trace] == [50, 75, 150]
+    with pytest.raises(SystemExit) as exc:
+        run_cli("diagnose", "--fit", out, "--split")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli("diagnose", "--fit", out, "--checkpoints", 3, 50, "--out",
+                   tmp_path / "psrf.json") == 1
+    assert "checkpoint 3 is outside the 4..150 draws per chain" in capsys.readouterr().err
+    assert not (tmp_path / "psrf.json").exists()
+
+
+def test_cli_diagnose_needs_four_draws_per_chain(sim_dir, tmp_path, capsys):
+    out = tmp_path / "short"
+    assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--method", "bvc",
+                   "--iterations", 13, "--burn-in", 10, "--chains", 2, "--seed", 2,
+                   "--workers", 1, "--out", out) == 0
+    assert run_cli("diagnose", "--fit", out) == 1
+    assert "at least 4 draws per chain, got 3" in capsys.readouterr().err
+    assert not (out / "psrf.json").exists()
+
+
+def test_cli_diagnose_calls_each_traced_layer_once(fit_dir, tmp_path, monkeypatch):
+    """The benchmark times diagnose through cli.psrf_report and cli.psrf_report_trace,
+    and one tracked-set selection feeds both."""
+    from bayesqvc import cli
+
+    calls = []
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("tracked_parameters", "psrf_report", "psrf_report_trace"):
+        monkeypatch.setattr(cli, name, counting(name))
+    assert run_cli("diagnose", "--fit", fit_dir, "--out", tmp_path / "psrf.json") == 0
+    assert calls == ["tracked_parameters", "psrf_report", "psrf_report_trace"]
 
 
 def test_cli_diagnose_names_dropped_checkpoints(fit_dir, tmp_path, capsys):
@@ -463,11 +513,19 @@ def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key, valu
       "'gene_iid_normal_tau0.5' twice"),
      ({"methods": ["bvc", "bqrvcss", "bvc"]}, "method 'bvc' twice"),
      ({"scenarios": [{"n": 40, "p": 3}, {"n": 40, "p": 1, "heteroscedastic": True}]},
-      "heteroscedastic errors need at least two predictors")],
+      "study scenarios[1]: heteroscedastic errors need at least two predictors"),
+     # Range errors of a scenario, the spline and the mcmc name their object.
+     ({"scenarios": [{"n": 40, "p": 3}, {"n": 0, "p": 3, "error_kind": "laplace"}]},
+      "study scenarios[1]: n and p must be positive"),
+     ({"spline": {"degree": -1}}, "study spline: degree must be non-negative"),
+     ({"mcmc": {"iterations": 40, "burn_in": 50}}, "study mcmc: iterations must exceed burn_in"),
+     ({"mcmc": {"iterations": 40, "burn_in": 10, "thin": 0}},
+      "study mcmc: thin must be at least 1")],
     ids=["missing-replicates", "zero-replicates", "no-methods", "no-scenarios", "misspelt-key",
          "scenario-not-object", "mcmc-not-object", "spline-not-object", "priors-not-object",
          "method-not-string", "scenarios-differ-in-n", "scenarios-differ-in-mixture",
-         "repeated-method", "heteroscedastic-p1"],
+         "repeated-method", "heteroscedastic-p1", "scenario-n-zero", "spline-degree-negative",
+         "mcmc-burn_in-past-iterations", "mcmc-thin-zero"],
 )
 def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
     study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,
@@ -567,6 +625,33 @@ def test_cli_replicate_study(tmp_path):
     # deterministic seed schedule: replicate r regenerates dataset seed base+r
     manifest = json.loads((scen_dir / "rep_0001" / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 8
+
+
+@pytest.mark.parametrize(
+    "entry, key, value, saved",
+    [("mcmc", "iterations", 60, "manifest.json config iterations = 40"),
+     ("scenario", "n", 50, "truth.json scenario n = 40")],
+    ids=["iterations", "scenario-n"],
+)
+def test_replicate_study_resumes_only_an_unchanged_config(tmp_path, capsys, entry, key, value,
+                                                          saved):
+    study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 2,
+             "mcmc": {"iterations": 40, "burn_in": 10}, "workers": 1}
+    cfg = tmp_path / "study.json"
+    cfg.write_text(json.dumps(study))
+    out = tmp_path / "out"
+    assert run_cli("replicate-study", "--config", cfg, "--out", out) == 0
+    cell = out / "gene_iid_normal_tau0.5" / "bvc"
+    (cell / "rep_0001" / "manifest.json").unlink()
+    before = {path: path.stat().st_mtime_ns for path in out.rglob("*")}
+    (study["scenarios"][0] if entry == "scenario" else study[entry])[key] = value
+    cfg.write_text(json.dumps(study))
+    capsys.readouterr()
+    assert run_cli("replicate-study", "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"{cell / 'rep_0000'} has {saved}, but the study now gives {value}" in err
+    # nothing ran: no file was written, and the deleted manifest stays missing
+    assert {path: path.stat().st_mtime_ns for path in out.rglob("*")} == before
 
 
 def test_replicate_study_skips_samples_unless_saved(tmp_path, monkeypatch):
