@@ -12,6 +12,7 @@ import pytest
 import bayesqvc
 from bayesqvc import Dataset, RngHandle
 from bayesqvc.cli import _config_from_args, build_parser, main
+from bayesqvc.diagnostics import psrf, tracked_parameters
 from bayesqvc.io import (
     RunConfig,
     load_samples,
@@ -391,20 +392,36 @@ def test_cli_diagnose(fit_dir):
         assert [point[0] for point in trace] == [100, 250]
 
 
-def test_cli_diagnose_splits_a_single_chain(sim_dir, tmp_path, capsys):
+def test_cli_diagnose_single_chain_advises_split(sim_dir, tmp_path, capsys):
+    """A one-chain fit is diagnosed by splitting it, with no flag; --split is gone."""
+    out = tmp_path / "one"
+    assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--method", "bqrvcss",
+                   "--tau", 0.5, "--iterations", 200, "--burn-in", 100, "--seed", 2,
+                   "--out", out) == 0
+    assert run_cli("diagnose", "--fit", out) == 0
+    assert json.loads((out / "psrf.json").read_text())["psrf"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("diagnose", "--fit", out, "--split")
+    assert exc.value.code == 2
+    assert "--split" in capsys.readouterr().err
+
+
+def test_cli_diagnose_split_checkpoints_count_half_chains(sim_dir, tmp_path, capsys):
+    """Checkpoints count the stored draws per chain; each traced value compares
+    the two halves of that many draws."""
     out = tmp_path / "one"
     assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--method", "bqrvcss",
                    "--tau", 0.5, "--iterations", 250, "--burn-in", 100, "--seed", 2,
                    "--out", out) == 0
-    # checkpoints count the 150 stored draws of the one chain, not of its halves
     assert run_cli("diagnose", "--fit", out, "--checkpoints", 50, 75, 150) == 0
     report = json.loads((out / "psrf.json").read_text())
-    assert report["psrf"]
-    for trace in report["trace"].values():
+    tracked = tracked_parameters(load_samples(out)[0])
+    for name, trace in report["trace"].items():
         assert [point[0] for point in trace] == [50, 75, 150]
-    with pytest.raises(SystemExit) as exc:
-        run_cli("diagnose", "--fit", out, "--split")
-    assert exc.value.code == 2
+        halves = tracked[name][:, :74].reshape(2, 37)
+        assert trace[1][1] == pytest.approx(psrf(halves)[0])
+        assert trace[2][1] == pytest.approx(report["psrf"][name])
     capsys.readouterr()
     assert run_cli("diagnose", "--fit", out, "--checkpoints", 3, 50, "--out",
                    tmp_path / "psrf.json") == 1
