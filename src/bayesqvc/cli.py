@@ -36,7 +36,8 @@ from .io import (
     write_truth,
 )
 from .samplers import fit as run_fit
-from .samplers.variants import METHODS, map_in_order, resolve_workers
+from .samplers.config import METHODS, method_spec
+from .samplers.variants import map_in_order, resolve_workers
 from .simulate import (
     COVARIATE_KINDS,
     ERROR_KINDS,
@@ -157,13 +158,25 @@ def cmd_fit(args) -> int:
 # evaluate
 
 def evaluate_fit(fit_dir: Path, truth_path: Path) -> dict:
-    """Score the ``curves.csv`` and ``fit_summary.json`` of a fit directory against a truth file."""
+    """Score the ``curves.csv`` and ``fit_summary.json`` of a fit directory against a truth file.
+
+    The truth must be of the scenario the fit was run on: ValueError names
+    the first of n, p and (for a quantile method) tau that differs.
+    """
     bands = read_curves_csv(fit_dir / "curves.csv")
     summary = load_json(fit_dir / "fit_summary.json")
     if len(bands.median) != summary["p"] + 1:
         raise ValueError(f"{fit_dir / 'curves.csv'} holds {len(bands.median)} curves, but the "
                          f"fit has p = {summary['p']}, so it needs {summary['p'] + 1}")
     spec, support = load_truth(truth_path)
+    fitted = {"n": summary["n"], "p": summary["p"]}
+    if method_spec(summary["method"]).needs_tau:
+        fitted["tau"] = summary["config"]["tau"]
+    for key, value in fitted.items():
+        if getattr(spec, key) != value:
+            raise ValueError(f"{truth_path} is the truth of a scenario with {key} = "
+                             f"{getattr(spec, key)!r}, but the fit in {fit_dir} has "
+                             f"{key} = {value!r}")
     return evaluate_curves(bands, summary, spec, support)
 
 

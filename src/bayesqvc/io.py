@@ -27,9 +27,9 @@ import numpy as np
 from .basis import SplineConfig
 from .data import Dataset
 from .inference import CurveBands
-from .samplers.config import McmcOptions
+from .samplers.config import McmcOptions, method_spec
 from .samplers.state import ChainSamples, PosteriorSamples
-from .samplers.variants import method_spec, resolve_workers
+from .samplers.variants import resolve_workers
 from .simulate import ScenarioSpec
 
 FLOAT_FMT = "%.17g"

@@ -1,4 +1,4 @@
-"""Prior and MCMC run configuration for the four Gibbs samplers."""
+"""Priors, MCMC run configuration and the method table of the four Gibbs samplers."""
 
 from __future__ import annotations
 
@@ -115,3 +115,32 @@ class McmcOptions:
     @property
     def stored(self) -> int:
         return (self.iterations - self.burn_in) // self.thin
+
+
+@dataclass(frozen=True)
+class Method:
+    """One sampler: a likelihood, with or without the point mass at zero."""
+
+    likelihood: str  # "quantile" or "gaussian"
+    spike: bool
+    prior: type  # hyperparameter class of the likelihood
+    scale: str  # stored name of the likelihood's scale parameter
+
+    @property
+    def needs_tau(self) -> bool:
+        return self.likelihood == "quantile"
+
+
+METHODS = {
+    "bqrvcss": Method("quantile", True, PriorConfig, "theta"),  # the proposed sampler
+    "bqrvc": Method("quantile", False, PriorConfig, "theta"),
+    "bvcss": Method("gaussian", True, GaussianPriorConfig, "sigma_sq"),
+    "bvc": Method("gaussian", False, GaussianPriorConfig, "sigma_sq"),
+}
+
+
+def method_spec(method: str) -> Method:
+    """The table row of ``method``; ValueError for an unknown name."""
+    if not isinstance(method, str) or method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    return METHODS[method]

@@ -13,9 +13,14 @@ likelihood is the quantile one with three changes:
 A likelihood module supplies what differs through a :class:`GibbsModel`
 subclass (its hooks are listed there) and through its state class, whose
 ``noise_scale`` scales the slab: sigma_sq for the Gaussian state and 1.0 for
-the quantile state.  Each likelihood module keeps its own ``gibbs_sweep``,
-which calls the stages in the likelihood's fixed order through that
-module's globals.
+the quantile state.  The model states its working Gaussian once, as the
+weights w and shift s of ``working_likelihood``; the alpha_0 and beta
+systems, the joint draw and ``draw_response`` are formed from them here.
+Only the block stage asks for the same Gaussian in block form
+(``block_system``), so that the Gaussian model can reuse the unweighted
+grams it forms at build.  Each likelihood module keeps its own
+``gibbs_sweep``, which calls the stages in the likelihood's fixed order
+through that module's globals.
 
 Spline block j is Z_j = diag(x_j) B, with B the n x d basis and x_j the j-th
 covariate column.  The model holds the design once, as B, the (p, n)
@@ -206,14 +211,12 @@ class GibbsModel:
       grams G_j, their weighted covariate rows w * x_j (k, n), and the shift
       s of the working residual ((n,) or 0.0), so that
       b_j = B'(w * x_j * (resid - s)) + G_j alpha_j;
-    * ``linear_system(state, x, partial)``: the likelihood's gram and
-      right-hand side of a fixed-effect term (alpha_0 or beta) with design x
-      and partial residual;
     * ``sweep(state, rng)``: one sweep in the likelihood's fixed order;
-    * ``draw_noise_from_prior(state, rng)`` and
-      ``draw_latents_from_prior(state, rng)``: the likelihood's own parts of
-      the forward prior draw, before and after the coefficients;
-    * ``response_noise(state)``: (shift, sd) of y around the linear predictor.
+    * ``draw_noise_from_prior(state, rng)``: the likelihood's scale, then its
+      latents, from their prior; the first draws of the forward prior draw.
+
+    The engine derives the rest from the working likelihood: the gram and
+    right-hand side of alpha_0 and beta, and the noise of ``draw_response``.
     """
 
     y: np.ndarray
@@ -406,7 +409,9 @@ def update_alpha_blocks(state, model: GibbsModel, rng: RngHandle) -> None:
 def _fixed_effect(state, model: GibbsModel, x, coef, prior_precision):
     """Mean, covariance (gram + prior)^-1 and partial residual of a fixed-effect term x @ coef."""
     partial = state.resid + x @ coef
-    gram, rhs = model.linear_system(state, x, partial)
+    w, shift = model.working_likelihood(state)
+    gram = (x * w[:, None]).T @ x
+    rhs = x.T @ (w * (partial - shift))
     cov = np.linalg.inv(gram + prior_precision)
     cov = 0.5 * (cov + cov.T)
     return cov @ rhs, cov, partial
@@ -561,24 +566,15 @@ def _check_finite(state, model: GibbsModel, iteration: int) -> None:
             raise FloatingPointError(f"non-finite {name} after sweep {iteration}")
 
 
-def run_chain(
-    model: GibbsModel,
-    iterations: int,
-    burn_in: int,
-    thin: int,
-    rng: RngHandle,
-    store_latents: bool = False,
-) -> ChainSamples:
-    """Run one chain of ``model`` from the all-null start and return its stored draws.
+def run_chain(model: GibbsModel, opts: McmcOptions, stream_id: int) -> ChainSamples:
+    """Run chain ``stream_id`` of ``model`` from the all-null start and return its stored draws.
 
-    After every sweep, alpha, beta, the residual and the stored scalars must be
-    finite; otherwise FloatingPointError names the sweep and the first
-    non-finite quantity.
+    The chain draws only from the stream (opts.seed, stream_id); ``opts.chains``
+    is not read.  After every sweep, alpha, beta, the residual and the stored
+    scalars must be finite; otherwise FloatingPointError names the sweep and
+    the first non-finite quantity.
     """
-    opts = McmcOptions(
-        iterations=iterations, burn_in=burn_in, thin=thin, seed=rng.seed,
-        store_latents=store_latents,
-    )
+    rng = RngHandle(opts.seed, stream_id)
     state = initial_state(model)
     m_stored = opts.stored
     alpha = np.empty((m_stored, model.p + 1, model.d))
@@ -586,17 +582,17 @@ def run_chain(
     inclusion = np.empty((m_stored, model.p), dtype=np.uint8)
     scalars = {name: np.empty(m_stored) for name in model.scalar_names}
     latents = {}
-    if store_latents:
+    if opts.store_latents:
         latents = {
             name: np.empty((m_stored,) + np.shape(getattr(state, name)))
             for name in model.latent_names
         }
 
     kept = 0
-    for it in range(1, iterations + 1):
+    for it in range(1, opts.iterations + 1):
         model.sweep(state, rng)
         _check_finite(state, model, it)
-        if it > burn_in and (it - burn_in) % thin == 0:
+        if it > opts.burn_in and (it - opts.burn_in) % opts.thin == 0:
             alpha[kept] = state.alpha
             beta[kept] = state.beta
             inclusion[kept] = state.inclusion
@@ -604,11 +600,11 @@ def run_chain(
                 stored[kept] = getattr(state, name)
             kept += 1
     return ChainSamples(
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        iterations=iterations,
-        burn_in=burn_in,
-        thin=thin,
+        seed=opts.seed,
+        stream_id=stream_id,
+        iterations=opts.iterations,
+        burn_in=opts.burn_in,
+        thin=opts.thin,
         alpha=alpha,
         beta=beta,
         inclusion=inclusion,
@@ -620,9 +616,9 @@ def run_chain(
 def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
     """Forward draw of every latent from the hierarchical prior.
 
-    RNG order: the noise scale, shrinkage rate, pi0, slab scales, alpha_0,
-    blocks 1..p, beta, then the likelihood's latents.  Slab blocks are
-    N(0, noise_scale * g_j I).
+    RNG order: the likelihood's scale and latents (``draw_noise_from_prior``),
+    shrinkage rate, pi0, slab scales, alpha_0, blocks 1..p, then beta.  Slab
+    blocks are N(0, noise_scale * g_j I).
     """
     state = initial_state(model)
     model.draw_noise_from_prior(state, rng)
@@ -639,13 +635,12 @@ def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
             state.alpha[j] = scale * rng.gen.standard_normal(model.d)
             state.inclusion[j - 1] = True
     state.beta = sample_mvn(rng, np.zeros(model.q), model.sigma_beta)
-    model.draw_latents_from_prior(state, rng)
     refresh_residual(state, model)
     return state
 
 
 def draw_response(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
-    """Simulate y from the working likelihood given the current latents."""
+    """Simulate y from the working likelihood, y - s ~ N(mean, diag(1/w)), given the latents."""
     mean = _spline_predictor(model, state.alpha) + model.e @ state.beta
-    shift, sd = model.response_noise(state)
-    return mean + shift + sd * rng.gen.standard_normal(model.n)
+    w, shift = model.working_likelihood(state)
+    return mean + shift + rng.gen.standard_normal(model.n) / np.sqrt(w)

@@ -20,7 +20,6 @@ sigma_sq, lambda_sq, zeta_sq.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,21 +64,11 @@ class GaussianModel(GibbsModel):
         """Unweighted grams from build and no shift; b_j = Z_j' r_j."""
         return self.block_grams[first - 1 : last], self.xt[first - 1 : last], 0.0
 
-    def linear_system(self, state: GaussianSamplerState, x, partial):
-        """Gram and right-hand side with weights 1/sigma_sq."""
-        return x.T @ x / state.sigma_sq, x.T @ partial / state.sigma_sq
-
     def sweep(self, state: GaussianSamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)
 
     def draw_noise_from_prior(self, state: GaussianSamplerState, rng: RngHandle) -> None:
         state.sigma_sq = float(sample_inverse_gamma(rng, self.prior.s, self.prior.h))
-
-    def draw_latents_from_prior(self, state: GaussianSamplerState, rng: RngHandle) -> None:
-        """No latents beyond the coefficients and scales."""
-
-    def response_noise(self, state: GaussianSamplerState):
-        return 0.0, math.sqrt(state.sigma_sq)
 
 
 def build_gaussian_model(

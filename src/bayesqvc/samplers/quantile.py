@@ -77,23 +77,13 @@ class QuantileModel(GibbsModel):
         wxt = xt * w
         return weighted_block_grams(self.basis_outer, wxt * xt), wxt, shift
 
-    def linear_system(self, state: SamplerState, x, partial):
-        """Weighted gram (x * w)'x, recomputed every call; rhs x'(w * (partial - kappa1 u))."""
-        w, shift = self.working_likelihood(state)
-        return (x * w[:, None]).T @ x, x.T @ (w * (partial - shift))
-
     def sweep(self, state: SamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)
 
     def draw_noise_from_prior(self, state: SamplerState, rng: RngHandle) -> None:
+        """theta, then the latents u_i ~ Exp(theta)."""
         state.theta = float(sample_gamma(rng, self.prior.a, self.prior.b))
-
-    def draw_latents_from_prior(self, state: SamplerState, rng: RngHandle) -> None:
         state.u_tilde = sample_exponential(rng, state.theta, size=self.n)
-
-    def response_noise(self, state: SamplerState):
-        c = self.consts
-        return c.kappa1 * state.u_tilde, np.sqrt(c.kappa2_sq * state.u_tilde / state.theta)
 
 
 def build_quantile_model(

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import method_spec
+
 
 @dataclass(kw_only=True)
 class _ChainState:
@@ -106,8 +108,6 @@ class PosteriorSamples:
     @property
     def spec(self):
         """This method's row of the method table."""
-        from .variants import method_spec  # variants imports the engines, which import this module
-
         return method_spec(self.method)
 
     @property

@@ -1,4 +1,4 @@
-"""The method table of the four samplers, the multi-chain driver and its process pool.
+"""The multi-chain fit of the four samplers and its process pool.
 
 Chains are independent tasks: chain k draws from the stream
 (seed, stream_id=k), so results do not depend on scheduling and can be
@@ -11,44 +11,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from ..basis import SplineConfig
 from ..data import Dataset
-from ..rng import RngHandle
 from . import gaussian, quantile
-from .config import GaussianPriorConfig, McmcOptions, PriorConfig
+from .config import METHODS  # noqa: F401  (re-exported; callers import the table from here)
+from .config import GaussianPriorConfig, McmcOptions, PriorConfig, method_spec
 from .engine import run_chain
 from .state import ChainSamples, PosteriorSamples
-
-
-@dataclass(frozen=True)
-class Method:
-    """One sampler: a likelihood, with or without the point mass at zero."""
-
-    likelihood: str  # "quantile" or "gaussian"
-    spike: bool
-    prior: type  # hyperparameter class of the likelihood
-    scale: str  # stored name of the likelihood's scale parameter
-
-    @property
-    def needs_tau(self) -> bool:
-        return self.likelihood == "quantile"
-
-
-METHODS = {
-    "bqrvcss": Method("quantile", True, PriorConfig, "theta"),  # the proposed sampler
-    "bqrvc": Method("quantile", False, PriorConfig, "theta"),
-    "bvcss": Method("gaussian", True, GaussianPriorConfig, "sigma_sq"),
-    "bvc": Method("gaussian", False, GaussianPriorConfig, "sigma_sq"),
-}
-
-
-def method_spec(method: str) -> Method:
-    """The table row of ``method``; ValueError for an unknown name."""
-    if not isinstance(method, str) or method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    return METHODS[method]
 
 
 def usable_cpus() -> int:
@@ -106,11 +76,7 @@ def map_in_order(func, jobs: list, workers: int):
 
 
 def _run_one_chain(args) -> ChainSamples:
-    model, opts, stream_id = args
-    return run_chain(
-        model, opts.iterations, opts.burn_in, opts.thin, RngHandle(opts.seed, stream_id),
-        store_latents=opts.store_latents,
-    )
+    return run_chain(*args)
 
 
 def fit(

@@ -222,7 +222,7 @@ def test_run_chain_rejects_non_finite_sweep(tiny_model, monkeypatch, stage, quan
 
     monkeypatch.setattr(quantile, stage, patched)
     with pytest.raises(FloatingPointError, match=f"non-finite {quantity} after sweep 3"):
-        run_chain(tiny_model, iterations=10, burn_in=0, thin=1, rng=RngHandle(1, 0))
+        run_chain(tiny_model, McmcOptions(iterations=10, burn_in=0, seed=1), 0)
 
 
 def test_fit_builds_one_model_and_workers_match(tiny_dataset, monkeypatch):

@@ -358,6 +358,21 @@ def test_cli_evaluate_rejects_unknown_truth_key(sim_dir, fit_dir, tmp_path, caps
     assert "eror_kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("n", 50), ("p", 8), ("tau", 0.25)])
+def test_cli_evaluate_rejects_truth_of_another_scenario(sim_dir, fit_dir, tmp_path, capsys,
+                                                        key, value):
+    payload = json.loads((sim_dir / "truth.json").read_text())
+    fitted = payload["scenario"][key]
+    payload["scenario"][key] = value
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(payload))
+    out = tmp_path / "metrics.json"
+    assert run_cli("evaluate", "--fit", fit_dir, "--truth", truth, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert f"{key} = {value!r}" in err and f"{key} = {fitted!r}" in err
+    assert not out.exists()
+
+
 def test_cli_evaluate_missing_truth(fit_dir, tmp_path, capsys):
     code = run_cli("evaluate", "--fit", fit_dir, "--truth", tmp_path / "none.json")
     assert code == 1

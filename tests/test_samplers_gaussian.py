@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bayesqvc import Dataset, GaussianPriorConfig, RngHandle, SplineConfig
+from bayesqvc import Dataset, GaussianPriorConfig, McmcOptions, RngHandle, SplineConfig
 from bayesqvc.samplers.engine import (
     alpha_block_moments,
     draw_state_from_prior,
@@ -177,11 +177,11 @@ def test_run_chain_reproducible_and_invariant():
     ds = Dataset(
         y=rng_data.normal(size=10), x=rng_data.normal(size=(10, 3)), v=rng_data.random(10)
     )
-    kwargs = dict(iterations=80, burn_in=30, thin=1)
+    opts = McmcOptions(iterations=80, burn_in=30, seed=2, store_latents=True)
     a = run_chain(build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig(), spike=True),
-                  rng=RngHandle(2, 0), store_latents=True, **kwargs)
+                  opts, 0)
     b = run_chain(build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig(), spike=True),
-                  rng=RngHandle(2, 0), store_latents=True, **kwargs)
+                  opts, 0)
     np.testing.assert_array_equal(a.alpha, b.alpha)
     np.testing.assert_array_equal(a.scalars["sigma_sq"], b.scalars["sigma_sq"])
     assert np.all(a.scalars["sigma_sq"] > 0)
@@ -191,7 +191,7 @@ def test_run_chain_reproducible_and_invariant():
     np.testing.assert_array_equal(nonzero, a.inclusion.astype(bool))
     # pure-shrinkage variant never produces an exactly-zero block
     c = run_chain(build_gaussian_model(ds, SplineConfig(1, 0), GaussianPriorConfig(), spike=False),
-                  rng=RngHandle(3, 0), **kwargs)
+                  McmcOptions(iterations=80, burn_in=30, seed=3), 0)
     assert np.all(np.any(c.alpha[:, 1:, :] != 0.0, axis=2))
 
 

@@ -1,6 +1,8 @@
 """Unit-level checks of the quantile Gibbs conditionals against dense and
 quadrature oracles; the heavier moment/joint suites live in the acceptance
-module."""
+module.  The alpha_0 and beta conditionals and ``draw_response``, which the
+engine forms from either likelihood's working Gaussian, are checked for the
+Gaussian likelihood too."""
 
 import copy
 import math
@@ -8,12 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from bayesqvc import Dataset, PriorConfig, RngHandle, SplineConfig
+from bayesqvc import Dataset, GaussianPriorConfig, McmcOptions, PriorConfig, RngHandle
+from bayesqvc import SplineConfig
 from bayesqvc.ald import ald_constants
 from bayesqvc.samplers.engine import (
     alpha0_conditional_moments,
     alpha_block_moments,
     beta_conditional_moments,
+    draw_response,
     draw_state_from_prior,
     full_residual,
     initial_state,
@@ -25,6 +29,7 @@ from bayesqvc.samplers.engine import (
     update_alpha_blocks,
 )
 from bayesqvc.samplers.engine import shrinkage_conditional_params as eta_sq_conditional_params
+from bayesqvc.samplers.gaussian import build_gaussian_model
 from bayesqvc.samplers.quantile import (
     build_quantile_model,
     gibbs_sweep,
@@ -200,33 +205,59 @@ def test_block_updates_match_single_and_batched(tiny_model):
 
 
 # ---------------------------------------------------------------------------
-# alpha0 / beta conditionals
+# alpha0 / beta conditionals and the simulated response, for both likelihoods
 
-def test_beta_moments_dense_ridge_oracle(tiny_model, tiny_state):
-    model, state = tiny_model, tiny_state
-    c = model.consts
-    mu, cov = beta_conditional_moments(state, model)
-    w = np.diag(state.theta / (c.kappa2_sq * state.u_tilde))
-    zsum = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
-    r = model.y - zsum - c.kappa1 * state.u_tilde
-    cov_oracle = np.linalg.inv(model.e.T @ w @ model.e + model.sigma_beta_inv)
-    mu_oracle = cov_oracle @ (model.e.T @ w @ r)
-    np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
-    np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+def _working_gaussians(tiny_dataset, tiny_model, tiny_state):
+    """(model, state, weights, shift, sd) of each likelihood on the tiny data.
+
+    Given the latents, y - shift ~ N(Z coef, diag(1/weights)) with sd the
+    noise's standard deviation, written out here from each likelihood's own
+    parameters: theta / (kappa2^2 u), kappa1 u and sqrt(kappa2^2 u / theta)
+    for the quantile model, 1 / sigma_sq, 0 and sigma for the Gaussian one.
+    """
+    c, state = tiny_model.consts, tiny_state
+    quantile_case = (tiny_model, state, state.theta / (c.kappa2_sq * state.u_tilde),
+                     c.kappa1 * state.u_tilde, np.sqrt(c.kappa2_sq * state.u_tilde / state.theta))
+    model = build_gaussian_model(tiny_dataset, SplineConfig(1, 0), GaussianPriorConfig())
+    state = draw_state_from_prior(model, RngHandle(77, 5))
+    gaussian_case = (model, state, np.full(model.n, 1.0 / state.sigma_sq), np.zeros(model.n),
+                     np.full(model.n, math.sqrt(state.sigma_sq)))
+    return [quantile_case, gaussian_case]
 
 
-def test_alpha0_moments_dense_ridge_oracle(tiny_model, tiny_state):
-    model, state = tiny_model, tiny_state
-    c = model.consts
-    mu, cov = alpha0_conditional_moments(state, model)
-    z0 = dense_blocks(model)[0]
-    w = np.diag(state.theta / (c.kappa2_sq * state.u_tilde))
-    others = np.einsum("jnd,jd->n", dense_blocks(model)[1:], state.alpha[1:])
-    r = model.y - model.e @ state.beta - others - c.kappa1 * state.u_tilde
-    cov_oracle = np.linalg.inv(z0.T @ w @ z0 + model.sigma_alpha0_inv)
-    mu_oracle = cov_oracle @ (z0.T @ w @ r)
-    np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
-    np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+def test_beta_moments_dense_ridge_oracle(tiny_dataset, tiny_model, tiny_state):
+    for model, state, weights, shift, _ in _working_gaussians(tiny_dataset, tiny_model,
+                                                                tiny_state):
+        mu, cov = beta_conditional_moments(state, model)
+        w = np.diag(weights)
+        zsum = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
+        r = model.y - zsum - shift
+        cov_oracle = np.linalg.inv(model.e.T @ w @ model.e + model.sigma_beta_inv)
+        mu_oracle = cov_oracle @ (model.e.T @ w @ r)
+        np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
+        np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+
+
+def test_alpha0_moments_dense_ridge_oracle(tiny_dataset, tiny_model, tiny_state):
+    for model, state, weights, shift, _ in _working_gaussians(tiny_dataset, tiny_model,
+                                                                tiny_state):
+        mu, cov = alpha0_conditional_moments(state, model)
+        z0 = dense_blocks(model)[0]
+        w = np.diag(weights)
+        others = np.einsum("jnd,jd->n", dense_blocks(model)[1:], state.alpha[1:])
+        r = model.y - model.e @ state.beta - others - shift
+        cov_oracle = np.linalg.inv(z0.T @ w @ z0 + model.sigma_alpha0_inv)
+        mu_oracle = cov_oracle @ (z0.T @ w @ r)
+        np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
+        np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+
+
+def test_draw_response_is_mean_plus_likelihood_noise(tiny_dataset, tiny_model, tiny_state):
+    for model, state, _, shift, sd in _working_gaussians(tiny_dataset, tiny_model, tiny_state):
+        mean = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha) + model.e @ state.beta
+        z = RngHandle(12, 3).gen.standard_normal(model.n)
+        y = draw_response(state, model, RngHandle(12, 3))
+        np.testing.assert_allclose(y, mean + shift + sd * z, rtol=0, atol=1e-12)
 
 
 def test_beta_degenerate_prior_pins_posterior(tiny_dataset):
@@ -344,16 +375,16 @@ def test_run_chain_zero_kept_rejected(tiny_dataset):
     with pytest.raises(ValueError):
         run_chain(
             build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5),
-            iterations=100, burn_in=100, thin=1, rng=RngHandle(1, 0),
+            McmcOptions(iterations=100, burn_in=100, seed=1), 0,
         )
 
 
 def test_run_chain_reproducible(tiny_dataset):
-    kwargs = dict(iterations=60, burn_in=20, thin=2)
+    opts = McmcOptions(iterations=60, burn_in=20, thin=2, seed=5, store_latents=True)
     a = run_chain(build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5),
-                  rng=RngHandle(5, 1), store_latents=True, **kwargs)
+                  opts, 1)
     b = run_chain(build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.5),
-                  rng=RngHandle(5, 1), store_latents=True, **kwargs)
+                  opts, 1)
     assert a.stored == 20
     np.testing.assert_array_equal(a.alpha, b.alpha)
     np.testing.assert_array_equal(a.beta, b.beta)
@@ -364,7 +395,7 @@ def test_run_chain_reproducible(tiny_dataset):
 def test_stored_states_satisfy_invariants(tiny_dataset):
     chain = run_chain(
         build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.3),
-        iterations=80, burn_in=30, thin=1, rng=RngHandle(9, 0), store_latents=True,
+        McmcOptions(iterations=80, burn_in=30, seed=9, store_latents=True), 0,
     )
     assert np.all(chain.latents["u_tilde"] > 0)
     assert np.all(chain.latents["g"] > 0)
@@ -384,7 +415,7 @@ def test_run_chain_p_zero_recovers_constant_intercept():
     ds = Dataset(y=y, x=np.zeros((n, 0)), v=v)
     chain = run_chain(
         build_quantile_model(ds, SplineConfig(2, 2), PriorConfig(), 0.5),
-        iterations=1200, burn_in=400, thin=1, rng=RngHandle(7, 0),
+        McmcOptions(iterations=1200, burn_in=400, seed=7), 0,
     )
     from bayesqvc.basis import basis_values, default_grid
 
