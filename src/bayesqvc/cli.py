@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import inference, metrics
-from .diagnostics import psrf_report, psrf_report_trace, tracked_parameters
+from .diagnostics import PSRF_CUTOFF, psrf_report, psrf_report_trace, tracked_parameters
 from .io import (
     RunConfig,
     StudyConfig,
@@ -262,7 +262,7 @@ def cmd_diagnose(args) -> int:
     trace = psrf_report_trace(tracked, checkpoints)
     payload = {
         "config": config.to_dict(),
-        "cutoff": report.cutoff,
+        "cutoff": PSRF_CUTOFF,
         "converged": report.converged,
         "psrf": report.values,
         "degenerate": report.degenerate,

@@ -51,11 +51,10 @@ def psrf(chains: np.ndarray) -> tuple[float, bool]:
 class PsrfReport:
     values: dict[str, float]
     degenerate: dict[str, bool]
-    cutoff: float = PSRF_CUTOFF
     converged: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.converged = all(v <= self.cutoff for v in self.values.values())
+        self.converged = all(v <= PSRF_CUTOFF for v in self.values.values())
 
 
 def tracked_parameters(samples: PosteriorSamples) -> dict[str, np.ndarray]:

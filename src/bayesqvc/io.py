@@ -63,8 +63,10 @@ class RunConfig:
         self.spline_config()
         self.mcmc_options()
         self.prior_config()
-        if method_spec(self.method).needs_tau and not 0.0 < self.tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
+        # Every config records tau, a Gaussian method's too, and a NaN could not
+        # be written to the JSON outputs after the fit.
+        if not 0.0 < self.tau < 1.0:
+            raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
         resolve_workers(self.workers, self.chains)  # raises on a bad worker count
 
     def spline_config(self) -> SplineConfig:
@@ -75,9 +77,7 @@ class RunConfig:
 
     def prior_config(self):
         cls = method_spec(self.method).prior
-        # Prior covariance matrices are not settable from the flat config.
-        covariances = ("sigma_beta", "sigma_alpha0")
-        return cls(**known_keys(cls, self.priors, f"{self.method} prior", covariances))
+        return cls(**known_keys(cls, self.priors, f"{self.method} prior"))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -2,52 +2,28 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 DEFAULT_PRIOR_SCALE = 100.0
 
 
-def _resolve_spd(matrix, dim: int, name: str, scale: float) -> np.ndarray:
-    """Default to a diffuse diagonal prior covariance when none is given."""
-    if matrix is None:
-        return scale * np.eye(dim)
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (dim, dim):
-        raise ValueError(f"{name} must be {dim}x{dim}")
-    if not np.allclose(matrix, matrix.T):
-        raise ValueError(f"{name} must be symmetric")
-    try:
-        np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} must be positive definite") from exc
-    return matrix
-
-
 @dataclass(kw_only=True)
 class _PriorBase:
-    """Hyperparameters of both likelihoods; every field but the covariances must be positive.
+    """Hyperparameters of both likelihoods; every field must be positive and finite.
 
-    sigma_beta / sigma_alpha0: prior covariances for the clinical
-    coefficients and the varying-intercept spline block; None means a
-    diffuse diagonal (prior_scale * I).
+    prior_scale: the normal priors of the varying intercept alpha_0 and the
+    clinical coefficients beta are N(0, prior_scale * I).
     """
 
-    sigma_beta: np.ndarray | None = None
-    sigma_alpha0: np.ndarray | None = None
     prior_scale: float = DEFAULT_PRIOR_SCALE
 
     def __post_init__(self) -> None:
         for name in (fld.name for fld in fields(self)):
-            if name not in ("sigma_beta", "sigma_alpha0") and getattr(self, name) <= 0:
-                raise ValueError(f"prior hyperparameter {name} must be positive")
-
-    def resolved_sigma_beta(self, q: int) -> np.ndarray:
-        return _resolve_spd(self.sigma_beta, q, "sigma_beta", self.prior_scale)
-
-    def resolved_sigma_alpha0(self, d: int) -> np.ndarray:
-        return _resolve_spd(self.sigma_alpha0, d, "sigma_alpha0", self.prior_scale)
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"prior hyperparameter {name} must be positive and finite, "
+                                 f"got {value!r}")
 
 
 @dataclass

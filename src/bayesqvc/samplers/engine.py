@@ -195,11 +195,13 @@ class GibbsModel:
 
     Besides them, a spike model holds the row outer products B_i B_i' its
     block grams are formed from, and a plain model (``spike`` False) the
-    data-only parts of the joint coefficient draw: B B', the Cholesky
-    factors of Sigma_alpha0 and Sigma_beta, and [B, E] times those factors.
+    data-only parts of the joint coefficient draw: B B' and
+    sqrt(prior_scale) [B, E].
 
-    The engine reads ``prior.shrink_prior`` and ``prior.pi0_prior``.  A
-    likelihood subclasses the model and supplies, besides its own constants:
+    The engine reads ``prior.prior_scale``, the variance of the N(0,
+    prior_scale I) priors of alpha_0 and beta, ``prior.shrink_prior`` and
+    ``prior.pi0_prior``.  A likelihood subclasses the model and supplies,
+    besides its own constants:
 
     * ``state_class``, ``scalar_names`` and ``latent_names``: its state and
       the state attributes stored per draw, in storage order;
@@ -225,17 +227,11 @@ class GibbsModel:
     xt: np.ndarray = field(repr=False)  # (p, n) covariates, row j-1 = x_j
     prior: PriorConfig | GaussianPriorConfig
     spike: bool
-    sigma_beta: np.ndarray = field(repr=False, default=None)
-    sigma_beta_inv: np.ndarray = field(repr=False, default=None)
-    sigma_alpha0: np.ndarray = field(repr=False, default=None)
-    sigma_alpha0_inv: np.ndarray = field(repr=False, default=None)
     # Spike models only: (n, d, d) rows B_i B_i'.
     basis_outer: np.ndarray = field(repr=False, default=None)
     # Plain models only: the constants of the joint draw.
     basis_gram: np.ndarray = field(repr=False, default=None)  # (n, n) B B'
-    alpha0_chol: np.ndarray = field(repr=False, default=None)  # Cholesky factor of Sigma_a0
-    beta_chol: np.ndarray = field(repr=False, default=None)  # Cholesky factor of Sigma_b
-    fixed_factor: np.ndarray = field(repr=False, default=None)  # (n, d+q) [B, E] times those
+    fixed_factor: np.ndarray = field(repr=False, default=None)  # (n, d+q) sqrt(prior_scale) [B, E]
 
     @classmethod
     def build(cls, dataset: Dataset, basis: np.ndarray, prior, spike: bool, **extra):
@@ -249,17 +245,11 @@ class GibbsModel:
             spike=spike,
             **extra,
         )
-        model.sigma_beta = prior.resolved_sigma_beta(model.q)
-        model.sigma_beta_inv = np.linalg.inv(model.sigma_beta)
-        model.sigma_alpha0 = prior.resolved_sigma_alpha0(model.d)
-        model.sigma_alpha0_inv = np.linalg.inv(model.sigma_alpha0)
         if spike:
             model.basis_outer = basis[:, :, None] * basis[:, None, :]
         else:
             model.basis_gram = basis @ basis.T
-            model.alpha0_chol = np.linalg.cholesky(model.sigma_alpha0)
-            model.beta_chol = np.linalg.cholesky(model.sigma_beta)
-            model.fixed_factor = np.hstack([basis @ model.alpha0_chol, model.e @ model.beta_chol])
+            model.fixed_factor = math.sqrt(prior.prior_scale) * np.hstack([basis, model.e])
         return model
 
     @property
@@ -406,40 +396,39 @@ def update_alpha_blocks(state, model: GibbsModel, rng: RngHandle) -> None:
 # ---------------------------------------------------------------------------
 # alpha_0 and beta
 
-def _fixed_effect(state, model: GibbsModel, x, coef, prior_precision):
-    """Mean, covariance (gram + prior)^-1 and partial residual of a fixed-effect term x @ coef."""
+def _fixed_effect(state, model: GibbsModel, x, coef):
+    """Mean, covariance (gram + I / prior_scale)^-1 and partial residual of a fixed-effect
+    term x @ coef."""
     partial = state.resid + x @ coef
     w, shift = model.working_likelihood(state)
     gram = (x * w[:, None]).T @ x
     rhs = x.T @ (w * (partial - shift))
-    cov = np.linalg.inv(gram + prior_precision)
+    cov = np.linalg.inv(gram + np.eye(x.shape[1]) / model.prior.prior_scale)
     cov = 0.5 * (cov + cov.T)
     return cov @ rhs, cov, partial
 
 
-def _draw_fixed_effect(state, model: GibbsModel, x, coef, prior_precision, rng: RngHandle):
+def _draw_fixed_effect(state, model: GibbsModel, x, coef, rng: RngHandle):
     """Draw of a fixed-effect term from its conditional; updates the residual cache."""
-    mu, cov, partial = _fixed_effect(state, model, x, coef, prior_precision)
+    mu, cov, partial = _fixed_effect(state, model, x, coef)
     draw = sample_mvn(rng, mu, cov)
     state.resid = partial - x @ draw
     return draw
 
 
 def alpha0_conditional_moments(state, model: GibbsModel):
-    return _fixed_effect(state, model, model.basis, state.alpha[0], model.sigma_alpha0_inv)[:2]
+    return _fixed_effect(state, model, model.basis, state.alpha[0])[:2]
 
 
 def update_alpha0(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     """Gaussian refresh of the varying-intercept block."""
-    draw = _draw_fixed_effect(
-        state, model, model.basis, state.alpha[0], model.sigma_alpha0_inv, rng
-    )
+    draw = _draw_fixed_effect(state, model, model.basis, state.alpha[0], rng)
     state.alpha[0] = draw
     return draw
 
 
 def beta_conditional_moments(state, model: GibbsModel):
-    return _fixed_effect(state, model, model.e, state.beta, model.sigma_beta_inv)[:2]
+    return _fixed_effect(state, model, model.e, state.beta)[:2]
 
 
 def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
@@ -450,7 +439,7 @@ def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     """
     if model.q == 0:
         return state.beta
-    state.beta = _draw_fixed_effect(state, model, model.e, state.beta, model.sigma_beta_inv, rng)
+    state.beta = _draw_fixed_effect(state, model, model.e, state.beta, rng)
     return state.beta
 
 
@@ -462,33 +451,35 @@ def update_coefficients(state, model: GibbsModel, rng: RngHandle) -> None:
 
     With the model's working weights w and shift s, y - s ~ N(Z coef,
     diag(1/w)) for the design Z = [B, Z_1..Z_p, E], and the prior is
-    coef ~ N(0, D) with D block diagonal: Sigma_alpha0, c_j I for block j
-    (c_j = noise_scale * g_j) and Sigma_beta.  The sampler of Bhattacharya,
+    coef ~ N(0, D) with D diagonal: prior_scale for alpha_0 and beta, c_j
+    for block j (c_j = noise_scale * g_j).  The sampler of Bhattacharya,
     Chakraborty & Mallick (2016, Biometrika 103:985) draws
     coef = u + D Z' S v, with S = diag(sqrt w), u a prior draw,
     delta ~ N(0, I_n), v = M^-1 (S (y - s - Z u) - delta) and
     M = I + S Z D Z' S.  Since
-    Z D Z' = (B B') o (X diag(c) X') + B Sigma_alpha0 B' + E Sigma_beta E',
+    Z D Z' = (B B') o (X diag(c) X') + prior_scale [B, E] [B, E]',
     M costs one n x p x n product and one n x n solve, and neither the
     block tensor nor the (n, D) design is formed.
 
     RNG contract: one ``standard_normal((p+1) d + q + n)`` array, drawn
     first.  Its first (p+1) d entries, read as a (p+1, d) array, give the
-    prior draw of alpha: row 0 times the Cholesky factor of Sigma_alpha0,
-    row j times sqrt(c_j).  The next q, times the Cholesky factor of
-    Sigma_beta, give that of beta, and the last n are delta.  Every block
-    ends included, and the residual cache is refreshed.
+    prior draw of alpha: row 0 times sqrt(prior_scale), row j times
+    sqrt(c_j).  The next q, times sqrt(prior_scale), give that of beta, and
+    the last n are delta.  Every block ends included, and the residual cache
+    is refreshed.
     """
     n, size = model.n, (model.p + 1) * model.d
+    prior_scale = model.prior.prior_scale
+    root_prior = math.sqrt(prior_scale)
     w, shift = model.working_likelihood(state)
     root_w = np.sqrt(w)
     cov = state.noise_scale * state.slab
     root_cov = np.sqrt(cov)[:, None]
     noise = rng.gen.standard_normal(size + model.q + n)
     prior_alpha = noise[:size].reshape(model.p + 1, model.d)
-    prior_alpha[0] = model.alpha0_chol @ prior_alpha[0]
+    prior_alpha[0] *= root_prior
     prior_alpha[1:] *= root_cov
-    prior_beta = model.beta_chol @ noise[size:-n]
+    prior_beta = root_prior * noise[size:-n]
     # M, with S folded into the factors of each term of Z D Z'
     scaled_xt = model.xt * (root_cov * root_w)
     system = scaled_xt.T @ scaled_xt
@@ -498,9 +489,9 @@ def update_coefficients(state, model: GibbsModel, rng: RngHandle) -> None:
     system.flat[:: n + 1] += 1.0
     target = model.y - shift - _spline_predictor(model, prior_alpha) - model.e @ prior_beta
     weighted = root_w * np.linalg.solve(system, root_w * target - noise[-n:])
-    state.alpha[0] = prior_alpha[0] + model.sigma_alpha0 @ (model.basis.T @ weighted)
+    state.alpha[0] = prior_alpha[0] + prior_scale * (model.basis.T @ weighted)
     state.alpha[1:] = prior_alpha[1:] + cov[:, None] * ((model.xt * weighted) @ model.basis)
-    state.beta = prior_beta + model.sigma_beta @ (model.e.T @ weighted)
+    state.beta = prior_beta + prior_scale * (model.e.T @ weighted)
     state.inclusion[:] = True
     refresh_residual(state, model)
 
@@ -618,8 +609,10 @@ def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
 
     RNG order: the likelihood's scale and latents (``draw_noise_from_prior``),
     shrinkage rate, pi0, slab scales, alpha_0, blocks 1..p, then beta.  Slab
-    blocks are N(0, noise_scale * g_j I).
+    blocks are N(0, noise_scale * g_j I), and alpha_0 and beta are
+    sqrt(prior_scale) times ``standard_normal(d)`` and ``standard_normal(q)``.
     """
+    root_prior = math.sqrt(model.prior.prior_scale)
     state = initial_state(model)
     model.draw_noise_from_prior(state, rng)
     state.shrink = float(sample_gamma(rng, *model.prior.shrink_prior))
@@ -627,14 +620,14 @@ def draw_state_from_prior(model: GibbsModel, rng: RngHandle):
     state.slab = np.atleast_1d(
         sample_gamma(rng, 0.5 * (model.d + 1), 0.5 * state.shrink, size=model.p)
     )
-    state.alpha[0] = sample_mvn(rng, np.zeros(model.d), model.sigma_alpha0)
+    state.alpha[0] = root_prior * rng.gen.standard_normal(model.d)
     for j in range(1, model.p + 1):
         spike_hit = model.spike and sample_bernoulli(rng, state.pi0)
         if not spike_hit:
             scale = math.sqrt(state.noise_scale * state.slab[j - 1])
             state.alpha[j] = scale * rng.gen.standard_normal(model.d)
             state.inclusion[j - 1] = True
-    state.beta = sample_mvn(rng, np.zeros(model.q), model.sigma_beta)
+    state.beta = root_prior * rng.gen.standard_normal(model.q)
     refresh_residual(state, model)
     return state
 

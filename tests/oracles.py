@@ -136,20 +136,15 @@ def dense_coefficient_posterior(model, weights, target, slab_cov):
     """Mean and covariance of (alpha_0, blocks 1..p, beta) from the dense (n, D) design.
 
     The working likelihood is target ~ N(Z coef, diag(1/weights)), and the
-    prior is N(0, blockdiag(Sigma_alpha0, slab_cov_j I, ..., Sigma_beta)).
+    prior is N(0, diag(prior_scale 1_d, slab_cov_j 1_d, ..., prior_scale 1_q)).
     Coefficients are in the order of alpha.ravel() followed by beta.
     """
     blocks = dense_blocks(model)
     design = np.hstack([*blocks, model.e])
-    prior_blocks = [model.sigma_alpha0] + [c * np.eye(model.d) for c in slab_cov]
-    prior_blocks.append(model.sigma_beta)
-    size = design.shape[1]
-    prior = np.zeros((size, size))
-    start = 0
-    for block in prior_blocks:
-        stop = start + block.shape[0]
-        prior[start:stop, start:stop] = block
-        start = stop
+    scale = model.prior.prior_scale
+    prior_var = np.concatenate([np.full(model.d, scale), np.repeat(slab_cov, model.d),
+                                np.full(model.q, scale)])
+    prior = np.diag(prior_var)
     weighted = design.T * weights
     cov = np.linalg.inv(weighted @ design + np.linalg.inv(prior))
     return cov @ (weighted @ target), cov

@@ -45,3 +45,34 @@ def test_every_exported_name_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Module-level imported names of one source file that nothing in it references.
+
+    An import whose line carries ``# noqa: F401`` followed by a reason is
+    exempt: it is there to be read from outside the module.
+    """
+    source = path.read_text()
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            reason = lines[alias.lineno - 1].partition("# noqa: F401")[2].strip()
+            if name not in used and not reason:
+                unused.append(name)
+    return unused
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: str(p.relative_to(PACKAGE)),
+)
+def test_every_module_level_import_is_used(path):
+    assert not _unused_imports(path)

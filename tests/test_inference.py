@@ -6,12 +6,12 @@ import pytest
 from bayesqvc.basis import SplineConfig, basis_values, default_grid
 from bayesqvc.inference import (
     CURVE_CHUNK_BYTES,
-    InclusionSummary,
     all_curve_estimates,
     ci_selection,
     inclusion_probabilities,
     posterior_scalar_summaries,
     scalar_summary,
+    selection,
 )
 from bayesqvc.samplers.state import ChainSamples, PosteriorSamples
 
@@ -40,24 +40,24 @@ def test_inclusion_probabilities_arithmetic():
     alpha = np.zeros((4, 2, 2))
     alpha[[0, 1, 3], 1, 0] = 1.0  # block 1 active in 3 of 4 draws
     samples = make_samples(alpha)
-    inc = inclusion_probabilities(samples)
-    assert inc.probs[0] == pytest.approx(0.75)
-    assert inc.selected == [1]
+    rule, selected, probs = selection(samples)
+    assert probs[0] == pytest.approx(0.75)
+    assert (rule, selected) == ("mpm", [1])
 
 
 def test_inclusion_all_zero_draws():
     samples = make_samples(np.zeros((5, 3, 2)))
-    inc = inclusion_probabilities(samples)
-    np.testing.assert_array_equal(inc.probs, 0.0)
-    assert inc.selected == []
+    _, selected, probs = selection(samples)
+    np.testing.assert_array_equal(probs, 0.0)
+    assert selected == []
 
 
 def test_inclusion_boundary_is_selected():
     alpha = np.zeros((4, 2, 2))
     alpha[[0, 1], 1, 0] = 1.0  # exactly 0.5
-    inc = inclusion_probabilities(make_samples(alpha))
-    assert inc.probs[0] == pytest.approx(0.5)
-    assert inc.selected == [1]  # "no less than" the threshold
+    _, selected, probs = selection(make_samples(alpha))
+    assert probs[0] == pytest.approx(0.5)
+    assert selected == [1]  # "no less than" the threshold
 
 
 def test_inclusion_rejects_non_spike_methods():
@@ -73,7 +73,7 @@ def test_inclusion_invariant_under_duplication():
     samples = make_samples(alpha)
     doubled = make_samples(np.repeat(alpha, 3, axis=0))
     np.testing.assert_allclose(
-        inclusion_probabilities(samples).probs, inclusion_probabilities(doubled).probs
+        inclusion_probabilities(samples), inclusion_probabilities(doubled)
     )
 
 
@@ -101,19 +101,18 @@ def test_ci_selection_rules():
 
 def test_curve_estimate_identical_draws():
     cfg = SplineConfig(1, 0)
-    grid = default_grid(20)
     coef = np.array([1.0, -2.0])
     alpha = np.tile(coef, (6, 2, 1))
     samples = make_samples(alpha)
-    bands = all_curve_estimates(samples, grid=grid)
-    expected = basis_values(grid, cfg) @ coef
+    bands = all_curve_estimates(samples)
+    expected = basis_values(default_grid(), cfg) @ coef
     np.testing.assert_allclose(bands.median[1], expected, atol=1e-12)
     np.testing.assert_allclose(bands.upper[1] - bands.lower[1], 0.0, atol=1e-12)
 
 
 def test_curve_estimate_zero_block():
     samples = make_samples(np.zeros((5, 2, 2)))
-    bands = all_curve_estimates(samples, grid=default_grid(10))
+    bands = all_curve_estimates(samples)
     np.testing.assert_array_equal(bands.median[1], 0.0)
     np.testing.assert_array_equal(bands.lower[1], 0.0)
     np.testing.assert_array_equal(bands.upper[1], 0.0)
@@ -123,27 +122,16 @@ def test_curve_estimate_three_draw_median():
     alpha = np.zeros((3, 2, 2))
     alpha[:, 1, 0] = [1.0, 5.0, 2.0]
     samples = make_samples(alpha)
-    grid = np.array([0.0])  # basis at 0 is (1, 0)
-    bands = all_curve_estimates(samples, grid=grid)
+    bands = all_curve_estimates(samples)
+    assert bands.grid[0] == 0.0  # basis at 0 is (1, 0)
     assert bands.median[1, 0] == pytest.approx(2.0)  # elementwise middle value
 
 
-def test_curve_bands_nested_by_level():
-    rng = np.random.default_rng(5)
-    alpha = rng.normal(size=(500, 2, 2))
-    samples = make_samples(alpha)
-    grid = default_grid(30)
-    wide = all_curve_estimates(samples, grid=grid, level=0.95)
-    narrow = all_curve_estimates(samples, grid=grid, level=0.90)
-    assert np.all(wide.lower[1] <= narrow.lower[1] + 1e-12)
-    assert np.all(narrow.upper[1] <= wide.upper[1] + 1e-12)
-
-
-def reference_curve_bands(samples, grid, level=0.95):
-    """The per-block loop: one (M, G) draw matrix and three quantile passes per block."""
+def reference_curve_bands(samples, grid):
+    """The per-block loop: one (M, G) draw matrix and three quantile passes per 95% band."""
     basis = basis_values(grid, SplineConfig(samples.spline_degree, samples.interior_knots))
     alpha = samples.pooled_alpha()
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = 100.0 * (1.0 - 0.95) / 2.0
     out = []
     for j in range(alpha.shape[1]):
         draws = alpha[:, j, :] @ basis.T
@@ -163,13 +151,12 @@ def test_all_curve_estimates_match_per_block_loop(m, one_block_per_chunk):
     alpha[rng.random(m) < 0.9, 3] = 0.0              # mostly zero block
     alpha[:, 4, 1:] = 0.0                            # live, one coefficient only
     samples = make_samples(alpha, degree=2, knots=2)
-    for level in (0.95, 0.9):
-        bands = all_curve_estimates(samples, grid=grid, level=level)
-        assert len(bands.median) == p1
-        for j, ref in enumerate(reference_curve_bands(samples, grid, level)):
-            for got, want in zip((bands.median[j], bands.lower[j], bands.upper[j]), ref):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+    bands = all_curve_estimates(samples)
+    assert len(bands.median) == p1
+    for j, ref in enumerate(reference_curve_bands(samples, grid)):
+        for got, want in zip((bands.median[j], bands.lower[j], bands.upper[j]), ref):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_scalar_summaries():
@@ -191,8 +178,3 @@ def test_scalar_summaries():
     out = posterior_scalar_summaries(samples)
     assert set(out) == {"theta", "eta_sq", "pi0", "beta"}
     assert out["beta"][0]["median"] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_inclusion_summary_validation():
-    with pytest.raises(ValueError):
-        InclusionSummary(probs=np.array([1.2]))

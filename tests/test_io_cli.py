@@ -1,5 +1,6 @@
 """File formats and the command-line workflow."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -22,7 +23,8 @@ from bayesqvc.io import (
     write_curves_csv,
     write_dataset_csv,
 )
-from bayesqvc.samplers import McmcOptions, fit
+from bayesqvc.samplers import McmcOptions, fit, variants
+from bayesqvc.samplers.config import METHODS
 from bayesqvc.simulate import ScenarioSpec, simulate_dataset
 
 
@@ -206,8 +208,7 @@ def test_runconfig_validation():
         RunConfig(priors={"zzz": 1.0}).prior_config()
     cfg = RunConfig(method="bvcss", priors={"s": 2.0, "prior_scale": 10.0})
     prior = cfg.prior_config()
-    assert prior.s == 2.0
-    np.testing.assert_allclose(prior.resolved_sigma_alpha0(3), 10.0 * np.eye(3))
+    assert (prior.s, prior.prior_scale) == (2.0, 10.0)
 
 
 def test_fit_flags_override_config_file(tmp_path):
@@ -510,6 +511,54 @@ def test_cli_fit_rejects_malformed_prior_flag(sim_dir, tmp_path, capsys, item, m
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [(["--prior", "a=nan"], "prior hyperparameter a must be positive and finite, got nan"),
+     (["--prior", "prior_scale=inf"], "prior hyperparameter prior_scale must be positive and "
+                                      "finite, got inf"),
+     (["--prior", "b=inf"], "prior hyperparameter b must be positive and finite, got inf"),
+     (["--method", "bvc", "--tau", "nan"], "tau must lie in (0, 1), got nan")],
+    ids=["a-nan", "prior_scale-inf", "b-inf", "bvc-tau-nan"],
+)
+def test_cli_fit_rejects_non_finite_numbers_before_the_fit(sim_dir, tmp_path, capsys, flags,
+                                                           message):
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--iterations", 20, "--burn-in", 10,
+                   *flags, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+class _ModelBuilt(Exception):
+    """Raised in place of the first chain, once the fit has built its model."""
+
+
+@pytest.mark.parametrize("path", ["fit", "study"])
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_every_prior_field_reaches_the_model(sim_dir, tmp_path, monkeypatch, method, path):
+    """Each field of the method's prior class, set from the CLI or a study, is the model's."""
+    def capture(args):
+        raise _ModelBuilt(args[0].prior)
+
+    monkeypatch.setattr(variants, "_run_one_chain", capture)
+    cls = METHODS[method].prior
+    value = 2.0  # no field's default
+    for name in (fld.name for fld in dataclasses.fields(cls)):
+        if path == "fit":
+            argv = ["fit", "--data", sim_dir / "dataset.csv", "--method", method,
+                    "--prior", f"{name}={value}", "--workers", 1, "--out", tmp_path / name]
+        else:
+            study = {"scenarios": [{"n": 30, "p": 2}], "methods": [method], "replicates": 1,
+                     "workers": 1, "mcmc": {"iterations": 20, "burn_in": 10},
+                     "priors": {name: value}}
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(study))
+            argv = ["replicate-study", "--config", cfg, "--out", tmp_path / name]
+        with pytest.raises(_ModelBuilt) as built:
+            run_cli(*argv)
+        assert built.value.args[0] == cls(**{name: value}), name
+
+
+@pytest.mark.parametrize(
     "entry, key, value",
     [("mcmc", "iteratons", 2), ("spline", "degre", 2), ("scenario", "eror_kind", "normal"),
      # Keys a replicate would take over or silently replace: a method, tau and seeds.
@@ -598,13 +647,15 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
       "study scenarios[0] heteroscedastic must be true or false"),
      ("study", {"scenarios": [{"n": "30", "p": 3}]}, "study scenarios[0] n must be an integer"),
      ("study", {"workers": 0}, "workers must be a positive integer or null (auto), got 0"),
-     ("study", {"workers": "two"}, "study workers must be an integer, got 'two'")],
+     ("study", {"workers": "two"}, "study workers must be an integer, got 'two'"),
+     ("study", {"priors": {"a": float("nan")}},
+      "prior hyperparameter a must be positive and finite, got nan")],
     ids=["seed-float", "seed-str", "iterations-float", "chains-float", "degree-float",
          "thin-bool", "store_latents-str", "tau-str", "method-int", "prior-str", "prior-bool",
          "priors-int", "fit-config-list", "study-config-list", "base_seed-str",
          "base_seed-float", "base_seed-negative", "replicates-bool", "save_samples-str",
          "out_dir-int", "mcmc-iterations-float", "scenario-heteroscedastic-str",
-         "scenario-n-str", "study-workers-zero", "study-workers-str"],
+         "scenario-n-str", "study-workers-zero", "study-workers-str", "study-prior-nan"],
 )
 def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys, command,
                                                       change, message):

@@ -36,10 +36,11 @@ def _model(likelihood: str, p: int, q: int):
     ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, p)), v=rng.random(n),
                  e=rng.normal(size=(n, q)))
     cfg = SplineConfig(2, 1)  # d = 4
-    covs = {"sigma_alpha0": np.diag([2.0, 1.0, 3.0, 0.5]) + 0.3, "sigma_beta": np.eye(q) + 0.2}
     if likelihood == "quantile":
-        return quantile.build_quantile_model(ds, cfg, PriorConfig(**covs), tau=0.3, spike=False)
-    return gaussian.build_gaussian_model(ds, cfg, GaussianPriorConfig(**covs), spike=False)
+        return quantile.build_quantile_model(ds, cfg, PriorConfig(prior_scale=1.7), tau=0.3,
+                                             spike=False)
+    return gaussian.build_gaussian_model(ds, cfg, GaussianPriorConfig(prior_scale=1.7),
+                                         spike=False)
 
 
 def _working_likelihood(state, model, likelihood):

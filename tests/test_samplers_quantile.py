@@ -232,7 +232,8 @@ def test_beta_moments_dense_ridge_oracle(tiny_dataset, tiny_model, tiny_state):
         w = np.diag(weights)
         zsum = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
         r = model.y - zsum - shift
-        cov_oracle = np.linalg.inv(model.e.T @ w @ model.e + model.sigma_beta_inv)
+        cov_oracle = np.linalg.inv(model.e.T @ w @ model.e
+                                   + np.linalg.inv(model.prior.prior_scale * np.eye(model.q)))
         mu_oracle = cov_oracle @ (model.e.T @ w @ r)
         np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
         np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
@@ -246,7 +247,8 @@ def test_alpha0_moments_dense_ridge_oracle(tiny_dataset, tiny_model, tiny_state)
         w = np.diag(weights)
         others = np.einsum("jnd,jd->n", dense_blocks(model)[1:], state.alpha[1:])
         r = model.y - model.e @ state.beta - others - shift
-        cov_oracle = np.linalg.inv(z0.T @ w @ z0 + model.sigma_alpha0_inv)
+        cov_oracle = np.linalg.inv(z0.T @ w @ z0
+                                   + np.linalg.inv(model.prior.prior_scale * np.eye(model.d)))
         mu_oracle = cov_oracle @ (z0.T @ w @ r)
         np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
         np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
@@ -261,7 +263,7 @@ def test_draw_response_is_mean_plus_likelihood_noise(tiny_dataset, tiny_model, t
 
 
 def test_beta_degenerate_prior_pins_posterior(tiny_dataset):
-    prior = PriorConfig(sigma_beta=1e-16 * np.eye(2))
+    prior = PriorConfig(prior_scale=1e-16)
     model = build_quantile_model(tiny_dataset, SplineConfig(1, 0), prior, tau=0.3)
     state = draw_state_from_prior(model, RngHandle(3, 0))
     mu, _ = beta_conditional_moments(state, model)
@@ -269,7 +271,7 @@ def test_beta_degenerate_prior_pins_posterior(tiny_dataset):
 
 
 def test_beta_diffuse_prior_matches_weighted_projection(tiny_dataset):
-    prior = PriorConfig(sigma_beta=1e8 * np.eye(2))
+    prior = PriorConfig(prior_scale=1e8)
     model = build_quantile_model(tiny_dataset, SplineConfig(1, 0), prior, tau=0.3)
     state = draw_state_from_prior(model, RngHandle(3, 0))
     state.u_tilde = np.ones(model.n)  # equal weights
