@@ -183,12 +183,11 @@ def evaluate_fit(fit_dir: Path, truth_path: Path) -> dict:
 def evaluate_curves(bands, summary: dict, spec: ScenarioSpec, support) -> dict:
     """Metrics of one fit's curve bands and selection against the scenario it was fitted to."""
     grid, med, low, upp = bands
-    curves = TrueCurves(hard_intercept=spec.hard_intercept)
-    per_curve = [metrics.imse(med[j], curves.evaluate(j, grid)) for j in range(len(med))]
-    cov = {
-        str(j): metrics.coverage(low[j], upp[j], curves.evaluate(j, grid))
-        for j in range(min(4, len(med)))
-    }
+    truth = TrueCurves(hard_intercept=spec.hard_intercept).table(len(med), grid)
+    # Row by row, the arithmetic of metrics.imse and metrics.coverage on one curve.
+    per_curve = np.mean((med - truth) ** 2, axis=1).tolist()
+    covered = np.mean((low <= truth) & (truth <= upp), axis=1)
+    cov = {str(j): float(covered[j]) for j in range(min(4, len(med)))}
     selected = summary["selected"]
     return {
         "config": summary["config"],

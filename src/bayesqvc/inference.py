@@ -5,12 +5,16 @@ A fit's curves are one :class:`CurveBands` of stacked (p+1, G) arrays on the
 Every band and interval is equal-tailed at the 95% level, and a spike
 method selects the blocks whose inclusion probability is at least 0.5 (the
 median-probability model).  All quantiles are empirical with linear
-interpolation between order statistics (numpy default), and medians of
-even-length samples use the midpoint convention.
+interpolation between order statistics (Hyndman and Fan's type 7, numpy's
+default), and medians of even-length samples use the midpoint convention.
+The curve bands read these order statistics straight from sorted draws with
+numpy's own arithmetic, so they equal ``np.median`` and ``np.percentile`` bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -105,17 +109,54 @@ def _block_bands(alpha: np.ndarray, blocks, basis: np.ndarray):
 
     Each block's draws come from one (M, d) @ (d, G) product, the shape whose
     rounding the stored curves have always had; a (1, d) @ (d, G) product per
-    draw rounds differently.  The draws are then laid out as (k, G, M) so each
-    pointwise quantile reads one contiguous lane.  The product and that copy
-    are the two arrays ``CURVE_CHUNK_BYTES`` bounds.
+    draw rounds differently.  The draws are then laid out as (k, G, M) and each
+    lane is sorted, so every pointwise quantile is read off its lane by index
+    (:func:`_sorted_median`, :func:`_sorted_percentile`).  The product and that
+    copy are the two arrays ``CURVE_CHUNK_BYTES`` bounds.
     """
     draws = alpha.transpose(1, 0, 2)[blocks] @ basis.T
     draws = np.ascontiguousarray(draws.transpose(0, 2, 1))
-    # The quantiles are order statistics, so sorting first leaves them as they
-    # are, and numpy's selection runs faster on sorted lanes than on raw ones.
     draws.sort(axis=-1)
-    lower, upper = np.percentile(draws, [TAIL, 100.0 - TAIL], axis=-1)
-    return np.median(draws, axis=-1), lower, upper
+    bands = (_sorted_median(draws), _sorted_percentile(draws, TAIL),
+             _sorted_percentile(draws, 100.0 - TAIL))
+    # A lane's NaNs sort last, and numpy's median and percentiles of it are NaN.
+    nan = np.isnan(draws[..., -1])
+    if nan.any():
+        for band in bands:
+            band[nan] = np.nan
+    return bands
+
+
+def _sorted_median(lanes: np.ndarray) -> np.ndarray:
+    """``np.median(lanes, axis=-1)`` of lanes sorted along the last axis.
+
+    numpy takes the mean of the middle one or two draws, and its sum starts
+    from +0.0, so a -0.0 median comes out +0.0; the ``+ 0.0`` keeps that.
+    """
+    half = lanes.shape[-1] // 2
+    if lanes.shape[-1] % 2:
+        return lanes[..., half] + 0.0
+    return (lanes[..., half - 1] + lanes[..., half] + 0.0) / 2
+
+
+def _sorted_percentile(lanes: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile(lanes, q, axis=-1)`` of lanes sorted along the last axis.
+
+    The type-7 virtual index (M - 1) q / 100 falls between the order
+    statistics a and b, and numpy's lerp weighs them from the nearer end.
+    """
+    m = lanes.shape[-1]
+    index = (m - 1) * (q / 100)
+    if index >= m - 1:  # only at M = 1; numpy then reads the last draw as -1
+        below = above = -1
+    else:
+        below = math.floor(index)
+        above = below + 1
+    weight = index - below
+    a, b = lanes[..., below], lanes[..., above]
+    if weight >= 0.5:
+        return b - (b - a) * (1 - weight)
+    return a + (b - a) * weight
 
 
 def scalar_summary(draws: np.ndarray) -> dict:

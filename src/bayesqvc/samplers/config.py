@@ -10,7 +10,8 @@ DEFAULT_PRIOR_SCALE = 100.0
 
 @dataclass(kw_only=True)
 class _PriorBase:
-    """Hyperparameters of both likelihoods; every field must be positive and finite.
+    """Hyperparameters of both likelihoods; every field must be positive and finite, and so
+    must 1 / prior_scale.
 
     prior_scale: the normal priors of the varying intercept alpha_0 and the
     clinical coefficients beta are N(0, prior_scale * I).
@@ -24,6 +25,10 @@ class _PriorBase:
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"prior hyperparameter {name} must be positive and finite, "
                                  f"got {value!r}")
+        # The fixed-effect systems add I / prior_scale to a precision.
+        if not math.isfinite(1.0 / self.prior_scale):
+            raise ValueError("prior hyperparameter prior_scale must have a finite reciprocal, "
+                             f"got {self.prior_scale!r}")
 
 
 @dataclass

@@ -8,9 +8,7 @@ process pool; the replicate study uses it too.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 from ..basis import SplineConfig
 from ..data import Dataset
@@ -46,7 +44,10 @@ def resolve_workers(workers: int | None, tasks: int) -> int:
 def _pool_context():
     # Forked workers inherit the imported package; a spawned worker imports
     # the package and numpy again, about 0.4 s per worker on a 2-vCPU Xeon,
-    # longer than a short chain or a study replicate.
+    # longer than a short chain or a study replicate.  The pool modules are
+    # imported here and in map_in_order, so a one-worker process never loads them.
+    import multiprocessing
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return None
@@ -65,6 +66,8 @@ def map_in_order(func, jobs: list, workers: int):
         for job in jobs:
             yield func(job)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, mp_context=_pool_context()) as pool:
         futures = [pool.submit(func, job) for job in jobs]
         try:

@@ -97,12 +97,25 @@ class TrueCurves:
     def evaluate(self, j: int, v):
         if j < 0:
             raise IndexError("curve index must be non-negative")
-        v = np.asarray(v, dtype=float)
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise ValueError("curves are defined on [0, 1]")
+        v = _unit_points(v)
         if j < len(self.curves):
             return self.curves[j](v)
         return np.zeros_like(v)
+
+    def table(self, count: int, grid) -> np.ndarray:
+        """Curves 0..count-1 on a 1-D ``grid``, one row each: the (count, G) truth."""
+        grid = _unit_points(grid)
+        out = np.zeros((count, grid.size))
+        for j, curve in enumerate(self.curves[:count]):
+            out[j] = curve(grid)
+        return out
+
+
+def _unit_points(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if np.any(v < 0.0) or np.any(v > 1.0):
+        raise ValueError("curves are defined on [0, 1]")
+    return v
 
 
 def generate_gene_covariates(rng: RngHandle, n: int, p: int) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +78,13 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_every_module_level_import_is_used(path):
     assert not _unused_imports(path)
+
+
+def test_cli_import_loads_no_process_pool_modules():
+    """The pool modules load only when a fit or study runs on more than one worker."""
+    code = ("import sys, bayesqvc.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=os.environ | {"PYTHONPATH": str(ROOT / "src")},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

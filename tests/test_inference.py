@@ -6,6 +6,9 @@ import pytest
 from bayesqvc.basis import SplineConfig, basis_values, default_grid
 from bayesqvc.inference import (
     CURVE_CHUNK_BYTES,
+    TAIL,
+    _sorted_median,
+    _sorted_percentile,
     all_curve_estimates,
     ci_selection,
     inclusion_probabilities,
@@ -140,7 +143,11 @@ def reference_curve_bands(samples, grid):
     return out
 
 
-@pytest.mark.parametrize("m, one_block_per_chunk", [(300, True), (40, False)])
+@pytest.mark.parametrize(
+    "m, one_block_per_chunk",
+    [(300, True), (40, False), (1, False), (2, False), (3, False), (4, False), (39, False),
+     (41, False), (301, True)],
+)
 def test_all_curve_estimates_match_per_block_loop(m, one_block_per_chunk):
     grid = default_grid()
     assert (CURVE_CHUNK_BYTES // (2 * m * grid.size * 8) <= 1) == one_block_per_chunk
@@ -150,6 +157,9 @@ def test_all_curve_estimates_match_per_block_loop(m, one_block_per_chunk):
     alpha[:, 2] = 0.0                                # all-zero block
     alpha[rng.random(m) < 0.9, 3] = 0.0              # mostly zero block
     alpha[:, 4, 1:] = 0.0                            # live, one coefficient only
+    alpha[:, 5] = rng.integers(-1, 2, size=(m, 1)) / 2.0  # tied draws: three curves repeated
+    alpha[:, 6] = rng.choice([0.0, -0.0], size=(m, d))    # coefficients mixing +0.0 and -0.0,
+    alpha[::3, 6, 2] = 1.5                                # in a live block
     samples = make_samples(alpha, degree=2, knots=2)
     bands = all_curve_estimates(samples)
     assert len(bands.median) == p1
@@ -157,6 +167,42 @@ def test_all_curve_estimates_match_per_block_loop(m, one_block_per_chunk):
         for got, want in zip((bands.median[j], bands.lower[j], bands.upper[j]), ref):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 39, 40, 41, 300, 301])
+def test_sorted_lane_quantiles_match_numpy(m):
+    """Order statistics read off sorted lanes equal numpy's, sign bit included.
+
+    The median lanes mix +0.0 and -0.0.  The percentile lanes hold -0.0 only
+    when M = 1: which of two equal zeros numpy's own partition leaves at an
+    index is not fixed, and the curve draws of a fit, sums started from +0.0,
+    hold none.
+    """
+    rng = np.random.default_rng(m)
+    lanes = np.sort(rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=(4, 60, m)), axis=-1)
+    got, want = _sorted_median(lanes), np.median(lanes, axis=-1)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    values = [-np.inf, -1.0, 0.0, 5e-324, 0.5, 1.0, np.inf] + [-0.0] * (m == 1)
+    lanes = np.sort(rng.choice(values, size=(4, 60, m)), axis=-1)
+    for q in (TAIL, 100.0 - TAIL):
+        with np.errstate(invalid="ignore"):
+            got, want = _sorted_percentile(lanes, q), np.percentile(lanes, q, axis=-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_curve_bands_of_a_nan_draw_are_nan_as_in_numpy():
+    rng = np.random.default_rng(5)
+    alpha = rng.normal(size=(41, 3, 5))
+    alpha[7, 1, 2] = np.nan
+    samples = make_samples(alpha, degree=2, knots=2)
+    bands = all_curve_estimates(samples)
+    with np.errstate(invalid="ignore"):
+        ref = reference_curve_bands(samples, default_grid())
+    for j in range(3):
+        for got, want in zip((bands.median[j], bands.lower[j], bands.upper[j]), ref[j]):
+            assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(bands.median[1]).any()
 
 
 def test_scalar_summaries():

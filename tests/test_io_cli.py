@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import bayesqvc
-from bayesqvc import Dataset, RngHandle
-from bayesqvc.cli import _config_from_args, build_parser, main
+from bayesqvc import Dataset, RngHandle, metrics
+from bayesqvc.basis import default_grid
+from bayesqvc.cli import _config_from_args, build_parser, evaluate_curves, main
 from bayesqvc.diagnostics import psrf, tracked_parameters
+from bayesqvc.inference import CurveBands
 from bayesqvc.io import (
     RunConfig,
     load_samples,
@@ -25,7 +27,7 @@ from bayesqvc.io import (
 )
 from bayesqvc.samplers import McmcOptions, fit, variants
 from bayesqvc.samplers.config import METHODS
-from bayesqvc.simulate import ScenarioSpec, simulate_dataset
+from bayesqvc.simulate import ScenarioSpec, TrueCurves, simulate_dataset
 
 
 def test_dataset_csv_roundtrip_bit_exact(tmp_path):
@@ -350,6 +352,32 @@ def test_cli_evaluate_roundtrip(sim_dir, fit_dir, tmp_path):
     assert m["timse"] == pytest.approx(manual)
 
 
+@pytest.mark.parametrize("hard_intercept", [False, True], ids=["smooth", "hard"])
+@pytest.mark.parametrize("p", [2, 6])
+def test_evaluate_curves_matches_the_per_curve_loop(p, hard_intercept):
+    """Scoring all curves in one pass equals metrics.imse and metrics.coverage curve by curve."""
+    grid = default_grid()
+    rng = np.random.default_rng(10 * p + hard_intercept)
+    curves = TrueCurves(hard_intercept=hard_intercept)
+    truth = np.array([curves.evaluate(j, grid) for j in range(p + 1)])
+    med = truth + rng.normal(scale=0.3, size=truth.shape)
+    half = np.abs(rng.normal(scale=0.4, size=truth.shape))
+    low, upp = med - half, med + half
+    low[:, ::5] = truth[:, ::5]       # bands that touch the truth cover it
+    upp[:, 2::5] = truth[:, 2::5]
+    bands = CurveBands(grid, med, low, upp)
+    spec = ScenarioSpec(n=30, p=p, hard_intercept=hard_intercept)
+    summary = {"config": {"method": "bvc"}, "selected": [1, 2]}
+    got = evaluate_curves(bands, summary, spec, {1, 2, 3})
+    want_imse = [metrics.imse(med[j], curves.evaluate(j, grid)) for j in range(p + 1)]
+    want_cov = {str(j): metrics.coverage(bands.lower[j], bands.upper[j], curves.evaluate(j, grid))
+                for j in range(min(4, p + 1))}
+    assert got["imse"] == want_imse
+    assert got["timse"] == metrics.timse(want_imse)
+    assert got["coverage"] == want_cov
+    assert 0.0 < min(want_cov.values()) and max(want_cov.values()) < 1.0
+
+
 def test_cli_evaluate_rejects_unknown_truth_key(sim_dir, fit_dir, tmp_path, capsys):
     payload = json.loads((sim_dir / "truth.json").read_text())
     payload["scenario"]["eror_kind"] = "normal"
@@ -516,8 +544,10 @@ def test_cli_fit_rejects_malformed_prior_flag(sim_dir, tmp_path, capsys, item, m
      (["--prior", "prior_scale=inf"], "prior hyperparameter prior_scale must be positive and "
                                       "finite, got inf"),
      (["--prior", "b=inf"], "prior hyperparameter b must be positive and finite, got inf"),
-     (["--method", "bvc", "--tau", "nan"], "tau must lie in (0, 1), got nan")],
-    ids=["a-nan", "prior_scale-inf", "b-inf", "bvc-tau-nan"],
+     (["--method", "bvc", "--tau", "nan"], "tau must lie in (0, 1), got nan"),
+     (["--prior", "prior_scale=1e-320"], "prior hyperparameter prior_scale must have a finite "
+                                         "reciprocal, got 1e-320")],
+    ids=["a-nan", "prior_scale-inf", "b-inf", "bvc-tau-nan", "prior_scale-1e-320"],
 )
 def test_cli_fit_rejects_non_finite_numbers_before_the_fit(sim_dir, tmp_path, capsys, flags,
                                                            message):
@@ -649,13 +679,16 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
      ("study", {"workers": 0}, "workers must be a positive integer or null (auto), got 0"),
      ("study", {"workers": "two"}, "study workers must be an integer, got 'two'"),
      ("study", {"priors": {"a": float("nan")}},
-      "prior hyperparameter a must be positive and finite, got nan")],
+      "prior hyperparameter a must be positive and finite, got nan"),
+     ("study", {"priors": {"prior_scale": 1e-320}},
+      "prior hyperparameter prior_scale must have a finite reciprocal, got 1e-320")],
     ids=["seed-float", "seed-str", "iterations-float", "chains-float", "degree-float",
          "thin-bool", "store_latents-str", "tau-str", "method-int", "prior-str", "prior-bool",
          "priors-int", "fit-config-list", "study-config-list", "base_seed-str",
          "base_seed-float", "base_seed-negative", "replicates-bool", "save_samples-str",
          "out_dir-int", "mcmc-iterations-float", "scenario-heteroscedastic-str",
-         "scenario-n-str", "study-workers-zero", "study-workers-str", "study-prior-nan"],
+         "scenario-n-str", "study-workers-zero", "study-workers-str", "study-prior-nan",
+         "study-prior_scale-1e-320"],
 )
 def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys, command,
                                                       change, message):
