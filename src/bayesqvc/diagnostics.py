@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inference import selection
-from .samplers.state import PosteriorSamples
+from .samplers.state import PosteriorSamples, block_draws
 
 PSRF_CUTOFF = 1.1
 
@@ -68,10 +68,13 @@ def tracked_parameters(samples: PosteriorSamples) -> dict[str, np.ndarray]:
     possible but deliberately not the default for memory reasons.
     """
     _, selected, _ = selection(samples)
+    blocks = [0, *selected]
+    per_chain = np.stack([block_draws([c], blocks) for c in samples.chains])  # (m, k, n, d)
+    draws = np.ascontiguousarray(per_chain.transpose(1, 3, 0, 2))  # (k, d, m, n)
     out: dict[str, np.ndarray] = {}
-    for j in [0, *selected]:
+    for i, j in enumerate(blocks):
         for s in range(samples.d):
-            out[f"alpha[{j},{s}]"] = np.stack([c.alpha[:, j, s] for c in samples.chains])
+            out[f"alpha[{j},{s}]"] = draws[i, s]
     scale = samples.spec.scale
     out[scale] = np.stack([c.scalars[scale] for c in samples.chains])
     return out

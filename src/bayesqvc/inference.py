@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import SplineConfig, basis_values, default_grid
-from .samplers.state import PosteriorSamples
+from .samplers.state import PosteriorSamples, block_draws
 
 MPM_THRESHOLD = 0.5
 # Percentile of the lower end of a 95% band.  Computed, not written as 2.5: it
@@ -50,7 +50,7 @@ def inclusion_probabilities(samples: PosteriorSamples) -> np.ndarray:
             f"method {samples.method!r} has no point mass at zero; "
             "use ci_selection for credible-interval identification"
         )
-    return samples.pooled_inclusion().astype(float).mean(axis=0)
+    return samples.pooled_inclusion().mean(axis=0, dtype=float)
 
 
 def ci_selection(samples: PosteriorSamples) -> list[int]:
@@ -59,7 +59,7 @@ def ci_selection(samples: PosteriorSamples) -> list[int]:
     Identification rule for the pure-shrinkage samplers, which never set a
     block exactly to zero.
     """
-    alpha = samples.pooled_alpha()
+    alpha = block_draws(samples.chains, np.arange(samples.p + 1)).transpose(1, 0, 2)
     lower = np.percentile(alpha, TAIL, axis=0)
     upper = np.percentile(alpha, 100.0 - TAIL, axis=0)
     excludes = (lower > 0.0) | (upper < 0.0)
@@ -83,29 +83,30 @@ def selection(samples: PosteriorSamples) -> tuple[str, list[int], np.ndarray | N
 def all_curve_estimates(samples: PosteriorSamples) -> CurveBands:
     """Pointwise median curves and equal-tailed 95% bands of every block 0..p on the default grid.
 
-    A block whose stored coefficients are all zero (the samplers' spike is
-    +0.0) has +0.0 curve draws, so its median and band are +0.0 without
-    computing the draws.  The other blocks go through :func:`_block_bands`
-    in chunks of at most ``CURVE_CHUNK_BYTES`` of draws.
+    A block that no stored draw includes is all +0.0 (the samplers' spike),
+    and so are its curve draws, so its median and band are +0.0 without
+    computing the draws; so is alpha_0 if all its draws are zero.  The other
+    blocks go through :func:`_block_bands` in chunks of at most
+    ``CURVE_CHUNK_BYTES`` of draws.
     """
     grid = default_grid()
     basis = basis_values(grid, SplineConfig(samples.spline_degree, samples.interior_knots))
-    alpha = samples.pooled_alpha()
-    m, p1, _ = alpha.shape
-    bands = np.zeros((3, p1, grid.size))
-    live = np.flatnonzero(np.any(alpha != 0.0, axis=(0, 2)))
-    per_chunk = max(1, CURVE_CHUNK_BYTES // (2 * m * grid.size * alpha.itemsize))
+    m = sum(c.stored for c in samples.chains)
+    bands = np.zeros((3, samples.p + 1, grid.size))
+    intercept = any(np.any(c.alpha0 != 0.0) for c in samples.chains)
+    live = np.flatnonzero(np.concatenate(([intercept], samples.pooled_inclusion().any(axis=0))))
+    per_chunk = max(1, CURVE_CHUNK_BYTES // (2 * m * grid.size * 8))
     for start in range(0, live.size, per_chunk):
         idx = live[start : start + per_chunk]
-        bands[:, idx] = _block_bands(alpha, idx, basis)
+        bands[:, idx] = _block_bands(block_draws(samples.chains, idx), basis)
     median, lower, upper = bands
     if np.any(lower > median) or np.any(median > upper):
         raise ValueError("bands must bracket the median pointwise")
     return CurveBands(grid, median, lower, upper)
 
 
-def _block_bands(alpha: np.ndarray, blocks, basis: np.ndarray):
-    """Median, lower and upper band of the curve draws of ``blocks``, each (k, G).
+def _block_bands(coef: np.ndarray, basis: np.ndarray):
+    """Median, lower and upper band, each (k, G), of the curves of k blocks' draws ``coef``.
 
     Each block's draws come from one (M, d) @ (d, G) product, the shape whose
     rounding the stored curves have always had; a (1, d) @ (d, G) product per
@@ -114,7 +115,7 @@ def _block_bands(alpha: np.ndarray, blocks, basis: np.ndarray):
     (:func:`_sorted_median`, :func:`_sorted_percentile`).  The product and that
     copy are the two arrays ``CURVE_CHUNK_BYTES`` bounds.
     """
-    draws = alpha.transpose(1, 0, 2)[blocks] @ basis.T
+    draws = coef @ basis.T
     draws = np.ascontiguousarray(draws.transpose(0, 2, 1))
     draws.sort(axis=-1)
     bands = (_sorted_median(draws), _sorted_percentile(draws, TAIL),

@@ -7,7 +7,15 @@ Formats:
 * posterior samples: one flat binary of concatenated C-order little-endian
   arrays (``samples.bin``) plus a JSON sidecar index (``samples.json``)
   holding dtypes, shapes, offsets, and the full run configuration.  Both
-  files are byte-deterministic given the draws.
+  files are byte-deterministic given the draws.  Format
+  ``bayesqvc-samples-v2`` stores each chain's M draws sparsely, as in
+  :class:`ChainSamples`: ``alpha0`` (M, d); ``rows`` (R, d), the included
+  blocks' coefficients draw by draw, R the number of set flags; ``beta``
+  (M, q); ``inclusion``, the (M, p) 0/1 flags bit-packed along the block
+  axis by ``np.packbits`` (M * ceil(p / 8) bytes; the index gives the
+  unpacked shape); then ``scalar:<name>`` (M,) and ``latent:<name>`` arrays.
+  The older ``bayesqvc-samples-v1`` stores a dense ``alpha`` (M, p+1, d)
+  and uint8 flags in place of the first four; it still loads.
 * curves: CSV with header ``j, grid_index, v, median, lower, upper``, one
   row per (curve, grid point) of an :class:`inference.CurveBands`; floats
   carry 17 significant digits.
@@ -293,9 +301,13 @@ def load_truth(path):
 # ---------------------------------------------------------------------------
 # posterior samples: flat binary + JSON sidecar
 
+SAMPLES_FORMAT = "bayesqvc-samples-v2"
+
+
 def _chain_array_items(chain: ChainSamples):
-    """Fixed, deterministic array ordering within a chain."""
-    items = [("alpha", chain.alpha), ("beta", chain.beta), ("inclusion", chain.inclusion)]
+    """Fixed, deterministic array ordering within a chain; the flags are bit-packed."""
+    items = [("alpha0", chain.alpha0), ("rows", chain.rows), ("beta", chain.beta),
+             ("inclusion", np.packbits(chain.inclusion, axis=1))]
     items += [(f"scalar:{k}", chain.scalars[k]) for k in sorted(chain.scalars)]
     items += [(f"latent:{k}", chain.latents[k]) for k in sorted(chain.latents)]
     return items
@@ -322,6 +334,7 @@ def save_samples(directory, samples: PosteriorSamples, config: RunConfig) -> Non
                 }
                 fh.write(raw)
                 offset += len(raw)
+            arrays["inclusion"]["shape"] = list(chain.inclusion.shape)  # unpacked
             index_chains.append(
                 {
                     "seed": chain.seed,
@@ -335,7 +348,7 @@ def save_samples(directory, samples: PosteriorSamples, config: RunConfig) -> Non
     dump_json(
         directory / "samples.json",
         {
-            "format": "bayesqvc-samples-v1",
+            "format": SAMPLES_FORMAT,
             "method": samples.method,
             "tau": samples.tau,
             "degree": samples.spline_degree,
@@ -346,20 +359,44 @@ def save_samples(directory, samples: PosteriorSamples, config: RunConfig) -> Non
     )
 
 
+def _sparse_alpha(loaded: dict, version: str, where: str):
+    """(alpha0, rows, inclusion) of one chain's ``loaded`` arrays; ValueError naming ``where``
+    if its rows (v2) or its nonzero blocks (v1) disagree with its inclusion flags."""
+    if version == "bayesqvc-samples-v1":
+        alpha, inclusion = loaded["alpha"], loaded["inclusion"]
+        if not np.array_equal(np.any(alpha[:, 1:] != 0.0, axis=2), inclusion != 0):
+            raise ValueError(f"{where}: inclusion flags disagree with the nonzero alpha blocks")
+        return alpha[:, 0].copy(), alpha[:, 1:][inclusion != 0], inclusion
+    rows, inclusion = loaded["rows"], loaded["inclusion"]
+    if rows.shape[0] != np.count_nonzero(inclusion):
+        raise ValueError(f"{where}: {rows.shape[0]} alpha rows for "
+                         f"{np.count_nonzero(inclusion)} inclusion flags")
+    return loaded["alpha0"], rows, inclusion
+
+
 def load_samples(directory):
+    """The :class:`PosteriorSamples` and :class:`RunConfig` of a :func:`save_samples`
+    directory, of format ``bayesqvc-samples-v2`` or the dense ``bayesqvc-samples-v1``."""
     directory = Path(directory)
     index = load_json(directory / "samples.json")
-    if index.get("format") != "bayesqvc-samples-v1":
-        raise ValueError("unrecognized samples index format")
+    version = index.get("format")
+    if version not in ("bayesqvc-samples-v1", SAMPLES_FORMAT):
+        raise ValueError(f"{directory / 'samples.json'} has the unrecognized samples format "
+                         f"{version!r}")
     blob = (directory / "samples.bin").read_bytes()
     chains = []
-    for entry in index["chains"]:
+    for i, entry in enumerate(index["chains"]):
         loaded = {}
         for name, meta in entry["arrays"].items():
             start = meta["offset"]
-            raw = blob[start : start + meta["nbytes"]]
-            arr = np.frombuffer(raw, dtype=np.dtype(meta["dtype"]))
-            loaded[name] = arr.reshape(meta["shape"]).copy()
+            arr = np.frombuffer(blob[start : start + meta["nbytes"]], dtype=np.dtype(meta["dtype"]))
+            if name == "inclusion" and version == SAMPLES_FORMAT:
+                m, p = meta["shape"]
+                loaded[name] = np.unpackbits(arr.reshape(m, (p + 7) // 8), axis=1, count=p)
+            else:
+                loaded[name] = arr.reshape(meta["shape"]).copy()
+        alpha0, rows, inclusion = _sparse_alpha(
+            loaded, version, f"{directory / 'samples.bin'} chain {i}")
         chains.append(
             ChainSamples(
                 seed=entry["seed"],
@@ -367,9 +404,10 @@ def load_samples(directory):
                 iterations=entry["iterations"],
                 burn_in=entry["burn_in"],
                 thin=entry["thin"],
-                alpha=loaded["alpha"],
+                alpha0=alpha0,
+                rows=rows,
                 beta=loaded["beta"],
-                inclusion=loaded["inclusion"],
+                inclusion=inclusion,
                 scalars={
                     k.split(":", 1)[1]: v for k, v in loaded.items() if k.startswith("scalar:")
                 },
@@ -422,8 +460,11 @@ def read_curves_csv(path) -> CurveBands:
     g = int(body[:, 1].max()) + 1
     if body.shape[0] != n_curves * g:
         raise ValueError("curves CSV has an incomplete grid")
-    order = np.lexsort((body[:, 1], body[:, 0]))
-    body = body[order]
+    # The writer's rows come curve by curve in grid order; sort only other files.
+    index = body[:, :2].reshape(n_curves, g, 2)
+    if not (np.all(index[..., 0] == np.arange(n_curves)[:, None])
+            and np.all(index[..., 1] == np.arange(g))):
+        body = body[np.lexsort((body[:, 1], body[:, 0]))]
     grid = body[:g, 2]
     med = body[:, 3].reshape(n_curves, g)
     low = body[:, 4].reshape(n_curves, g)

@@ -563,12 +563,14 @@ def run_chain(model: GibbsModel, opts: McmcOptions, stream_id: int) -> ChainSamp
     The chain draws only from the stream (opts.seed, stream_id); ``opts.chains``
     is not read.  After every sweep, alpha, beta, the residual and the stored
     scalars must be finite; otherwise FloatingPointError names the sweep and
-    the first non-finite quantity.
+    the first non-finite quantity.  Of blocks 1..p, only the included ones
+    are stored (:class:`ChainSamples`).
     """
     rng = RngHandle(opts.seed, stream_id)
     state = initial_state(model)
     m_stored = opts.stored
-    alpha = np.empty((m_stored, model.p + 1, model.d))
+    alpha0 = np.empty((m_stored, model.d))
+    rows = []
     beta = np.empty((m_stored, model.q))
     inclusion = np.empty((m_stored, model.p), dtype=np.uint8)
     scalars = {name: np.empty(m_stored) for name in model.scalar_names}
@@ -584,7 +586,8 @@ def run_chain(model: GibbsModel, opts: McmcOptions, stream_id: int) -> ChainSamp
         model.sweep(state, rng)
         _check_finite(state, model, it)
         if it > opts.burn_in and (it - opts.burn_in) % opts.thin == 0:
-            alpha[kept] = state.alpha
+            alpha0[kept] = state.alpha[0]
+            rows.append(state.alpha[1:][state.inclusion])
             beta[kept] = state.beta
             inclusion[kept] = state.inclusion
             for name, stored in (scalars | latents).items():
@@ -596,7 +599,8 @@ def run_chain(model: GibbsModel, opts: McmcOptions, stream_id: int) -> ChainSamp
         iterations=opts.iterations,
         burn_in=opts.burn_in,
         thin=opts.thin,
-        alpha=alpha,
+        alpha0=alpha0,
+        rows=np.concatenate(rows) if rows else np.empty((0, model.d)),
         beta=beta,
         inclusion=inclusion,
         scalars=scalars,

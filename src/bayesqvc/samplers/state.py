@@ -72,14 +72,22 @@ class GaussianSamplerState(_ChainState):
 
 @dataclass
 class ChainSamples:
-    """Post-burn-in draws of a single chain, in iteration order."""
+    """Post-burn-in draws of a single chain, in iteration order.
+
+    The spline coefficients are stored sparsely: ``alpha0`` holds alpha_0 of
+    every draw, and ``rows`` the coefficients of the included blocks 1..p,
+    draw by draw and in block order within a draw, so row r belongs to the
+    r-th nonzero of ``inclusion`` in C order.  An excluded block is exactly
+    zero.  A plain sampler includes every block, so its rows hold them all.
+    """
 
     seed: int
     stream_id: int
     iterations: int
     burn_in: int
     thin: int
-    alpha: np.ndarray            # (M, p+1, d)
+    alpha0: np.ndarray           # (M, d)
+    rows: np.ndarray             # (inclusion.sum(), d)
     beta: np.ndarray             # (M, q)
     inclusion: np.ndarray        # (M, p) uint8
     scalars: dict[str, np.ndarray]   # theta/eta_sq/pi0 or sigma_sq/lambda_sq/pi0
@@ -87,7 +95,37 @@ class ChainSamples:
 
     @property
     def stored(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha0.shape[0]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """The dense (M, p+1, d) draws, built on each access; read-only."""
+        dense = np.ascontiguousarray(
+            block_draws([self], np.arange(self.inclusion.shape[1] + 1)).transpose(1, 0, 2))
+        dense.flags.writeable = False
+        return dense
+
+
+def block_draws(chains: list[ChainSamples], blocks) -> np.ndarray:
+    """(k, M, d) draws of the k distinct ``blocks`` (0 is alpha_0), the chains' M draws
+    one after another; an excluded block's draws are +0.0.
+
+    Each chain's rows of the requested blocks go into place in one scatter.
+    """
+    blocks = np.asarray(blocks, dtype=np.intp)
+    p, d = chains[0].inclusion.shape[1], chains[0].alpha0.shape[1]
+    slot = np.full(p + 1, -1, dtype=np.intp)  # output position of each block, -1 if not asked
+    slot[blocks] = np.arange(blocks.size)
+    out = np.zeros((blocks.size, sum(c.stored for c in chains), d))
+    start = 0
+    for chain in chains:
+        draw, block = np.nonzero(chain.inclusion)
+        at = slot[block + 1]
+        keep = at >= 0
+        out[at[keep], start + draw[keep]] = chain.rows[keep]
+        out[blocks == 0, start : start + chain.stored] = chain.alpha0
+        start += chain.stored
+    return out
 
 
 @dataclass
@@ -116,15 +154,11 @@ class PosteriorSamples:
 
     @property
     def p(self) -> int:
-        return self.chains[0].alpha.shape[1] - 1
+        return self.chains[0].inclusion.shape[1]
 
     @property
     def d(self) -> int:
-        return self.chains[0].alpha.shape[2]
-
-    def pooled_alpha(self) -> np.ndarray:
-        """Draws pooled across chains, shape (M_total, p+1, d)."""
-        return np.concatenate([c.alpha for c in self.chains], axis=0)
+        return self.chains[0].alpha0.shape[1]
 
     def pooled_inclusion(self) -> np.ndarray:
         return np.concatenate([c.inclusion for c in self.chains], axis=0)

@@ -123,6 +123,149 @@ def test_samples_roundtrip(tmp_path):
             np.testing.assert_array_equal(orig.scalars[key], loaded.scalars[key])
 
 
+def write_v1_samples(directory, samples, config):
+    """The dense ``bayesqvc-samples-v1`` layout: alpha (M, p+1, d), beta, uint8 flags, then
+    the scalars and latents, each chain after the other."""
+    index, blob = [], b""
+    for chain in samples.chains:
+        arrays = {}
+        items = [("alpha", chain.alpha), ("beta", chain.beta), ("inclusion", chain.inclusion)]
+        items += [(f"scalar:{k}", chain.scalars[k]) for k in sorted(chain.scalars)]
+        items += [(f"latent:{k}", chain.latents[k]) for k in sorted(chain.latents)]
+        for name, arr in items:
+            raw = np.ascontiguousarray(arr).tobytes()
+            arrays[name] = {"dtype": arr.dtype.str, "shape": list(arr.shape),
+                            "offset": len(blob), "nbytes": len(raw)}
+            blob += raw
+        index.append({"seed": chain.seed, "stream_id": chain.stream_id,
+                      "iterations": chain.iterations, "burn_in": chain.burn_in,
+                      "thin": chain.thin, "arrays": arrays})
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "samples.bin").write_bytes(blob)
+    (directory / "samples.json").write_text(json.dumps({
+        "format": "bayesqvc-samples-v1", "method": samples.method, "tau": samples.tau,
+        "degree": samples.spline_degree, "interior_knots": samples.interior_knots,
+        "config": config.to_dict(), "chains": index}))
+
+
+def assert_same_draws(a, b):
+    """Every stored array of every chain is equal, dtype and shape included."""
+    assert (a.method, a.tau, a.spline_degree, a.interior_knots) == (
+        b.method, b.tau, b.spline_degree, b.interior_knots)
+    assert len(a.chains) == len(b.chains)
+    for x, y in zip(a.chains, b.chains):
+        assert (x.seed, x.stream_id, x.iterations, x.burn_in, x.thin) == (
+            y.seed, y.stream_id, y.iterations, y.burn_in, y.thin)
+        pairs = [(x.alpha0, y.alpha0), (x.rows, y.rows), (x.beta, y.beta),
+                 (x.inclusion, y.inclusion)]
+        assert x.scalars.keys() == y.scalars.keys() and x.latents.keys() == y.latents.keys()
+        pairs += [(x.scalars[k], y.scalars[k]) for k in x.scalars]
+        pairs += [(x.latents[k], y.latents[k]) for k in x.latents]
+        for u, v in pairs:
+            assert (u.dtype, u.shape) == (v.dtype, v.shape)
+            assert u.tobytes() == v.tobytes()
+
+
+def fit_for_samples(kind):
+    """(samples, config) of a small fit: a spike fit, a plain fit, q = 2, or stored latents."""
+    method = {"spike": "bqrvcss", "plain": "bqrvc", "q2": "bvcss", "latents": "bqrvcss"}[kind]
+    ds, _, _ = simulate_dataset(ScenarioSpec(n=40, p=11, seed=2))
+    if kind == "q2":
+        ds = Dataset(y=ds.y, x=ds.x, v=ds.v, e=RngHandle(4, 0).gen.standard_normal((ds.n, 2)))
+    config = RunConfig(method=method, iterations=50, burn_in=20, chains=2, seed=5,
+                       store_latents=kind == "latents")
+    samples = fit(ds, method, tau=config.tau, opts=config.mcmc_options(), workers=1)
+    return samples, config
+
+
+@pytest.mark.parametrize("kind", ["spike", "plain", "q2", "latents"])
+def test_samples_v2_roundtrip_bit_exact(tmp_path, kind):
+    samples, config = fit_for_samples(kind)
+    save_samples(tmp_path, samples, config)
+    index = json.loads((tmp_path / "samples.json").read_text())
+    assert index["format"] == "bayesqvc-samples-v2"
+    m, p = samples.chains[0].inclusion.shape
+    assert index["chains"][0]["arrays"]["inclusion"]["nbytes"] == m * ((p + 7) // 8)
+    back, back_config = load_samples(tmp_path)
+    assert back_config.to_dict() == config.to_dict()
+    assert_same_draws(samples, back)
+    if kind == "plain":
+        assert back.chains[0].rows.shape == (m * p, samples.d)
+    if kind == "q2":
+        assert back.chains[0].beta.shape == (m, 2)
+
+
+@pytest.mark.parametrize("kind", ["spike", "plain", "latents"])
+def test_samples_v1_file_loads_to_the_draws_of_v2(tmp_path, kind):
+    samples, config = fit_for_samples(kind)
+    save_samples(tmp_path / "v2", samples, config)
+    write_v1_samples(tmp_path / "v1", samples, config)
+    v1, v1_config = load_samples(tmp_path / "v1")
+    v2, _ = load_samples(tmp_path / "v2")
+    assert v1_config.to_dict() == config.to_dict()
+    assert_same_draws(v1, v2)
+    assert_same_draws(v1, samples)
+
+
+def test_load_samples_rejects_rows_that_disagree_with_the_flags(tmp_path):
+    samples, config = fit_for_samples("spike")
+    save_samples(tmp_path, samples, config)
+    index = json.loads((tmp_path / "samples.json").read_text())
+    rows = index["chains"][1]["arrays"]["rows"]
+    rows["shape"][0] -= 1
+    rows["nbytes"] -= 8 * samples.d
+    (tmp_path / "samples.json").write_text(json.dumps(index))
+    count = int(samples.chains[1].inclusion.sum())
+    with pytest.raises(ValueError) as err:
+        load_samples(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'samples.bin'} chain 1: {count - 1} alpha rows "
+                              f"for {count} inclusion flags")
+
+
+def test_load_samples_rejects_v1_flags_that_disagree_with_alpha(tmp_path):
+    samples, config = fit_for_samples("spike")
+    write_v1_samples(tmp_path, samples, config)
+    index = json.loads((tmp_path / "samples.json").read_text())
+    flags = index["chains"][1]["arrays"]["inclusion"]
+    blob = bytearray((tmp_path / "samples.bin").read_bytes())
+    blob[flags["offset"]] ^= 1  # draw 0, block 1 of chain 1
+    (tmp_path / "samples.bin").write_bytes(bytes(blob))
+    with pytest.raises(ValueError) as err:
+        load_samples(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'samples.bin'} chain 1: inclusion flags disagree "
+                              "with the nonzero alpha blocks")
+
+
+def test_load_samples_rejects_an_unknown_format(tmp_path):
+    samples, config = fit_for_samples("spike")
+    save_samples(tmp_path, samples, config)
+    index = json.loads((tmp_path / "samples.json").read_text())
+    index["format"] = "bayesqvc-samples-v3"
+    (tmp_path / "samples.json").write_text(json.dumps(index))
+    with pytest.raises(ValueError) as err:
+        load_samples(tmp_path)
+    assert str(err.value) == (f"{tmp_path / 'samples.json'} has the unrecognized samples "
+                              "format 'bayesqvc-samples-v3'")
+
+
+def test_spike_fit_diagnose_and_evaluate_build_no_dense_alpha(sim_dir, tmp_path, monkeypatch):
+    """The dense accessor stays unused on the whole path of a spike fit."""
+    from bayesqvc.samplers.state import ChainSamples
+
+    def dense(self):
+        raise AssertionError("dense (M, p+1, d) alpha built")
+
+    monkeypatch.setattr(ChainSamples, "alpha", property(dense))
+    out = tmp_path / "fit"
+    assert run_cli("fit", "--data", sim_dir / "dataset.csv", "--method", "bqrvcss",
+                   "--iterations", 120, "--burn-in", 60, "--chains", 2, "--workers", 1,
+                   "--seed", 4, "--out", out) == 0
+    assert run_cli("diagnose", "--fit", out) == 0
+    assert run_cli("evaluate", "--fit", out, "--truth", sim_dir / "truth.json",
+                   "--out", out / "metrics.json") == 0
+    assert (out / "psrf.json").exists() and (out / "metrics.json").exists()
+
+
 def test_curves_csv_roundtrip(tmp_path):
     from bayesqvc.inference import CurveBands
 
@@ -137,6 +280,30 @@ def test_curves_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(med, bands.median)
     np.testing.assert_array_equal(low, bands.lower)
     np.testing.assert_array_equal(upp, bands.upper)
+
+
+def test_curves_csv_sorts_only_rows_out_of_writer_order(tmp_path, monkeypatch):
+    grid = np.linspace(0, 1, 7)
+    med = np.random.default_rng(0).normal(size=(3, 7))
+    bands = CurveBands(grid=grid, median=med, lower=med - 1.0, upper=med + 1.0)
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, bands)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[i] for i in np.random.default_rng(1).permutation(
+        len(rows))))
+    unsorted = read_curves_csv(shuffled)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("a curves file in writer order was sorted")
+
+    monkeypatch.setattr(np, "lexsort", no_sort)
+    for got in (read_curves_csv(path), unsorted):
+        for a, b in zip(got, bands):
+            np.testing.assert_array_equal(a, b)
+    shuffled.write_text(header + "".join(rows[:-1]))
+    with pytest.raises(ValueError, match="incomplete grid"):
+        read_curves_csv(shuffled)
 
 
 def reference_curves_text(bands):

@@ -408,6 +408,24 @@ def test_stored_states_satisfy_invariants(tiny_dataset):
     np.testing.assert_array_equal(nonzero, chain.inclusion.astype(bool))
 
 
+def test_spike_chain_stores_only_the_included_rows(tiny_dataset):
+    chain = run_chain(
+        build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(), 0.3),
+        McmcOptions(iterations=80, burn_in=30, seed=9, store_latents=True), 0,
+    )
+    m, p = chain.inclusion.shape
+    d = chain.alpha0.shape[1]
+    assert 0 < chain.inclusion.sum() < m * p
+    assert chain.rows.shape == (chain.inclusion.sum(), d)
+    stored = [v for v in vars(chain).values() if isinstance(v, np.ndarray)]
+    stored += [v for k in ("scalars", "latents") for v in getattr(chain, k).values()]
+    assert all(a.ndim <= 2 for a in stored)
+    dense = chain.alpha
+    assert dense.shape == (m, p + 1, d) and not dense.flags.writeable
+    np.testing.assert_array_equal(dense[:, 0], chain.alpha0)
+    np.testing.assert_array_equal(dense[:, 1:][chain.inclusion != 0], chain.rows)
+
+
 def test_run_chain_p_zero_recovers_constant_intercept():
     # pure varying-intercept quantile regression on a constant truth
     rng = RngHandle(123, 0)
