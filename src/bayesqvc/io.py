@@ -26,6 +26,7 @@ Formats:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
@@ -374,6 +375,26 @@ def _sparse_alpha(loaded: dict, version: str, where: str):
     return loaded["alpha0"], rows, inclusion
 
 
+def _read_array(blob: bytes, meta: dict, packed: bool, where: str) -> np.ndarray:
+    """The array ``meta`` indexes in ``blob``; ValueError naming ``where`` unless its bytes lie
+    inside the blob and their count matches the shape and dtype (bit-packed flags if
+    ``packed``)."""
+    dtype, shape = np.dtype(meta["dtype"]), [int(size) for size in meta["shape"]]
+    start, nbytes = meta["offset"], meta["nbytes"]
+    if not 0 <= start <= start + nbytes <= len(blob):
+        raise ValueError(f"{where}: bytes {start} to {start + nbytes} lie outside the "
+                         f"{len(blob)}-byte file")
+    if packed:  # (M, p) flags stored as M rows of ceil(p / 8) bytes
+        stored = [shape[0], (shape[1] + 7) // 8] if len(shape) == 2 else [-1]
+    else:
+        stored = shape
+    if min(stored, default=0) < 0 or math.prod(stored) * dtype.itemsize != nbytes:
+        raise ValueError(f"{where}: {nbytes} bytes do not hold a {dtype.str} array of "
+                         f"shape {tuple(shape)}")
+    arr = np.frombuffer(blob, dtype=dtype, count=math.prod(stored), offset=start).reshape(stored)
+    return np.unpackbits(arr, axis=1, count=shape[1]) if packed else arr.copy()
+
+
 def load_samples(directory):
     """The :class:`PosteriorSamples` and :class:`RunConfig` of a :func:`save_samples`
     directory, of format ``bayesqvc-samples-v2`` or the dense ``bayesqvc-samples-v1``."""
@@ -386,17 +407,13 @@ def load_samples(directory):
     blob = (directory / "samples.bin").read_bytes()
     chains = []
     for i, entry in enumerate(index["chains"]):
-        loaded = {}
-        for name, meta in entry["arrays"].items():
-            start = meta["offset"]
-            arr = np.frombuffer(blob[start : start + meta["nbytes"]], dtype=np.dtype(meta["dtype"]))
-            if name == "inclusion" and version == SAMPLES_FORMAT:
-                m, p = meta["shape"]
-                loaded[name] = np.unpackbits(arr.reshape(m, (p + 7) // 8), axis=1, count=p)
-            else:
-                loaded[name] = arr.reshape(meta["shape"]).copy()
-        alpha0, rows, inclusion = _sparse_alpha(
-            loaded, version, f"{directory / 'samples.bin'} chain {i}")
+        where = f"{directory / 'samples.bin'} chain {i}"
+        loaded = {
+            name: _read_array(blob, meta, name == "inclusion" and version == SAMPLES_FORMAT,
+                              f"{where} array {name!r}")
+            for name, meta in entry["arrays"].items()
+        }
+        alpha0, rows, inclusion = _sparse_alpha(loaded, version, where)
         chains.append(
             ChainSamples(
                 seed=entry["seed"],

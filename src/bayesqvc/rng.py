@@ -47,7 +47,7 @@ def _require_positive(name: str, value) -> None:
     if isinstance(value, float):  # the per-sweep scalars; skips the array round trip
         if value <= 0.0:
             raise ValueError(f"{name} must be strictly positive")
-    elif np.any(np.asarray(value) <= 0.0):
+    elif (np.asarray(value) <= 0.0).any():
         raise ValueError(f"{name} must be strictly positive")
 
 
@@ -96,19 +96,24 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
     and its draws then collapsed onto the positivity clamp.
     """
     mu = np.asarray(mean, dtype=float)
-    lam = np.asarray(shape, dtype=float)
+    # A float shape (the samplers' case) stays a Python float: its check and
+    # its arithmetic then skip the 0-d array round trip, with the same values.
+    if isinstance(shape, float):
+        lam, lam_shape = shape, ()
+    else:
+        lam = np.asarray(shape, dtype=float)
+        lam_shape = lam.shape
     _require_positive("mean", mu)
     _require_positive("shape", lam)
-    scalar = mu.ndim == 0 and lam.ndim == 0 and size is None
     out_shape = size
     if size is None:
-        same = lam.ndim == 0 or lam.shape == mu.shape
-        out_shape = mu.shape if same else np.broadcast_shapes(mu.shape, lam.shape)
-    # Arrays are broadcast (and so checked) here; a 0-d shape broadcasts in the
-    # arithmetic below, which gives the same values elementwise.
+        same = not lam_shape or lam_shape == mu.shape
+        out_shape = mu.shape if same else np.broadcast_shapes(mu.shape, lam_shape)
+    # Arrays are broadcast (and so checked) here; a scalar shape broadcasts in
+    # the arithmetic below, which gives the same values elementwise.
     if mu.shape != out_shape:
         mu = np.broadcast_to(mu, out_shape)
-    if lam.ndim and lam.shape != out_shape:
+    if lam_shape and lam_shape != out_shape:
         lam = np.broadcast_to(lam, out_shape)
 
     y = rng.gen.standard_normal(out_shape) ** 2
@@ -120,7 +125,7 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
     u = rng.gen.random(out_shape)
     take_root = u <= mu / (mu + x)
     draws = np.where(take_root, x, mu * big)
-    return float(draws) if scalar else draws
+    return float(draws) if out_shape == () and size is None else draws
 
 
 def sample_mvn(rng: RngHandle, mean: np.ndarray, covariance: np.ndarray) -> np.ndarray:

@@ -74,7 +74,7 @@ class GaussianPriorConfig(_PriorBase):
 
 @dataclass
 class McmcOptions:
-    """Chain length bookkeeping; stored draw count is (iterations - burn_in) // thin."""
+    """Chain length bookkeeping; stored draw count is (iterations - burn_in) // thin, at least 1."""
 
     iterations: int = 10_000
     burn_in: int = 5_000
@@ -92,6 +92,10 @@ class McmcOptions:
             raise ValueError("thin must be at least 1")
         if self.chains < 1:
             raise ValueError("chains must be at least 1")
+        if self.stored < 1:
+            raise ValueError(f"iterations - burn_in must be at least thin, so that a chain "
+                             f"stores a draw; got iterations={self.iterations}, "
+                             f"burn_in={self.burn_in}, thin={self.thin}")
 
     @property
     def stored(self) -> int:

@@ -17,8 +17,10 @@ the quantile state.  The model states its working Gaussian once, as the
 weights w and shift s of ``working_likelihood``; the alpha_0 and beta
 systems, the joint draw and ``draw_response`` are formed from them here.
 Only the block stage asks for the same Gaussian in block form
-(``block_system``), so that the Gaussian model can reuse the unweighted
-grams it forms at build.  Each likelihood module keeps its own
+(``block_system``): the block grams and the weights w themselves, not the
+(k, n) weighted rows w o x_j, so that the Gaussian model can reuse the
+unweighted grams it forms at build and the quantile model can put w on the
+basis side of each product.  Each likelihood module keeps its own
 ``gibbs_sweep``, which calls the stages in the likelihood's fixed order
 through that module's globals.
 
@@ -28,6 +30,14 @@ transposed covariates X' and the (n, q) clinical matrix E, and never builds
 the (p+1, n, d) block tensor.  E is a matrix also when q = 0, so the
 residual, the prior draw and ``draw_response`` have no q branch; only
 ``update_beta`` returns early on an empty E.
+
+Per-sweep work in the spike block stage scales with the blocks that need
+it, not with p x n.  The weighted grams sum_i w_i x_ji^2 B_i B_i' are one
+(k, n) @ (n, d d) product of the squared covariates X' o X' (held by the
+quantile spike model since build) and the rows w_i vec(B_i B_i'); each
+right-hand side reads plain X' rows against B o (w r); the offset G_j alpha_j
+is formed for included blocks only; and the residual refresh sums alpha_0 and
+the included blocks' rows unless every block is included.
 
 The coefficients are drawn in one of two ways.
 
@@ -93,15 +103,16 @@ RUN_CHUNK = 64
 # ---------------------------------------------------------------------------
 # linear-algebra kernels
 
-def weighted_block_grams(basis_outer: np.ndarray, sq_weights: np.ndarray) -> np.ndarray:
-    """Grams sum_i s_ji B_i B_i' of the blocks with weight rows ``sq_weights``; (k, d, d).
+def weighted_block_grams(weighted_outer: np.ndarray, sq_rows: np.ndarray) -> np.ndarray:
+    """Grams sum_i w_i x_ji^2 B_i B_i' of the blocks with squared covariates ``sq_rows``; (k, d, d).
 
-    Row j of ``sq_weights`` is w * x_j^2 for block j's covariate row x_j and
-    working weights w.  ``basis_outer`` holds the row outer products B_i B_i',
-    shape (n, d, d), so all k grams come from one s' (B (x) B) matmul.
+    The working weights w ride on the basis side: ``weighted_outer`` holds the
+    row outer products w_i B_i B_i', shape (n, d, d), and row j of ``sq_rows``
+    is x_j o x_j for block j's covariate row x_j.  So all k grams come from
+    one (k, n) @ (n, d d) product, and no weighted (k, n) copy of X' is formed.
     """
-    n, d, _ = basis_outer.shape
-    return (sq_weights @ basis_outer.reshape(n, d * d)).reshape(-1, d, d)
+    n, d, _ = weighted_outer.shape
+    return (sq_rows @ weighted_outer.reshape(n, d * d)).reshape(-1, d, d)
 
 
 def covariance_factors(precisions: np.ndarray):
@@ -109,19 +120,21 @@ def covariance_factors(precisions: np.ndarray):
 
     With P = L L', returns (L^-1, log|P^-1|).  L^-1 comes from a batched
     forward substitution, row j being (e_j - L[j, :j] L^-1[:j]) / L[j, j],
-    and the log-det from its diagonal 1 / L[j, j].  Raises LinAlgError if a
-    precision is not positive definite, which cannot happen for positive
-    ridge terms.
+    and the log-det from its diagonal 1 / L[j, j].  The substitution runs on
+    a contiguous (d, d, k) copy of L, so each row of L^-1 is one vector
+    operation over the k precisions; L^-1 is returned as a (k, d, d) view.
+    Raises LinAlgError if a precision is not positive definite, which cannot
+    happen for positive ridge terms.
     """
     chol = np.linalg.cholesky(precisions)
-    recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
-    linv = np.zeros_like(chol)
-    for j in range(chol.shape[-1]):
-        linv[:, j, j] = recip[:, j]
+    lower = np.ascontiguousarray(chol.transpose(1, 2, 0))
+    recip = 1.0 / np.diagonal(lower).T  # (d, k)
+    linv = np.zeros_like(lower)
+    for j in range(lower.shape[0]):
+        linv[j, j] = recip[j]
         if j:
-            row = np.einsum("ki,kic->kc", chol[:, j, :j], linv[:, :j, :j])
-            linv[:, j, :j] = -recip[:, j, None] * row
-    return linv, 2.0 * np.sum(np.log(recip), axis=1)
+            linv[j, :j] = -recip[j] * (lower[j, :j, None] * linv[:j, :j]).sum(axis=0)
+    return linv.transpose(2, 0, 1), 2.0 * np.sum(np.log(recip), axis=0)
 
 
 def log_spike_probability(log_bayes_factor, pi0: float) -> np.ndarray:
@@ -194,7 +207,8 @@ class GibbsModel:
     :meth:`build` is the one place that forms them from a :class:`Dataset`.
 
     Besides them, a spike model holds the row outer products B_i B_i' its
-    block grams are formed from, and a plain model (``spike`` False) the
+    block grams are formed from (the quantile spike model also holds the
+    squared covariates X' o X'), and a plain model (``spike`` False) the
     data-only parts of the joint coefficient draw: B B' and
     sqrt(prior_scale) [B, E].
 
@@ -210,9 +224,10 @@ class GibbsModel:
       shift s ((n,) or 0.0) with y - s ~ N(Z coef, diag(1/w)) given the
       latents;
     * ``block_system(state, first, last)``: for blocks first..last, their
-      grams G_j, their weighted covariate rows w * x_j (k, n), and the shift
-      s of the working residual ((n,) or 0.0), so that
-      b_j = B'(w * x_j * (resid - s)) + G_j alpha_j;
+      grams G_j, the working weights w ((n,), or 1.0 for the Gaussian model,
+      whose 1/sigma_sq the noise scale carries; not the (k, n) rows
+      w * x_j), and the shift s of the working residual ((n,) or 0.0), so that
+      b_j = B'(x_j * w * (resid - s)) + G_j alpha_j;
     * ``sweep(state, rng)``: one sweep in the likelihood's fixed order;
     * ``draw_noise_from_prior(state, rng)``: the likelihood's scale, then its
       latents, from their prior; the first draws of the forward prior draw.
@@ -285,14 +300,26 @@ def initial_state(model: GibbsModel):
 # ---------------------------------------------------------------------------
 # residual cache
 
-def _spline_predictor(model: GibbsModel, alpha: np.ndarray) -> np.ndarray:
-    """sum_j Z_j alpha_j = B alpha_0 + rowsum(X * (B A_1:')), without the block tensor."""
-    return model.basis @ alpha[0] + np.einsum("jn,jn->n", model.xt, alpha[1:] @ model.basis.T)
+def _spline_predictor(model: GibbsModel, alpha: np.ndarray, included=None) -> np.ndarray:
+    """sum_j Z_j alpha_j = B alpha_0 + rowsum(X * (B A_1:')), without the block tensor.
+
+    With (p,) flags ``included`` of which some are unset, only alpha_0 and
+    the flagged blocks are summed; the others must be exact zeros.
+    """
+    xt, blocks = model.xt, alpha[1:]
+    if included is not None and not included.all():
+        xt, blocks = xt[included], blocks[included]
+    return model.basis @ alpha[0] + np.einsum("jn,jn->n", xt, blocks @ model.basis.T)
 
 
 def full_residual(state, model: GibbsModel) -> np.ndarray:
-    """y - E beta - sum_j Z_j alpha_j, computed from scratch."""
-    return model.y - _spline_predictor(model, state.alpha) - model.e @ state.beta
+    """y - E beta - sum_j Z_j alpha_j, computed from scratch from alpha_0 and the included blocks.
+
+    A spike state at the sparse optimum includes a few of the p blocks, so
+    this reads their rows only; a state that includes every block (a plain
+    fit) takes the one dense product.
+    """
+    return model.y - _spline_predictor(model, state.alpha, state.inclusion) - model.e @ state.beta
 
 
 def refresh_residual(state, model: GibbsModel) -> None:
@@ -315,17 +342,20 @@ def _block_factors(grams: np.ndarray, slab: np.ndarray):
 def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHandle) -> None:
     """Sequential mixture draws for blocks first..last; maintains the residual cache.
 
-    Block j's slab is N(P_j^-1 b_j, noise_scale * P_j^-1), P_j = G_j + I/g_j.
-    The stage works on the residual minus the likelihood's shift and adds
-    the shift back at the end.  A currently included block always changes
-    the residual, so it is drawn on its own.  A run of excluded blocks is
-    scanned at once: one matmul forms all their right-hand sides, and the
+    Block j's slab is N(P_j^-1 b_j, noise_scale * P_j^-1), P_j = G_j + I/g_j,
+    with b_j = B'(x_j o w o r) + G_j alpha_j for the working weights w and the
+    working residual r.  The stage works on r, the residual minus the
+    likelihood's shift, and adds the shift back at the end.  A currently
+    included block always changes the residual, so it is drawn on its own,
+    and only it needs the offset G_j alpha_j.  A run of excluded blocks
+    (alpha_j = 0, so b_j = B'(x_j o w o r)) is scanned at once: one matmul of
+    their X' rows against B o (w r) forms all their right-hand sides, and the
     first block that leaves the spike is drawn before the scan resumes after
     it; a run that stays at the spike changes nothing.
     """
     k, d = last - first + 1, model.d
     noise = rng.gen.standard_normal((k, d + 2))
-    grams, wxt, shift = model.block_system(state, first, last)
+    grams, w, shift = model.block_system(state, first, last)
     slab = state.slab[first - 1 : last]
     scale = state.noise_scale
     linv, logdet = _block_factors(grams, slab)
@@ -333,9 +363,8 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     thresholds = spike_thresholds(logdet, slab, d, energy, scale, state.pi0)
     alpha = state.alpha[first : last + 1]
     inclusion = state.inclusion[first - 1 : last]
-    const = (grams @ alpha[:, :, None])[:, :, 0]
     shifts = math.sqrt(scale) * noise[:, :d]
-    basis, basis_t, xt = model.basis, model.basis.T, model.xt[first - 1 : last]
+    basis, xt = model.basis, model.xt[first - 1 : last]
     # First included position at or after each position (k if none).
     next_included = np.minimum.accumulate(np.where(inclusion, np.arange(k), k)[::-1])[::-1].tolist()
     resid = state.resid - shift
@@ -343,12 +372,12 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     i = 0
     while i < k:
         if next_included[i] == i:
-            half = linv[i] @ (basis_t @ (wxt[i] * resid) + const[i])
+            half = linv[i] @ ((xt[i] * (w * resid)) @ basis + grams[i] @ alpha[i])
             to_spike = half @ half < thresholds[i]
             new = np.zeros(d) if to_spike else linv[i].T @ (half + shifts[i])
         else:
             stop = min(next_included[i], i + RUN_CHUNK)
-            rhs = wxt[i:stop] @ (basis * resid[:, None]) + const[i:stop]
+            rhs = xt[i:stop] @ (basis * (w * resid)[:, None])
             halves = (linv[i:stop] @ rhs[:, :, None])[:, :, 0]
             stays = np.einsum("kd,kd->k", halves, halves) < thresholds[i:stop]
             hit = int(np.argmin(stays))
@@ -375,8 +404,8 @@ def alpha_block_moments(state, model: GibbsModel, j: int):
     the returned factor.
     """
     _check_block(model, j)
-    grams, wxt, shift = model.block_system(state, j, j)
-    rhs = model.basis.T @ (wxt[0] * (state.resid - shift)) + grams[0] @ state.alpha[j]
+    grams, w, shift = model.block_system(state, j, j)
+    rhs = (model.xt[j - 1] * (w * (state.resid - shift))) @ model.basis + grams[0] @ state.alpha[j]
     linv = _block_factors(grams, state.slab[j - 1 : j])[0][0]
     return linv.T @ (linv @ rhs), linv.T @ linv
 

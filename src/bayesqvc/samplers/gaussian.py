@@ -5,10 +5,11 @@ working weights 1/sigma_sq, no kappa1 * u offset and no exponential
 latents, and a slab covariance scaled by sigma_sq.  What that changes in the
 sweep lives here; everything else is in :mod:`.engine`:
 
-* the block grams Z_j'Z_j are unweighted and computed once at build, and
-  the working response of block j is r_j (1/sigma_sq cancels in the slab
-  mean); the slab's quadratic form and draw are scaled by sigma_sq through
-  the state's noise scale;
+* the block grams Z_j'Z_j are unweighted and computed once at build, from
+  a local X' o X', and the block stage's weights are 1.0: the working
+  response of block j is r_j (1/sigma_sq cancels in the slab mean); the
+  slab's quadratic form and draw are scaled by sigma_sq through the state's
+  noise scale;
 * the sigma_sq update.
 
 The spike-and-slab variant (bvcss) draws the blocks one at a time, then
@@ -61,8 +62,8 @@ class GaussianModel(GibbsModel):
         return np.full(self.n, 1.0 / state.sigma_sq), 0.0
 
     def block_system(self, state: GaussianSamplerState, first: int, last: int):
-        """Unweighted grams from build and no shift; b_j = Z_j' r_j."""
-        return self.block_grams[first - 1 : last], self.xt[first - 1 : last], 0.0
+        """Unweighted grams from build, weights 1.0 and no shift; b_j = Z_j' r_j."""
+        return self.block_grams[first - 1 : last], 1.0, 0.0
 
     def sweep(self, state: GaussianSamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)

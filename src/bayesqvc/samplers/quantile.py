@@ -6,8 +6,11 @@ and working response r - kappa1 u.  What that changes in the sweep lives
 here; everything else is in :mod:`.engine`:
 
 * the working weights and the shift kappa1 u (``working_likelihood``),
-  which change every sweep, so the block grams are recomputed every sweep
-  and the block stage runs on the working residual r - kappa1 u;
+  which change every sweep, so the block stage runs on the working residual
+  r - kappa1 u and its grams are recomputed every sweep.  The weights go on
+  the basis side: the spike model keeps the squared covariates X' o X'
+  from build, and each sweep's grams are one product of them with the rows
+  w_i vec(B_i B_i'), so no weighted (p, n) copy of X' is formed;
 * the latent-u update;
 * the theta update.
 
@@ -25,7 +28,7 @@ coefficients, theta, eta_sq, g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +60,8 @@ RESIDUAL_FLOOR = 1e-10
 @dataclass
 class QuantileModel(GibbsModel):
     consts: AldConstants = None
+    # Spike models only: (p, n) squared covariates X' o X', the data side of the grams.
+    xt_sq: np.ndarray = field(repr=False, default=None)
 
     state_class = SamplerState
     scalar_names = ("theta", "eta_sq", "pi0")
@@ -71,11 +76,15 @@ class QuantileModel(GibbsModel):
         return state.theta / (c.kappa2_sq * state.u_tilde), c.kappa1 * state.u_tilde
 
     def block_system(self, state: SamplerState, first: int, last: int):
-        """Grams weighted by w, recomputed every call, and the working-residual shift kappa1 u."""
-        xt = self.xt[first - 1 : last]
+        """Grams weighted by w, recomputed every call, the weights w and the shift kappa1 u.
+
+        w scales the n rows B_i B_i', so the grams are one product with the
+        squared covariate rows held since build.
+        """
         w, shift = self.working_likelihood(state)
-        wxt = xt * w
-        return weighted_block_grams(self.basis_outer, wxt * xt), wxt, shift
+        grams = weighted_block_grams(w[:, None, None] * self.basis_outer,
+                                     self.xt_sq[first - 1 : last])
+        return grams, w, shift
 
     def sweep(self, state: SamplerState, rng: RngHandle) -> None:
         gibbs_sweep(state, self, rng)
@@ -94,7 +103,10 @@ def build_quantile_model(
     spike: bool = True,
 ) -> QuantileModel:
     basis = expand_design(dataset, spline_config)
-    return QuantileModel.build(dataset, basis, prior, spike, consts=ald_constants(tau))
+    model = QuantileModel.build(dataset, basis, prior, spike, consts=ald_constants(tau))
+    if spike:
+        model.xt_sq = model.xt * model.xt
+    return model
 
 
 def update_latent_u(state: SamplerState, model: QuantileModel, rng: RngHandle) -> np.ndarray:

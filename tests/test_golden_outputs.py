@@ -22,7 +22,7 @@ TIMING_FIELDS = ("wallclock_seconds", "output_seconds", "workers_used")
 
 GOLDEN = {
     "bqrvcss":
-        "a93d2feae6cfec1fb5e89c19bf8df4af9b7c8bfdfdf1e862a7f3e32a41f3c597",
+        "460f35cfe00212891434cbb757f8a80d48c12c3bce0bab9351a5dc78c747dba8",
     "bvc":
         "799ddf2a197ddeb28fa1ae6f387c6adb1d761b3a47ed044135acf8ebb7a20850",
 }

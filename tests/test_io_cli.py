@@ -248,6 +248,33 @@ def test_load_samples_rejects_an_unknown_format(tmp_path):
                               "format 'bayesqvc-samples-v3'")
 
 
+@pytest.mark.parametrize("damage", ["truncated", "alpha0-shape", "inclusion-shape"])
+def test_cli_diagnose_names_the_array_of_a_short_or_corrupt_samples_file(tmp_path, capsys,
+                                                                         damage):
+    samples, config = fit_for_samples("spike")
+    save_samples(tmp_path, samples, config)
+    index = json.loads((tmp_path / "samples.json").read_text())
+    bin_path = tmp_path / "samples.bin"
+    size = bin_path.stat().st_size
+    if damage == "truncated":  # cuts into the last array, chain 1's theta draws
+        bin_path.write_bytes(bin_path.read_bytes()[:-100])
+        meta = index["chains"][1]["arrays"]["scalar:theta"]
+        where = "chain 1 array 'scalar:theta'"
+        problem = f"bytes {meta['offset']} to {size} lie outside the {size - 100}-byte file"
+    else:
+        name = damage.split("-")[0]
+        meta = index["chains"][0]["arrays"][name]
+        meta["shape"][1] += 8 if name == "inclusion" else 1  # one more packed byte per draw
+        (tmp_path / "samples.json").write_text(json.dumps(index))
+        where = f"chain 0 array {name!r}"
+        dtype = "|u1" if name == "inclusion" else "<f8"
+        problem = (f"{meta['nbytes']} bytes do not hold a {dtype} array of shape "
+                   f"{tuple(meta['shape'])}")
+    assert run_cli("diagnose", "--fit", tmp_path) == 1
+    assert f"{bin_path} {where}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "psrf.json").exists()
+
+
 def test_spike_fit_diagnose_and_evaluate_build_no_dense_alpha(sim_dir, tmp_path, monkeypatch):
     """The dense accessor stays unused on the whole path of a spike fit."""
     from bayesqvc.samplers.state import ChainSamples
@@ -713,8 +740,12 @@ def test_cli_fit_rejects_malformed_prior_flag(sim_dir, tmp_path, capsys, item, m
      (["--prior", "b=inf"], "prior hyperparameter b must be positive and finite, got inf"),
      (["--method", "bvc", "--tau", "nan"], "tau must lie in (0, 1), got nan"),
      (["--prior", "prior_scale=1e-320"], "prior hyperparameter prior_scale must have a finite "
-                                         "reciprocal, got 1e-320")],
-    ids=["a-nan", "prior_scale-inf", "b-inf", "bvc-tau-nan", "prior_scale-1e-320"],
+                                         "reciprocal, got 1e-320"),
+     # A chain that would store no draw.
+     (["--iterations", "10", "--burn-in", "5", "--thin", "10"],
+      "got iterations=10, burn_in=5, thin=10")],
+    ids=["a-nan", "prior_scale-inf", "b-inf", "bvc-tau-nan", "prior_scale-1e-320",
+         "no-stored-draw"],
 )
 def test_cli_fit_rejects_non_finite_numbers_before_the_fit(sim_dir, tmp_path, capsys, flags,
                                                            message):
@@ -798,12 +829,15 @@ def test_replicate_study_rejects_unknown_keys(tmp_path, capsys, entry, key, valu
      ({"spline": {"degree": -1}}, "study spline: degree must be non-negative"),
      ({"mcmc": {"iterations": 40, "burn_in": 50}}, "study mcmc: iterations must exceed burn_in"),
      ({"mcmc": {"iterations": 40, "burn_in": 10, "thin": 0}},
-      "study mcmc: thin must be at least 1")],
+      "study mcmc: thin must be at least 1"),
+     ({"mcmc": {"iterations": 40, "burn_in": 10, "thin": 31}},
+      "study mcmc: iterations - burn_in must be at least thin, so that a chain stores a draw; "
+      "got iterations=40, burn_in=10, thin=31")],
     ids=["missing-replicates", "zero-replicates", "no-methods", "no-scenarios", "misspelt-key",
          "scenario-not-object", "mcmc-not-object", "spline-not-object", "priors-not-object",
          "method-not-string", "scenarios-differ-in-n", "scenarios-differ-in-mixture",
          "repeated-method", "heteroscedastic-p1", "scenario-n-zero", "spline-degree-negative",
-         "mcmc-burn_in-past-iterations", "mcmc-thin-zero"],
+         "mcmc-burn_in-past-iterations", "mcmc-thin-zero", "mcmc-no-stored-draw"],
 )
 def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
     study = {"scenarios": [{"n": 40, "p": 3}], "methods": ["bvc"], "replicates": 1,

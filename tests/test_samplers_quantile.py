@@ -2,10 +2,13 @@
 quadrature oracles; the heavier moment/joint suites live in the acceptance
 module.  The alpha_0 and beta conditionals and ``draw_response``, which the
 engine forms from either likelihood's working Gaussian, are checked for the
-Gaussian likelihood too."""
+Gaussian likelihood too.  The sparse residual refresh is checked against the
+dense blocks, and the memory of one wide-shape block stage against a (p, n)
+array."""
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from bayesqvc.samplers.quantile import (
     update_g,
     update_latent_u,
 )
+from bayesqvc.simulate import ScenarioSpec, simulate_dataset
 
 from oracles import (
     assert_moments,
@@ -175,6 +179,9 @@ def test_alpha_block_moments_dense_oracle():
         mu_oracle = sigma_oracle @ (zj.T @ w @ r)
         np.testing.assert_allclose(sigma, sigma_oracle, atol=1e-12)
         np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+        # the gram folded from X' o X' and w vec(B_i B_i') is the dense Z_j' diag(w) Z_j
+        gram = model.block_system(state, j, j)[0][0]
+        np.testing.assert_allclose(gram, zj.T @ w @ zj, rtol=1e-12, atol=0.0)
 
 
 def test_point_mass_update_leaves_other_blocks(tiny_model):
@@ -446,6 +453,44 @@ def test_run_chain_p_zero_recovers_constant_intercept():
     hi = np.percentile(curves, 97.5, axis=0)
     assert np.max(np.abs(med - 3.0)) < 0.5
     assert np.mean((lo <= 3.0) & (3.0 <= hi)) > 0.8
+
+
+@pytest.mark.parametrize("spike", [True, False])
+def test_full_residual_matches_dense_blocks(spike):
+    """A spike state with mixed inclusion sums alpha_0 and its included rows; a plain
+    state includes every block."""
+    rng = np.random.default_rng(9)
+    n, p = 12, 6
+    ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, p)), v=rng.random(n),
+                 e=rng.normal(size=(n, 2)))
+    model = build_quantile_model(ds, SplineConfig(2, 1), PriorConfig(), tau=0.3, spike=spike)
+    state = draw_state_from_prior(model, RngHandle(5, 0))
+    assert 0 < state.inclusion.sum() < p if spike else state.inclusion.all()
+    predictor = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
+    np.testing.assert_allclose(full_residual(state, model),
+                               model.y - model.e @ state.beta - predictor, rtol=0, atol=1e-12)
+
+
+def test_block_stage_and_residual_refresh_form_no_p_by_n_temporary():
+    """At n=200, p=2000 a (p, n) float array is 3.2 MB.  One residual refresh of a
+    sparse state stays below a tenth of that, and one spike block stage below it."""
+    dataset, _, _ = simulate_dataset(ScenarioSpec(n=200, p=2000, seed=1))
+    model = build_quantile_model(dataset, SplineConfig(2, 2), PriorConfig(), tau=0.5)
+    state, rng = initial_state(model), RngHandle(1, 0)
+    state.alpha[1:11] = 0.1 * rng.gen.normal(size=(10, model.d))  # the sparse optimum's ~10 blocks
+    state.inclusion[:10] = True
+    state.u_tilde = rng.gen.exponential(size=model.n)
+    refresh_residual(state, model)
+    p_by_n = model.p * model.n * 8
+    tracemalloc.start()
+    refresh_residual(state, model)
+    refresh_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.reset_peak()
+    update_alpha_blocks(state, model, rng)
+    stage_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert refresh_peak < p_by_n / 10
+    assert stage_peak < p_by_n
 
 
 def test_sweep_keeps_residual_cache_fresh(tiny_model):
