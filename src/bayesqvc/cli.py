@@ -67,7 +67,7 @@ def cmd_simulate(args) -> int:
     dataset, _, support = simulate_dataset(spec)
     out = _out_dir(args)
     write_dataset_csv(out / "dataset.csv", dataset)
-    write_truth(out / "truth.json", spec, support)
+    write_truth(out / "truth.json", spec, support, dataset.checksum())
     dump_json(out / "scenario.json", asdict(spec))
     print(f"wrote {out / 'dataset.csv'} ({dataset.n} rows, p={dataset.p})")
     return 0
@@ -124,6 +124,7 @@ def fit_and_summarize(dataset, config: RunConfig, out: Path, write_samples: bool
         "p": dataset.p,
         "q": dataset.q,
         "d": config.spline_config().basis_count,
+        "data_checksum": dataset.checksum(),
         "chains": [c.stream_id for c in samples.chains],
         "stored_draws": sum(c.stored for c in samples.chains),
         "wallclock_seconds": wallclock,
@@ -161,14 +162,16 @@ def evaluate_fit(fit_dir: Path, truth_path: Path) -> dict:
     """Score the ``curves.csv`` and ``fit_summary.json`` of a fit directory against a truth file.
 
     The truth must be of the scenario the fit was run on: ValueError names
-    the first of n, p and (for a quantile method) tau that differs.
+    the first of n, p and (for a quantile method) tau that differs, or both
+    files if each holds a data checksum and they differ.  Files written
+    before the checksum was recorded get the n, p and tau check alone.
     """
     bands = read_curves_csv(fit_dir / "curves.csv")
     summary = load_json(fit_dir / "fit_summary.json")
     if len(bands.median) != summary["p"] + 1:
         raise ValueError(f"{fit_dir / 'curves.csv'} holds {len(bands.median)} curves, but the "
                          f"fit has p = {summary['p']}, so it needs {summary['p'] + 1}")
-    spec, support = load_truth(truth_path)
+    spec, support, truth_checksum = load_truth(truth_path)
     fitted = {"n": summary["n"], "p": summary["p"]}
     if method_spec(summary["method"]).needs_tau:
         fitted["tau"] = summary["config"]["tau"]
@@ -177,6 +180,11 @@ def evaluate_fit(fit_dir: Path, truth_path: Path) -> dict:
             raise ValueError(f"{truth_path} is the truth of a scenario with {key} = "
                              f"{getattr(spec, key)!r}, but the fit in {fit_dir} has "
                              f"{key} = {value!r}")
+    fit_checksum = summary.get("data_checksum")
+    if truth_checksum and fit_checksum and truth_checksum != fit_checksum:
+        raise ValueError(f"{truth_path} is the truth of data with checksum {truth_checksum}, but "
+                         f"{fit_dir / 'fit_summary.json'} was fitted to data with checksum "
+                         f"{fit_checksum}")
     return evaluate_curves(bands, summary, spec, support)
 
 
@@ -289,7 +297,7 @@ def run_replicate(study: StudyConfig, scenario: ScenarioSpec, method: str, rep: 
     dataset, _, support = simulate_dataset(spec)
     rep_dir.mkdir(parents=True, exist_ok=True)
     summary, bands = fit_and_summarize(dataset, config, rep_dir, write_samples=study.save_samples)
-    write_truth(rep_dir / "truth.json", spec, support)
+    write_truth(rep_dir / "truth.json", spec, support, summary["data_checksum"])
     result = evaluate_curves(bands, summary, spec, support)
     result["wallclock_seconds"] = summary["wallclock_seconds"]
     dump_json(rep_dir / "metrics.json", result)

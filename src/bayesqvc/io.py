@@ -289,14 +289,16 @@ def read_dataset_csv(path) -> Dataset:
 # ---------------------------------------------------------------------------
 # truth / scenario JSON
 
-def write_truth(path, spec: ScenarioSpec, support) -> None:
-    dump_json(path, {"scenario": asdict(spec), "support": sorted(support)})
+def write_truth(path, spec: ScenarioSpec, support, data_checksum: str) -> None:
+    dump_json(path, {"scenario": asdict(spec), "support": sorted(support),
+                     "data_checksum": data_checksum})
 
 
 def load_truth(path):
+    """The scenario, the true support and the data checksum (None in older files) of a truth file."""
     payload = load_json(path)
     spec = ScenarioSpec(**known_keys(ScenarioSpec, payload["scenario"], "scenario"))
-    return spec, set(payload["support"])
+    return spec, set(payload["support"]), payload.get("data_checksum")
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,10 @@ sweep lives here; everything else is in :mod:`.engine`:
 
 The spike-and-slab variant (bvcss) draws the blocks one at a time, then
 alpha_0 and beta; the plain variant (bvc) draws all coefficients at once
-(``update_coefficients``).  Sweep order, spike: alpha blocks 1..p, alpha_0,
-beta, sigma_sq, lambda_sq, zeta_sq, pi0.  Plain: all coefficients,
-sigma_sq, lambda_sq, zeta_sq.
+(``update_coefficients``).  Sweep order, spike: residual refresh, alpha
+blocks 1..p, alpha_0, beta, sigma_sq, lambda_sq, zeta_sq, pi0.  Plain: all
+coefficients, sigma_sq, lambda_sq, zeta_sq; no residual refresh, since the
+joint draw sets the residual from its solve.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ def update_sigma_sq(state: GaussianSamplerState, model: GaussianModel, rng: RngH
 
 def gibbs_sweep(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> None:
     """One full sweep in the fixed update order."""
-    refresh_residual(state, model)
     if model.spike:
+        refresh_residual(state, model)
         update_alpha_blocks(state, model, rng)
         update_alpha0(state, model, rng)
         update_beta(state, model, rng)

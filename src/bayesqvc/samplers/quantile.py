@@ -20,9 +20,11 @@ from a two-component mixture (point mass at zero vs multivariate normal),
 then alpha_0 and beta.  The plain variant (bqrvc) includes every block and
 draws all coefficients at once (``update_coefficients``).
 
-Sweep order is fixed for reproducibility.  Spike: latent u, alpha blocks
-1..p, alpha_0, beta, theta, eta_sq, g, pi0.  Plain: latent u, all
-coefficients, theta, eta_sq, g.
+Sweep order is fixed for reproducibility.  Spike: residual refresh, latent
+u, alpha blocks 1..p, alpha_0, beta, theta, eta_sq, g, pi0.  Plain: all
+coefficients, latent u, theta, eta_sq, g.  The plain sweep makes no residual
+refresh: the joint draw does not read the residual and sets it from its
+solve, so the latent-u update after it reads the residual of the current y.
 """
 
 from __future__ import annotations
@@ -139,14 +141,15 @@ def update_theta(state: SamplerState, model: QuantileModel, rng: RngHandle) -> f
 
 def gibbs_sweep(state: SamplerState, model: QuantileModel, rng: RngHandle) -> None:
     """One full sweep in the fixed update order."""
-    refresh_residual(state, model)
-    update_latent_u(state, model, rng)
     if model.spike:
+        refresh_residual(state, model)
+        update_latent_u(state, model, rng)
         update_alpha_blocks(state, model, rng)
         update_alpha0(state, model, rng)
         update_beta(state, model, rng)
     else:
         update_coefficients(state, model, rng)
+        update_latent_u(state, model, rng)
     update_theta(state, model, rng)
     update_eta_sq(state, model, rng)
     update_g(state, model, rng)

@@ -596,6 +596,26 @@ def test_cli_evaluate_rejects_truth_of_another_scenario(sim_dir, fit_dir, tmp_pa
     assert not out.exists()
 
 
+def test_cli_evaluate_rejects_truth_of_other_data_by_checksum(sim_dir, fit_dir, tmp_path,
+                                                              capsys):
+    """Same n, p and tau, other data: the truth of the fit's command plus --hard-intercept."""
+    other = tmp_path / "hard"
+    assert run_cli("simulate", "--n", 60, "--p", 6, "--seed", 3, "--tau", 0.5,
+                   "--hard-intercept", "--out", other) == 0
+    truth = json.loads((sim_dir / "truth.json").read_text())
+    fitted = json.loads((fit_dir / "fit_summary.json").read_text())
+    assert truth["data_checksum"] == fitted["data_checksum"]
+    assert run_cli("evaluate", "--fit", fit_dir, "--truth", other / "truth.json") == 1
+    err = capsys.readouterr().err
+    assert str(other / "truth.json") in err and str(fit_dir / "fit_summary.json") in err
+    assert run_cli("evaluate", "--fit", fit_dir, "--truth", sim_dir / "truth.json") == 0
+    # A truth file from before the checksum was recorded gets the n, p and tau check alone.
+    del truth["data_checksum"]
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(truth))
+    assert run_cli("evaluate", "--fit", fit_dir, "--truth", legacy) == 0
+
+
 def test_cli_evaluate_missing_truth(fit_dir, tmp_path, capsys):
     code = run_cli("evaluate", "--fit", fit_dir, "--truth", tmp_path / "none.json")
     assert code == 1

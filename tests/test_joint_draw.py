@@ -3,6 +3,11 @@
 The draw is an affine map of its one standard-normal array: fed zero noise
 it returns the conditional mean, and fed each unit vector e_k it returns the
 mean plus column k of a factor A with A A' the conditional covariance.
+
+The draw sets the residual from its solve, s + (delta + v) / sqrt(w), not
+from the new coefficients.  Two tests hold that identity to the dense
+residual: under working weights spread over eight decades, and at the end
+of long plain chains, which never refresh the residual from scratch.
 """
 
 import copy
@@ -13,7 +18,12 @@ import pytest
 
 from bayesqvc import Dataset, GaussianPriorConfig, PriorConfig, RngHandle, SplineConfig
 from bayesqvc.samplers import gaussian, quantile
-from bayesqvc.samplers.engine import draw_state_from_prior, full_residual, update_coefficients
+from bayesqvc.samplers.engine import (
+    draw_state_from_prior,
+    full_residual,
+    initial_state,
+    update_coefficients,
+)
 
 from oracles import dense_coefficient_posterior, quantile_block_fixture
 
@@ -80,3 +90,33 @@ def test_joint_draw_matches_dense_posterior(likelihood, p, q):
         factor[:, k] = _draw(state, model, noise) - draw
     scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
     np.testing.assert_allclose(factor @ factor.T / scale, cov / scale, rtol=1e-10, atol=1e-10)
+
+
+# Largest gap between the residual of the solve and the dense one, relative to max|y|.
+RESIDUAL_RTOL = 1e-9
+
+
+def _residual_gap(state, model) -> float:
+    return np.abs(state.resid - full_residual(state, model)).max() / np.abs(model.y).max()
+
+
+@pytest.mark.parametrize("theta", [1e-3, 1.0, 1e3])
+def test_residual_of_the_solve_under_widely_spread_weights(theta):
+    """u log-spaced over 1e-4..1e4 spreads w = theta / (kappa2^2 u) over eight decades."""
+    model = _model("quantile", 4, 2)
+    state = draw_state_from_prior(model, RngHandle(5, 6))
+    state.u_tilde = np.logspace(-4.0, 4.0, model.n)
+    state.theta = theta
+    for seed in range(5):
+        update_coefficients(state, model, RngHandle(seed, 7))
+        assert _residual_gap(state, model) <= RESIDUAL_RTOL
+
+
+@pytest.mark.parametrize("likelihood", ["quantile", "gaussian"])
+def test_plain_chain_residual_does_not_drift(likelihood):
+    """2000 plain sweeps set the residual from the solve only, and it stays the dense one."""
+    model = _model(likelihood, 3, 1)
+    state, rng = initial_state(model), RngHandle(9, 0)
+    for _ in range(2000):
+        model.sweep(state, rng)
+    assert _residual_gap(state, model) <= RESIDUAL_RTOL

@@ -7,8 +7,9 @@ some other way is not timed.  This wraps the same names with counters, runs
 two sweeps of each method and checks the counts.  A plain sweep draws all
 coefficients at once, so it calls neither the block, alpha_0, beta and pi0
 stages nor the block grams; the benchmark's per-sweep division, which counts
-sweeps by block-stage calls, sees no plain sweep.  It reads ``bench/`` and
-changes nothing there.
+sweeps by block-stage calls, sees no plain sweep.  Nor does a plain sweep
+call ``refresh_residual``: the joint draw comes first and sets the residual
+from its own solve.  It reads ``bench/`` and changes nothing there.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from test_bench_names import _load
 
 SWEEPS = 2
 SPIKE_ONLY = {"update_alpha_blocks", "update_alpha0", "update_beta", "update_pi0",
-              "weighted_block_grams"}
+              "weighted_block_grams", "refresh_residual"}
 
 
 def _model(method: str):
