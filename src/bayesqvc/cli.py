@@ -192,9 +192,8 @@ def evaluate_curves(bands, summary: dict, spec: ScenarioSpec, support) -> dict:
     """Metrics of one fit's curve bands and selection against the scenario it was fitted to."""
     grid, med, low, upp = bands
     truth = TrueCurves(hard_intercept=spec.hard_intercept).table(len(med), grid)
-    # Row by row, the arithmetic of metrics.imse and metrics.coverage on one curve.
-    per_curve = np.mean((med - truth) ** 2, axis=1).tolist()
-    covered = np.mean((low <= truth) & (truth <= upp), axis=1)
+    per_curve = metrics.imse(med, truth).tolist()
+    covered = metrics.coverage(low, upp, truth)
     cov = {str(j): float(covered[j]) for j in range(min(4, len(med)))}
     selected = summary["selected"]
     return {

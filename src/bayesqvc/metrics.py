@@ -16,13 +16,21 @@ def classify_fit(selected, truth) -> str:
     return "O"
 
 
-def imse(est_curve, true_curve) -> float:
-    """Mean squared pointwise error over the evaluation grid."""
+def _per_curve(values):
+    """A float for one curve, else the (...) array of per-curve values."""
+    return float(values) if values.ndim == 0 else values
+
+
+def imse(est_curve, true_curve):
+    """Mean squared pointwise error over the evaluation grid, the last axis.
+
+    A float for one curve; for (..., grid) stacks of curves, one value per curve.
+    """
     est = np.asarray(est_curve, dtype=float)
     tru = np.asarray(true_curve, dtype=float)
     if est.shape != tru.shape:
         raise ValueError("curves must be evaluated on the same grid")
-    return float(np.mean((est - tru) ** 2))
+    return _per_curve(np.mean((est - tru) ** 2, axis=-1))
 
 
 def timse(per_curve_imse) -> float:
@@ -33,26 +41,17 @@ def timse(per_curve_imse) -> float:
     return float(np.sum(values))
 
 
-def coverage(lower, upper, true_curve) -> float:
-    """Fraction of grid points whose band contains the truth."""
+def coverage(lower, upper, true_curve):
+    """Fraction of grid points, the last axis, whose band contains the truth.
+
+    A float for one curve; for (..., grid) stacks of curves, one value per curve.
+    """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     tru = np.asarray(true_curve, dtype=float)
     if not lower.shape == upper.shape == tru.shape:
         raise ValueError("bands and truth must share the grid")
-    return float(np.mean((lower <= tru) & (tru <= upper)))
-
-
-def pmse(y, yhat) -> float:
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
-    return float(np.mean((y - yhat) ** 2))
-
-
-def pmad(y, yhat) -> float:
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
-    return float(np.mean(np.abs(y - yhat)))
+    return _per_curve(np.mean((lower <= tru) & (tru <= upper), axis=-1))
 
 
 def mean_sd_cell(values, digits: int = 2) -> str:

@@ -127,15 +127,3 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
     draws = np.where(take_root, x, mu * big)
     return float(draws) if out_shape == () and size is None else draws
 
-
-def sample_mvn(rng: RngHandle, mean: np.ndarray, covariance: np.ndarray) -> np.ndarray:
-    """Multivariate normal via Cholesky; raises if the covariance is not SPD."""
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(covariance, dtype=float)
-    if cov.shape != (mean.size, mean.size):
-        raise ValueError("covariance shape does not match mean")
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance matrix is not positive definite") from exc
-    return mean + lower @ rng.gen.standard_normal(mean.size)

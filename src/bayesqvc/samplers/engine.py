@@ -20,9 +20,9 @@ Only the block stage asks for the same Gaussian in block form
 (``block_system``): the block grams and the weights w themselves, not the
 (k, n) weighted rows w o x_j, so that the Gaussian model can reuse the
 unweighted grams it forms at build and the quantile model can put w on the
-basis side of each product.  Each likelihood module keeps its own
-``gibbs_sweep``, which calls the stages in the likelihood's fixed order
-through that module's globals.
+basis side of each product.  Each likelihood's ``sweep`` method calls the
+stages in the likelihood's fixed order through its module's globals, the
+names under which the traced benchmark wraps them.
 
 Spline block j is Z_j = diag(x_j) B, with B the n x d basis and x_j the j-th
 covariate column; the varying intercept alpha_0 is block 0, with x_0 = 1.
@@ -44,11 +44,11 @@ The coefficients are drawn in one of two ways.
 
 * The spike samplers (bqrvcss, bvcss) refresh blocks 1..p one at a time
   with the spike-and-slab block draw, then alpha_0 and beta, each from its
-  conditional.  Each block precision is factored once by Cholesky,
-  P = L L' (Rue 2001), and L^-1 is formed by forward substitution: with
-  half = L^-1 b, the quadratic form b' P^-1 b is |half|^2,
-  log|P^-1| = 2 sum log diag L^-1, and L^-T (half + sqrt(noise_scale) z)
-  is a slab draw.
+  conditional.  Each of these precisions is factored once by Cholesky,
+  P = L L' (Rue 2001), and the draw and the moments read L^-1: with
+  half = L^-1 b, the mean is L^-T half and L^-T (half + z) a draw (z
+  scaled by sqrt(noise_scale) for a slab).  A block's quadratic form
+  b' P^-1 b is |half|^2, and log|P^-1| = 2 sum log diag L^-1.
 * The plain samplers (bqrvc, bvc) include every block, so given the
   likelihood's latents and scales all coefficients are jointly Gaussian.
   :func:`update_coefficients` draws (alpha_0, blocks 1..p, beta) at once
@@ -61,8 +61,8 @@ The coefficients are drawn in one of two ways.
 The functions the tests check against oracles run the sweep's own code:
 :func:`spike_probability` and the block kernel's :func:`spike_thresholds`
 share :func:`slab_log_volume`, :func:`alpha_block_moments` reads the factor
-the block draw uses, and the alpha_0 and beta updates draw from their moment
-functions' ``_fixed_effect``.
+the block draw uses, and the alpha_0 and beta updates draw from the factor
+their moment functions read (``_fixed_effect``).
 
 RNG contract of the block stage: a call that refreshes blocks first..last
 draws, before anything else, one ``standard_normal((k, d + 2))`` array with
@@ -93,7 +93,6 @@ from ..rng import (
     sample_bernoulli,
     sample_gamma,
     sample_inverse_gaussian,
-    sample_mvn,
 )
 from .config import GaussianPriorConfig, McmcOptions, PriorConfig
 from .state import ChainSamples
@@ -235,7 +234,8 @@ class GibbsModel:
       whose 1/sigma_sq the noise scale carries; not the (k, n) rows
       w * x_j), and the shift s of the working residual ((n,) or 0.0), so that
       b_j = B'(x_j * w * (resid - s)) + G_j alpha_j;
-    * ``sweep(state, rng)``: one sweep in the likelihood's fixed order;
+    * ``sweep(state, rng)``: one sweep in the likelihood's fixed order, each
+      stage called through the likelihood module's globals;
     * ``draw_noise_from_prior(state, rng)``: the likelihood's scale, then its
       latents, from their prior; the first draws of the forward prior draw.
 
@@ -441,27 +441,37 @@ def update_alpha_blocks(state, model: GibbsModel, rng: RngHandle) -> None:
 # alpha_0 and beta
 
 def _fixed_effect(state, model: GibbsModel, x, coef):
-    """Mean, covariance (gram + I / prior_scale)^-1 and partial residual of a fixed-effect
-    term x @ coef."""
+    """Factor L^-1, whitened right-hand side L^-1 b and partial residual of a fixed-effect
+    term x @ coef.
+
+    Its conditional precision P = x'Wx + I / prior_scale is factored once,
+    P = L L', and b = x'W(partial - s) for the working weights W and shift s.
+    The conditional is N(L^-T L^-1 b, L^-T L^-1): with half = L^-1 b, its
+    mean is L^-T half and a draw is L^-T (half + z).
+    """
     partial = state.resid + x @ coef
     w, shift = model.working_likelihood(state)
-    gram = (x * w[:, None]).T @ x
-    rhs = x.T @ (w * (partial - shift))
-    cov = np.linalg.inv(gram + np.eye(x.shape[1]) / model.prior.prior_scale)
-    cov = 0.5 * (cov + cov.T)
-    return cov @ rhs, cov, partial
+    precision = (x * w[:, None]).T @ x + np.eye(x.shape[1]) / model.prior.prior_scale
+    linv = np.linalg.inv(np.linalg.cholesky(precision))  # of the triangular factor L
+    return linv, linv @ (x.T @ (w * (partial - shift))), partial
+
+
+def _fixed_effect_moments(state, model: GibbsModel, x, coef):
+    """Mean and covariance of a fixed-effect term's conditional, read off its factor."""
+    linv, half, _ = _fixed_effect(state, model, x, coef)
+    return linv.T @ half, linv.T @ linv
 
 
 def _draw_fixed_effect(state, model: GibbsModel, x, coef, rng: RngHandle):
-    """Draw of a fixed-effect term from its conditional; updates the residual cache."""
-    mu, cov, partial = _fixed_effect(state, model, x, coef)
-    draw = sample_mvn(rng, mu, cov)
+    """Draw of a fixed-effect term from one ``standard_normal`` vector; updates the residual."""
+    linv, half, partial = _fixed_effect(state, model, x, coef)
+    draw = linv.T @ (half + rng.gen.standard_normal(x.shape[1]))
     state.resid = partial - x @ draw
     return draw
 
 
 def alpha0_conditional_moments(state, model: GibbsModel):
-    return _fixed_effect(state, model, model.basis, state.alpha[0])[:2]
+    return _fixed_effect_moments(state, model, model.basis, state.alpha[0])
 
 
 def update_alpha0(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
@@ -472,7 +482,7 @@ def update_alpha0(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
 
 
 def beta_conditional_moments(state, model: GibbsModel):
-    return _fixed_effect(state, model, model.e, state.beta)[:2]
+    return _fixed_effect_moments(state, model, model.e, state.beta)
 
 
 def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:

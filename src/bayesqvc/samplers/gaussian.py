@@ -67,7 +67,19 @@ class GaussianModel(GibbsModel):
         return self.block_grams[first - 1 : last], 1.0, 0.0
 
     def sweep(self, state: GaussianSamplerState, rng: RngHandle) -> None:
-        gibbs_sweep(state, self, rng)
+        """One full sweep in the fixed update order of the module docstring."""
+        if self.spike:
+            refresh_residual(state, self)
+            update_alpha_blocks(state, self, rng)
+            update_alpha0(state, self, rng)
+            update_beta(state, self, rng)
+        else:
+            update_coefficients(state, self, rng)
+        update_sigma_sq(state, self, rng)
+        update_lambda_sq(state, self, rng)
+        update_zeta_sq(state, self, rng)
+        if self.spike:
+            update_pi0(state, self, rng)
 
     def draw_noise_from_prior(self, state: GaussianSamplerState, rng: RngHandle) -> None:
         state.sigma_sq = float(sample_inverse_gamma(rng, self.prior.s, self.prior.h))
@@ -100,18 +112,3 @@ def update_sigma_sq(state: GaussianSamplerState, model: GaussianModel, rng: RngH
     state.sigma_sq = float(sample_inverse_gamma(rng, shape, scale))
     return state.sigma_sq
 
-
-def gibbs_sweep(state: GaussianSamplerState, model: GaussianModel, rng: RngHandle) -> None:
-    """One full sweep in the fixed update order."""
-    if model.spike:
-        refresh_residual(state, model)
-        update_alpha_blocks(state, model, rng)
-        update_alpha0(state, model, rng)
-        update_beta(state, model, rng)
-    else:
-        update_coefficients(state, model, rng)
-    update_sigma_sq(state, model, rng)
-    update_lambda_sq(state, model, rng)
-    update_zeta_sq(state, model, rng)
-    if model.spike:
-        update_pi0(state, model, rng)

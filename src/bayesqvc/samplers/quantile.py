@@ -89,7 +89,21 @@ class QuantileModel(GibbsModel):
         return grams, w, shift
 
     def sweep(self, state: SamplerState, rng: RngHandle) -> None:
-        gibbs_sweep(state, self, rng)
+        """One full sweep in the fixed update order of the module docstring."""
+        if self.spike:
+            refresh_residual(state, self)
+            update_latent_u(state, self, rng)
+            update_alpha_blocks(state, self, rng)
+            update_alpha0(state, self, rng)
+            update_beta(state, self, rng)
+        else:
+            update_coefficients(state, self, rng)
+            update_latent_u(state, self, rng)
+        update_theta(state, self, rng)
+        update_eta_sq(state, self, rng)
+        update_g(state, self, rng)
+        if self.spike:
+            update_pi0(state, self, rng)
 
     def draw_noise_from_prior(self, state: SamplerState, rng: RngHandle) -> None:
         """theta, then the latents u_i ~ Exp(theta)."""
@@ -138,20 +152,3 @@ def update_theta(state: SamplerState, model: QuantileModel, rng: RngHandle) -> f
     state.theta = float(sample_gamma(rng, shape, rate))
     return state.theta
 
-
-def gibbs_sweep(state: SamplerState, model: QuantileModel, rng: RngHandle) -> None:
-    """One full sweep in the fixed update order."""
-    if model.spike:
-        refresh_residual(state, model)
-        update_latent_u(state, model, rng)
-        update_alpha_blocks(state, model, rng)
-        update_alpha0(state, model, rng)
-        update_beta(state, model, rng)
-    else:
-        update_coefficients(state, model, rng)
-        update_latent_u(state, model, rng)
-    update_theta(state, model, rng)
-    update_eta_sq(state, model, rng)
-    update_g(state, model, rng)
-    if model.spike:
-        update_pi0(state, model, rng)

@@ -14,7 +14,8 @@ class _ChainState:
     """The quantities every sampler's MCMC iteration carries.
 
     ``resid`` caches the full residual y - E beta - sum_j Z_j alpha_j; it is
-    derived state, refreshed from scratch at the top of every sweep.
+    derived state.  A spike sweep refreshes it from scratch at its start; a
+    plain sweep sets it from the solve of its joint coefficient draw.
     """
 
     alpha: np.ndarray        # (p+1, d) spline coefficient blocks

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bayesqvc.metrics import classify_fit, coverage, imse, mean_sd_cell, pmad, pmse, timse
+from bayesqvc.metrics import classify_fit, coverage, imse, mean_sd_cell, timse
 
 
 def test_classify_fit_rule():
@@ -55,6 +55,25 @@ def test_coverage_counting():
     assert coverage(lower, truth + 1, truth) == pytest.approx(0.5)
 
 
+def test_stacked_curves_score_one_value_each():
+    """A (curves, grid) stack scores each row, bit for bit as that row alone; one curve is a float."""
+    rng = np.random.default_rng(6)
+    truth = rng.normal(size=(3, 40))
+    est = truth + rng.normal(scale=0.2, size=truth.shape)
+    lower, upper = est - 0.2, est + 0.2
+    per_curve = imse(est, truth)
+    covered = coverage(lower, upper, truth)
+    assert per_curve.shape == covered.shape == (3,)
+    assert per_curve.tolist() == [imse(est[j], truth[j]) for j in range(3)]
+    assert covered.tolist() == [coverage(lower[j], upper[j], truth[j]) for j in range(3)]
+    assert type(imse(est[0], truth[0])) is float
+    assert type(coverage(lower[0], upper[0], truth[0])) is float
+    with pytest.raises(ValueError):
+        imse(est, truth[:2])
+    with pytest.raises(ValueError):
+        coverage(lower, upper, truth[:, :3])
+
+
 @given(st.floats(-5, 5), st.floats(0.1, 3))
 def test_coverage_affine_invariance(shift, scale):
     rng = np.random.default_rng(4)
@@ -65,18 +84,6 @@ def test_coverage_affine_invariance(shift, scale):
         scale * lower + shift, scale * upper + shift, scale * truth + shift
     )
     assert base == transformed
-
-
-def test_pmse_pmad():
-    y = np.array([0.0, 0.0])
-    yhat = np.array([1.0, -1.0])
-    assert pmse(y, y) == 0.0 and pmad(y, y) == 0.0
-    assert pmse(y, yhat) == pytest.approx(1.0)
-    assert pmad(y, yhat) == pytest.approx(1.0)
-    rng = np.random.default_rng(1)
-    a, b = rng.normal(size=20), rng.normal(size=20)
-    assert pmse(a, b) == pytest.approx(np.mean((a - b) ** 2))
-    assert pmad(a, b) == pytest.approx(np.mean(np.abs(a - b)))
 
 
 def test_mean_sd_cell_format():

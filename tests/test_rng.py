@@ -12,7 +12,6 @@ from bayesqvc.rng import (
     sample_gamma,
     sample_inverse_gamma,
     sample_inverse_gaussian,
-    sample_mvn,
 )
 
 from oracles import assert_moments
@@ -103,35 +102,6 @@ def test_bernoulli_and_exponential():
     assert np.all(sample_bernoulli(rng, 1.0, size=1000) == 1)
     assert_moments(sample_bernoulli(rng, 0.25, size=1_000_000), mean=0.25, nse=3.0)
     assert_moments(sample_exponential(rng, 2.0, size=1_000_000), mean=0.5, nse=3.0)
-
-
-def test_mvn_moments_and_degenerate_covariance():
-    rng = RngHandle(15, 0)
-    mean = np.array([1.0, -2.0])
-    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    draws = np.array([sample_mvn(rng, mean, cov) for _ in range(100_000)])
-    emp_corr = np.corrcoef(draws.T)[0, 1]
-    assert abs(emp_corr - 0.5) < 3.0 * 1.0 / np.sqrt(draws.shape[0])
-    assert np.allclose(draws.mean(axis=0), mean, atol=0.02)
-    near_zero = np.array([sample_mvn(rng, mean, 1e-16 * np.eye(2)) for _ in range(100)])
-    assert np.max(np.abs(near_zero - mean)) < 1e-7
-
-
-def test_mvn_marginals_normal_moments():
-    rng = RngHandle(16, 0)
-    draws = np.array([sample_mvn(rng, np.zeros(2), np.eye(2)) for _ in range(50_000)])
-    flat = draws.ravel()
-    skew = np.mean(flat**3)
-    kurt = np.mean(flat**4)
-    assert abs(skew) < 0.05
-    assert abs(kurt - 3.0) < 0.1
-
-
-def test_mvn_rejects_non_spd():
-    rng = RngHandle(17, 0)
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(ValueError, match="positive definite"):
-        sample_mvn(rng, np.zeros(2), bad)
 
 
 def test_parameter_validation():

@@ -22,7 +22,6 @@ from bayesqvc.samplers.engine import (
 from bayesqvc.samplers.engine import shrinkage_conditional_params as lambda_sq_conditional_params
 from bayesqvc.samplers.gaussian import (
     build_gaussian_model,
-    gibbs_sweep,
     sigma_sq_conditional_params,
     update_zeta_sq,
 )
@@ -199,7 +198,7 @@ def test_sweep_keeps_residual_fresh(small_model):
     state = initial_state(small_model)
     rng = RngHandle(33, 0)
     for _ in range(5):
-        gibbs_sweep(state, small_model, rng)
+        small_model.sweep(state, rng)
         np.testing.assert_allclose(
             state.resid, full_residual(state, small_model), atol=1e-9
         )
