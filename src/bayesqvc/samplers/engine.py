@@ -58,6 +58,13 @@ The coefficients are drawn in one of two ways.
   not set and never refreshes it from the coefficients.  A spike sweep
   refreshes it at sweep start.
 
+The shrinkage rate is drawn given the slab scales of the included blocks
+only.  An excluded block's slab scale has its Gamma prior as its
+conditional, so it is integrated out of the shrinkage update, and the
+slab-scale update right after redraws it from that prior given the new rate.
+A plain state includes every block, so there the update is the full
+conditional.
+
 The functions the tests check against oracles run the sweep's own code:
 :func:`spike_probability` and the block kernel's :func:`spike_thresholds`
 share :func:`slab_log_volume`, :func:`alpha_block_moments` reads the factor
@@ -588,9 +595,14 @@ def update_slab_scales(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
 
 
 def shrinkage_conditional_params(state, model: GibbsModel):
-    """Gamma (shape, rate) of the squared shrinkage rate."""
-    shape = 0.5 * (model.d + 1) * model.p + model.prior.shrink_prior[0]
-    rate = 0.5 * float(np.sum(state.slab)) + model.prior.shrink_prior[1]
+    """Gamma (shape, rate) of the squared shrinkage rate given the included blocks' slab scales.
+
+    The excluded blocks' scales are integrated out (module docstring), so
+    (shrink, excluded scales) is one block with the slab-scale update after it.
+    """
+    included = np.count_nonzero(state.inclusion)
+    shape = 0.5 * (model.d + 1) * included + model.prior.shrink_prior[0]
+    rate = 0.5 * float(state.slab.sum(where=state.inclusion)) + model.prior.shrink_prior[1]
     return shape, rate
 
 

@@ -11,8 +11,14 @@ here; everything else is in :mod:`.engine`:
   the basis side: the spike model keeps the squared covariates X' o X'
   from build, and each sweep's grams are one product of them with the rows
   w_i vec(B_i B_i'), so no weighted (p, n) copy of X' is formed;
-* the latent-u update;
-* the theta update.
+* the theta update and the latent-u update, which draw (theta, u) as one
+  block given the coefficients.  theta is drawn with u integrated out: the
+  ALD density is tau (1 - tau) theta exp(-theta rho_tau(r)), so theta given
+  the residual is Gamma(a + n, b + sum_i rho_tau(r_i)).  u is then drawn
+  given that theta, so each (theta, u) pair is an exact draw of the pair.
+  Drawing u before the collapsed theta would leave u from its conditional
+  given the previous theta, which the sweep does not keep invariant (van Dyk
+  & Park 2008).
 
 The slab is not scaled by a noise variance: the state's noise scale is an
 exact 1.0.  The spike-and-slab variant (bqrvcss) draws each spline block
@@ -20,11 +26,12 @@ from a two-component mixture (point mass at zero vs multivariate normal),
 then alpha_0 and beta.  The plain variant (bqrvc) includes every block and
 draws all coefficients at once (``update_coefficients``).
 
-Sweep order is fixed for reproducibility.  Spike: residual refresh, latent
-u, alpha blocks 1..p, alpha_0, beta, theta, eta_sq, g, pi0.  Plain: all
-coefficients, latent u, theta, eta_sq, g.  The plain sweep makes no residual
+Sweep order is fixed for reproducibility.  Spike: residual refresh, theta,
+latent u, alpha blocks 1..p, alpha_0, beta, eta_sq, g, pi0.  Plain: all
+coefficients, theta, latent u, eta_sq, g.  The plain sweep makes no residual
 refresh: the joint draw does not read the residual and sets it from its
-solve, so the latent-u update after it reads the residual of the current y.
+solve, so it must come first for theta and u to read the residual of the
+current y.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ald import AldConstants, ald_constants
+from ..ald import AldConstants, ald_constants, check_loss
 from ..basis import SplineConfig, expand_design
 from ..data import Dataset
 from ..rng import RngHandle, sample_exponential, sample_gamma, sample_inverse_gaussian
@@ -92,14 +99,14 @@ class QuantileModel(GibbsModel):
         """One full sweep in the fixed update order of the module docstring."""
         if self.spike:
             refresh_residual(state, self)
-            update_latent_u(state, self, rng)
+        else:
+            update_coefficients(state, self, rng)
+        update_theta(state, self, rng)
+        update_latent_u(state, self, rng)
+        if self.spike:
             update_alpha_blocks(state, self, rng)
             update_alpha0(state, self, rng)
             update_beta(state, self, rng)
-        else:
-            update_coefficients(state, self, rng)
-            update_latent_u(state, self, rng)
-        update_theta(state, self, rng)
         update_eta_sq(state, self, rng)
         update_g(state, self, rng)
         if self.spike:
@@ -136,15 +143,9 @@ def update_latent_u(state: SamplerState, model: QuantileModel, rng: RngHandle) -
 
 
 def theta_conditional_params(state: SamplerState, model: QuantileModel):
-    c = model.consts
-    off = state.resid - c.kappa1 * state.u_tilde
-    shape = 1.5 * model.n + model.prior.a
-    rate = (
-        0.5 * float(np.sum(off**2 / (c.kappa2_sq * state.u_tilde)))
-        + float(np.sum(state.u_tilde))
-        + model.prior.b
-    )
-    return shape, rate
+    """Gamma (shape, rate) of theta given the residual, with the latents u integrated out."""
+    rate = float(np.sum(check_loss(state.resid, model.consts.tau))) + model.prior.b
+    return model.n + model.prior.a, rate
 
 
 def update_theta(state: SamplerState, model: QuantileModel, rng: RngHandle) -> float:

@@ -206,11 +206,17 @@ def _nan_alpha(state):
     state.alpha[0, 0] = math.nan
 
 
+# theta runs on a plain model: the spike sweep draws theta before the blocks,
+# so a NaN theta reaches alpha in the same sweep and the check names alpha.
 @pytest.mark.parametrize(
-    "stage, quantity, poison",
-    [("update_theta", "theta", _nan_theta), ("update_alpha0", "alpha", _nan_alpha)],
+    "stage, quantity, poison, spike",
+    [pytest.param("update_theta", "theta", _nan_theta, False, id="update_theta-theta-_nan_theta"),
+     pytest.param("update_alpha0", "alpha", _nan_alpha, True, id="update_alpha0-alpha-_nan_alpha")],
 )
-def test_run_chain_rejects_non_finite_sweep(tiny_model, monkeypatch, stage, quantity, poison):
+def test_run_chain_rejects_non_finite_sweep(tiny_dataset, monkeypatch, stage, quantity, poison,
+                                            spike):
+    model = quantile.build_quantile_model(tiny_dataset, SplineConfig(1, 0), PriorConfig(),
+                                          tau=0.3, spike=spike)
     calls = []
     original = getattr(quantile, stage)
 
@@ -222,7 +228,7 @@ def test_run_chain_rejects_non_finite_sweep(tiny_model, monkeypatch, stage, quan
 
     monkeypatch.setattr(quantile, stage, patched)
     with pytest.raises(FloatingPointError, match=f"non-finite {quantity} after sweep 3"):
-        run_chain(tiny_model, McmcOptions(iterations=10, burn_in=0, seed=1), 0)
+        run_chain(model, McmcOptions(iterations=10, burn_in=0, seed=1), 0)
 
 
 def test_fit_builds_one_model_and_workers_match(tiny_dataset, monkeypatch):

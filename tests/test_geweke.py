@@ -45,17 +45,21 @@ def _model(method: str):
 
 
 def _summaries(state, method: str) -> list[float]:
-    """log scale, log shrinkage rate, pi0, active-block count, alpha_0[0], alpha_1[0],
-    beta[0], alpha_0[0]^2 and beta[0]^2.
+    """log scale, log shrinkage rate, pi0, active-block count, theta * mean(u), alpha_0[0],
+    alpha_1[0], beta[0], alpha_0[0]^2 and beta[0]^2.
 
     The squares see a fixed-effect update whose conditional has the right
     mean but the wrong spread, such as one that leaves the term's own
-    contribution out of its partial residual.
+    contribution out of its partial residual.  theta * mean(u) (prior mean 1,
+    quantile methods only) sees the pairing of theta and the latents u: theta
+    is drawn with u integrated out, so u must be drawn after it, given it.
     """
     spec = METHODS[method]
     out = [math.log(getattr(state, spec.scale)), math.log(state.shrink)]
     if spec.spike:
         out += [state.pi0, float(np.sum(state.inclusion))]
+    if spec.needs_tau:
+        out.append(state.theta * float(np.mean(state.u_tilde)))
     a0, b0 = state.alpha[0, 0], state.beta[0]
     return out + [a0, state.alpha[1, 0], b0, a0 * a0, b0 * b0]
 

@@ -73,6 +73,15 @@ same Gaussian and use the same normals, but they map z through different
 square roots of the covariance, so the spike chains differ from their first
 alpha_0 draw on.  The plain samplers draw all coefficients jointly and kept
 their four hashes.
+
+Five hashes changed by design when two scale updates were collapsed.  theta
+is now drawn with the latents u integrated out, Gamma(a + n, b + sum of the
+check loss), and u right after it, given it; the spike sweep draws theta and
+u before the blocks, and the plain sweep after the joint draw.  So all four
+quantile hashes moved.  The shrinkage rate now reads the slab scales of the
+included blocks only (the excluded ones are redrawn from their prior right
+after it), which moved bvcss shape A.  A plain state includes every block,
+so bvc kept both hashes; bvcss shape B has no blocks and kept its hash.
 """
 
 import hashlib
@@ -107,17 +116,17 @@ SHAPES = {"A": _shape_a, "B": _shape_b}
 
 GOLDEN = {
     ("bqrvcss", "A"):
-        "b4805546f9b9080b505e7fee773de8d2ec3cbfb73a9e5164dd47612811fbf4fe",
+        "7c212df350b9025c542c45b41593302a47f18f80f5233b779d46212856678021",
     ("bqrvc", "A"):
-        "6206caa0fb38920bc70e266afb9d5e1c38195bb0b6e69301343eee627b552a5a",
+        "f2e5dd12f80fce14a24944faace2ce689e9c142a6fd46fda77b123b518bec43d",
     ("bvcss", "A"):
-        "82055f2fa1092e06585882fa1fa909e5e78bc528ebf6803e8bda5cb8b7a25d5f",
+        "1c3d350d728a80cc01050f27aabb3d620b9351d4355062f0e165e3da9ac43100",
     ("bvc", "A"):
         "1999d2b03588ee0b83b1e9558210330f0d8c0b581bf2e96573ca1a361e9eec68",
     ("bqrvcss", "B"):
-        "57555b85a0efc2060ec845fbbb5f8e7a608c0235d22683507986dca6c235333a",
+        "9ff11e17b1b0ae2bd7ca5b91d560329b23ad29636facb703adb43b1c3ec51dff",
     ("bqrvc", "B"):
-        "4dca39f51cb547f0b47ee48eba78288065feb51a988d210af3435f9b80fda9c4",
+        "b728ca4a7b4dd101fb11921b4540271d796ce3d57fea23efbc3e527cb383dea4",
     ("bvcss", "B"):
         "5fd12662288a37250770e685b5e556a9f189ad55666129e2ec5481f49007fc72",
     ("bvc", "B"):

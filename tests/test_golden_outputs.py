@@ -1,11 +1,12 @@
-"""Golden outputs: the files a CLI fit and its diagnosis write, pinned by SHA-256.
+"""Golden outputs: the files a CLI fit, its diagnosis and its evaluation write, pinned by SHA-256.
 
-A small ``bqrvcss`` fit and a small ``bvc`` fit run through ``fit`` and
-``diagnose``.  The digest covers ``curves.csv``, ``psrf.json`` and
-``fit_summary.json`` without its timing and process-count fields
-(``wallclock_seconds``, ``output_seconds``, ``workers_used``).  It pins the
-summaries the draws go through: the curve bands and their quantile
-arithmetic, the scalar intervals, the selection rule and the PSRF report.  A
+A small ``bqrvcss`` fit and a small ``bvc`` fit run through ``fit``,
+``diagnose`` and ``evaluate``.  The digest covers ``curves.csv``,
+``psrf.json``, ``fit_summary.json`` without its timing and process-count
+fields (``wallclock_seconds``, ``output_seconds``, ``workers_used``) and
+``metrics.json``.  It pins the summaries the draws go through: the curve
+bands and their quantile arithmetic, the scalar intervals, the selection
+rule, the PSRF report and the scores against the truth.  A
 change that claims to keep every output byte must leave this file untouched
 and passing.  Like the golden draws, the hashes were taken with numpy 2.4.6
 and OpenBLAS 0.3.31 (Python 3.11, x86-64).
@@ -18,6 +19,12 @@ when the joint draw began to set the residual from its solve.
 The bqrvcss hash moved again, through its draws, when the alpha_0 and beta
 draws began to read the Cholesky factor of their precision
 (``tests/test_golden_draws.py`` says why).  The bvc hash stayed.
+
+Both hashes changed when the test began to run ``evaluate`` against the
+simulation's ``truth.json`` and to hash the ``metrics.json`` it writes.  The
+bvc hash moved through that file alone: without it, the digest is the one
+before.  The bqrvcss hash moved through its draws too, when theta began to
+be drawn with u integrated out (``tests/test_golden_draws.py`` says why).
 """
 
 import hashlib
@@ -31,9 +38,9 @@ TIMING_FIELDS = ("wallclock_seconds", "output_seconds", "workers_used")
 
 GOLDEN = {
     "bqrvcss":
-        "e1aac044a9132ce043a853e32623ccc4f217b1eacd5a6661bc0d888f780a321f",
+        "9af9382b1aee00373a610fe82432e4750259b22107739ae6769c15d8cd07759e",
     "bvc":
-        "fb89101c693fd3e00b13c2b873e7dabc305a3a1fba3cd31941de0624ce043a9a",
+        "b6d7d84641d4cc8c0484fc26a8126dc28d77dfac7a700b58de1df0810d276b41",
 }
 
 
@@ -46,13 +53,15 @@ def sim_dir(tmp_path_factory):
 
 
 def outputs_digest(fit_dir) -> str:
-    """SHA-256 over the fit's curves, PSRF report and timing-free summary, in a fixed order."""
+    """SHA-256 over the fit's curves, PSRF report, timing-free summary and metrics, in a fixed
+    order."""
     summary = json.loads((fit_dir / "fit_summary.json").read_text())
     for name in TIMING_FIELDS:
         del summary[name]
     parts = [("curves.csv", (fit_dir / "curves.csv").read_bytes()),
              ("psrf.json", (fit_dir / "psrf.json").read_bytes()),
-             ("fit_summary.json", json.dumps(summary, sort_keys=True).encode())]
+             ("fit_summary.json", json.dumps(summary, sort_keys=True).encode()),
+             ("metrics.json", (fit_dir / "metrics.json").read_bytes())]
     h = hashlib.sha256()
     for name, raw in parts:
         h.update(f"{name}:{len(raw)}:".encode())
@@ -68,4 +77,6 @@ def test_golden_outputs(sim_dir, tmp_path, method):
                  "--burn-in", "30", "--chains", "2", "--seed", "23", "--workers", "1",
                  "--out", str(out)]) == 0
     assert main(["diagnose", "--fit", str(out), "--checkpoints", "10", "30"]) == 0
+    assert main(["evaluate", "--fit", str(out), "--truth", str(sim_dir / "truth.json"),
+                 "--out", str(out / "metrics.json")]) == 0
     assert outputs_digest(out) == GOLDEN[method]

@@ -123,12 +123,22 @@ def test_sigma_sq_scale_includes_slab_penalty(small_model, small_state):
 
 
 def test_lambda_sq_shapes():
-    # d=5, p=10, t=1 -> 31; matches the quantile analogue's 301 at p=100
+    # d=5, p=10, t=1: shape 3 k + 1 over the k included blocks, 31 with all of them
     ds = Dataset(y=np.zeros(3), x=np.zeros((3, 10)), v=np.array([0.2, 0.5, 0.8]))
-    model = build_gaussian_model(ds, SplineConfig(2, 2), GaussianPriorConfig(t=1.0))
+    model = build_gaussian_model(ds, SplineConfig(2, 2), GaussianPriorConfig(t=1.0, psi=2.0))
     state = initial_state(model)
-    shape, _ = lambda_sq_conditional_params(state, model)
+    state.zeta_sq = np.arange(1.0, 11.0)
+    assert lambda_sq_conditional_params(state, model) == pytest.approx((1.0, 2.0))
+    state.alpha[[2, 5], 0] = 1.0
+    state.inclusion[[1, 4]] = True
+    shape, rate = lambda_sq_conditional_params(state, model)
+    assert shape == pytest.approx(3.0 * 2 + 1.0)
+    assert rate == pytest.approx(0.5 * (2.0 + 5.0) + 2.0)
+    state.alpha[1:, 0] = 1.0
+    state.inclusion[:] = True
+    shape, rate = lambda_sq_conditional_params(state, model)
     assert shape == pytest.approx(31.0)
+    assert rate == pytest.approx(0.5 * 55.0 + 2.0)
 
 
 def test_pi0_counting():

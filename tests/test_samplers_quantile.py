@@ -12,10 +12,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bayesqvc import Dataset, GaussianPriorConfig, McmcOptions, PriorConfig, RngHandle
 from bayesqvc import SplineConfig
-from bayesqvc.ald import ald_constants
+from bayesqvc.ald import ald_constants, ald_log_density
 from bayesqvc.samplers.engine import (
     alpha0_conditional_moments,
     alpha_block_moments,
@@ -356,36 +357,56 @@ def test_beta_diffuse_prior_matches_weighted_projection(tiny_dataset):
 # ---------------------------------------------------------------------------
 # scalar conditionals
 
-def test_theta_conditional_params(tiny_model, tiny_state):
-    shape, rate = theta_conditional_params(tiny_state, tiny_model)
-    assert shape == pytest.approx(1.5 * tiny_model.n + 1.0)
+def test_theta_conditional_params(tiny_dataset):
+    """Collapsed theta | residual against the prior times the ALD likelihood, up to a constant.
 
-    # n=10 fixture with a=1 gives shape 16; zeroed offset residuals give rate n+1
-    n = 10
-    ds = Dataset(y=np.zeros(n), x=np.zeros((n, 1)), v=np.full(n, 0.5))
-    model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(a=1.0, b=1.0), tau=0.5)
-    state = initial_state(model)
-    state.u_tilde = np.ones(n)
-    refresh_residual(state, model)  # y = 0, all coefficients zero -> resid 0
-    shape, rate = theta_conditional_params(state, model)
-    assert shape == pytest.approx(16.0)
-    assert rate == pytest.approx(n + 1.0)
+    On a theta grid, differences of the Gamma log-density must equal those
+    of log prior + sum_i ald_log_density(r_i, theta, tau): u is integrated
+    out, so neither u nor the mixture constants enter.  Covers tau near 0
+    and 1 and an all-zero residual.
+    """
+    prior = PriorConfig(a=2.0, b=1.5)
+    grid = np.array([0.05, 0.3, 1.0, 2.7, 9.0])
+    resid = np.random.default_rng(8).normal(scale=3.0, size=tiny_dataset.n)
+    for tau in (0.01, 0.5, 0.99):
+        model = build_quantile_model(tiny_dataset, SplineConfig(1, 0), prior, tau=tau)
+        state = initial_state(model)
+        state.u_tilde = np.full(model.n, np.nan)  # the collapsed conditional must not read u
+        for r in (resid, np.zeros(model.n)):
+            state.resid = r
+            shape, rate = theta_conditional_params(state, model)
+            posterior = stats.gamma.logpdf(grid, shape, scale=1.0 / rate)
+            target = stats.gamma.logpdf(grid, prior.a, scale=1.0 / prior.b) + np.array(
+                [np.sum(ald_log_density(r, theta, tau)) for theta in grid]
+            )
+            np.testing.assert_allclose(np.diff(posterior), np.diff(target), rtol=1e-10,
+                                       atol=1e-9, err_msg=f"tau={tau}")
 
 
-def test_eta_sq_conditional_params(tiny_model, tiny_state):
-    # d=5, p=100, c=1 -> shape 301
+def test_eta_sq_conditional_params():
+    """Shape (d+1)/2 k + c and rate sum_included g / 2 + m over the k included blocks."""
+    # d=5, p=100, c=1, m=2
     ds = Dataset(
         y=np.zeros(3), x=np.zeros((3, 100)), v=np.array([0.1, 0.5, 0.9])
     )
     model = build_quantile_model(ds, SplineConfig(2, 2), PriorConfig(c=1.0, m=2.0), tau=0.5)
     state = initial_state(model)
-    state.g = np.zeros(100)
+    state.g = np.linspace(0.5, 3.0, 100)
+    # no block included: the prior
+    assert eta_sq_conditional_params(state, model) == pytest.approx((1.0, 2.0))
+    # blocks 3, 10 and 41 included: only their slab scales enter
+    included = [2, 9, 40]
+    state.alpha[[j + 1 for j in included], 0] = 1.0
+    state.inclusion[included] = True
+    shape, rate = eta_sq_conditional_params(state, model)
+    assert shape == pytest.approx(3.0 * 3 + 1.0)
+    assert rate == pytest.approx(0.5 * sum(state.g[j] for j in included) + 2.0)
+    # every block included: the uncollapsed conditional, 301
+    state.alpha[1:, 0] = 1.0
+    state.inclusion[:] = True
     shape, rate = eta_sq_conditional_params(state, model)
     assert shape == pytest.approx(301.0)
-    assert rate == pytest.approx(2.0)
-    s2, r2 = eta_sq_conditional_params(tiny_state, tiny_model)
-    assert s2 == pytest.approx(0.5 * (tiny_model.d + 1) * tiny_model.p + 1.0)
-    assert r2 == pytest.approx(0.5 * np.sum(tiny_state.g) + 1.0)
+    assert rate == pytest.approx(0.5 * np.sum(state.g) + 2.0)
 
 
 def test_g_update_zero_branch_moments():
