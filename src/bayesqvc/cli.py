@@ -403,7 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument(
         "--workers", type=int, default=None,
         help="processes for the chains (default: one per usable CPU, at most one per "
-             "chain; 1 runs them in this process); the draws do not depend on it",
+             "chain; 1 runs them in this process); the draws do not depend on it. With "
+             "more than one, set OPENBLAS_NUM_THREADS=1 (or your BLAS's thread variable): "
+             "each worker otherwise runs the default BLAS threads, and on 2 vCPUs a 2-chain "
+             "paper-shape bqrvc fit took 1.82 s, against 0.49 s with one thread",
     )
     fit_p.add_argument("--prior", action="append", metavar="KEY=VALUE")
     fit_p.add_argument("--out", default=None)

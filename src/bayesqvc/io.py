@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from itertools import zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +117,8 @@ class StudyConfig:
     of integers iterations, burn_in, thin, chains and bool store_latents), priors
     (object of numbers for every method), save_samples (bool, default false),
     workers (integer >= 1 or null: processes for the replicates, default one per
-    usable CPU), out_dir (string, default $BAYESQVC_OUT or .).  Replicate rep of
+    usable CPU; with more than one, set OPENBLAS_NUM_THREADS=1, as for fit
+    --workers), out_dir (string, default $BAYESQVC_OUT or .).  Replicate rep of
     each cell simulates and fits with seed base_seed + rep, so no scenario or
     mcmc object takes a seed.  Methods and scenario labels, which leave out n, p
     and mixture_sd_or_var, are unique.
@@ -470,10 +471,69 @@ def write_curves_csv(path, bands: CurveBands) -> None:
             _write_rows(fh, row_fmt, table)
 
 
+def _writer_curves(fh) -> CurveBands | None:
+    """The bands of a curves file in writer order, read from ``fh`` past its header, or None.
+
+    A curve the writer emits as constant ``0,0,0`` rows is recognised by
+    exact text: its g rows are the first curve's grid index and v text with
+    its own j and ``0,0,0``, as :func:`write_curves_csv` joins them.  Only the
+    first curve and the other curves are parsed, as the file streams past.
+    None unless the file is in writer order with a full grid and every parsed
+    row is where the writer puts it, so that any other file takes the
+    general path.
+    """
+    lines = iter(fh)
+    first, line = [], next(lines, "")
+    while line.startswith("0,"):
+        first.append(line)
+        line = next(lines, "")
+    g = len(first)
+    heads = [row.split(",", 3) for row in first]
+    if g == 0 or any(len(head) < 4 or head[1] != str(t) for t, head in enumerate(heads)):
+        return None
+    zero_tails = [f",{t},{v},0,0,0\n" for _, t, v, _ in heads]
+    rest = chain([line] if line else [], lines)
+    parsed, n_curves = [0], 1  # the curves parsed, and the count of curves read
+
+    def live_rows():
+        nonlocal n_curves
+        yield from first
+        for j, head in enumerate(rest, start=1):
+            block = [head, *islice(rest, g - 1)]
+            n_curves = j + 1
+            if "".join(block) != str(j) + str(j).join(zero_tails):
+                parsed.append(j)
+                yield from block
+
+    try:
+        body = np.loadtxt(live_rows(), delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if (body.shape != (len(parsed) * g, 6)
+            or np.any(body[:, 0] != np.repeat(parsed, g))
+            or np.any(body[:, 1] != np.tile(np.arange(g), len(parsed)))):
+        return None
+    if len(parsed) == n_curves:  # the bands are views of the body, as in the general path
+        return CurveBands(body[:g, 2], *(body[:, k].reshape(n_curves, g) for k in (3, 4, 5)))
+    bands = np.zeros((3, n_curves, g))
+    bands[:, parsed] = body[:, 3:].T.reshape(3, len(parsed), g)
+    return CurveBands(body[:g, 2], *bands)
+
+
 def read_curves_csv(path) -> CurveBands:
-    """The :class:`inference.CurveBands` a :func:`write_curves_csv` file holds."""
+    """The :class:`inference.CurveBands` a :func:`write_curves_csv` file holds.
+
+    A file in writer order parses only its first curve and the curves that
+    are not all zero (:func:`_writer_curves`); any other file is parsed
+    whole, with the same result.
+    """
     with open(path) as fh:
         fh.readline()
+        start = fh.tell()
+        bands = _writer_curves(fh)
+        if bands is not None:
+            return bands
+        fh.seek(start)
         body = _read_rows(fh, "curves")
     n_curves = int(body[:, 0].max()) + 1
     g = int(body[:, 1].max()) + 1

@@ -98,32 +98,28 @@ def sample_inverse_gaussian(rng: RngHandle, mean, shape, size=None):
     mu = np.asarray(mean, dtype=float)
     # A float shape (the samplers' case) stays a Python float: its check and
     # its arithmetic then skip the 0-d array round trip, with the same values.
-    if isinstance(shape, float):
-        lam, lam_shape = shape, ()
-    else:
-        lam = np.asarray(shape, dtype=float)
-        lam_shape = lam.shape
+    lam = shape if isinstance(shape, float) else np.asarray(shape, dtype=float)
     _require_positive("mean", mu)
     _require_positive("shape", lam)
-    out_shape = size
-    if size is None:
-        same = not lam_shape or lam_shape == mu.shape
-        out_shape = mu.shape if same else np.broadcast_shapes(mu.shape, lam_shape)
-    # Arrays are broadcast (and so checked) here; a scalar shape broadcasts in
-    # the arithmetic below, which gives the same values elementwise.
-    if mu.shape != out_shape:
-        mu = np.broadcast_to(mu, out_shape)
-    if lam_shape and lam_shape != out_shape:
-        lam = np.broadcast_to(lam, out_shape)
+    out_shape = np.broadcast(mu, lam).shape if size is None else size
 
-    y = rng.gen.standard_normal(out_shape) ** 2
     # The roots of the quadratic in x implied by the IG density are mu / big
-    # and mu * big; pick one with the MSH acceptance probability.
-    r = mu * y / (2.0 * lam)
-    big = 1.0 + r + np.sqrt(r * (r + 2.0))
-    x = np.maximum(mu / big, _TINY)  # guards against underflow of a tiny mean
+    # and mu * big; pick one with the MSH acceptance probability.  Each
+    # temporary is reused in place once its value is spent.
+    y = rng.gen.standard_normal(out_shape)
+    y *= y
+    r = np.multiply(mu, y, out=y)
+    r /= 2.0 * lam
+    root = np.add(r, 2.0, out=np.empty_like(r))
+    root *= r
+    np.sqrt(root, out=root)
+    r += 1.0
+    big = np.add(r, root, out=r)
+    x = np.divide(mu, big, out=root)
+    np.maximum(x, _TINY, out=x)  # guards against underflow of a tiny mean
     u = rng.gen.random(out_shape)
-    take_root = u <= mu / (mu + x)
-    draws = np.where(take_root, x, mu * big)
-    return float(draws) if out_shape == () and size is None else draws
-
+    accept = np.add(mu, x, out=np.empty_like(x))
+    np.divide(mu, accept, out=accept)
+    draws = np.multiply(big, mu, out=big)
+    np.copyto(draws, x, where=u <= accept)
+    return float(draws) if size is None and draws.ndim == 0 else draws

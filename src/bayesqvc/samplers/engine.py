@@ -30,7 +30,7 @@ The model holds the design once, as B, the (p+1, n) covariate rows
 [1; X'] (X' is their view without row 0) and the (n, q) clinical matrix E,
 and never builds the (p+1, n, d) block tensor.  E is a matrix also when
 q = 0, so the residual, the prior draw and ``draw_response`` have no q
-branch; only ``update_beta`` and the joint draw's E term skip an empty E.
+branch; only ``update_beta`` and the joint draw's E terms skip an empty E.
 
 Per-sweep work in the spike block stage scales with the blocks that need
 it, not with p x n.  The weighted grams sum_i w_i x_ji^2 B_i B_i' are one
@@ -57,6 +57,16 @@ The coefficients are drawn in one of two ways.
   first stage of a plain sweep, so a plain sweep reads no residual it did
   not set and never refreshes it from the coefficients.  A spike sweep
   refreshes it at sweep start.
+
+A plain sweep is bound by two BLAS calls of the joint draw: the syrk that
+forms S Z D Z' S from the (p+1, n) scaled covariate rows, and the n x n LU
+solve.  At the paper shape (n=200, p=100, d=5), on a 2-vCPU Xeon with one
+BLAS thread, they took 0.67 of the 1.07 ms of a bqrvc sweep
+(``BENCH_sweep_floor.json``).  Every other step is one elementwise pass or
+small product, done in place where it can be: the rest of the joint draw
+(scaled rows, the Hadamard product with B B', the target and the posterior
+update) took 0.24 ms, and the theta, u, shrinkage and slab-scale stages
+0.15 ms.
 
 The shrinkage rate is drawn given the slab scales of the included blocks
 only.  An excluded block's slab scale has its Gamma prior as its
@@ -323,15 +333,18 @@ def initial_state(model: GibbsModel):
 # residual cache
 
 def _spline_predictor(model: GibbsModel, alpha: np.ndarray, included=None) -> np.ndarray:
-    """sum_j Z_j alpha_j = B alpha_0 + rowsum(X * (B A_1:')), without the block tensor.
+    """sum_j Z_j alpha_j = rowsum(B o ([1; X']' alpha)), without the block tensor.
 
-    With (p,) flags ``included`` of which some are unset, only alpha_0 and
-    the flagged blocks are summed; the others must be exact zeros.
+    One (n, p+1) @ (p+1, d) product gives row i's coefficient curve at v_i,
+    sum_j x_ji alpha_j, with alpha_0 as block 0; no (p, n) temporary is
+    formed.  With (p,) flags ``included`` of which some are unset, only
+    alpha_0 and the flagged blocks are summed; the others must be exact zeros.
     """
-    xt, blocks = model.xt, alpha[1:]
+    rows = model.rows
     if included is not None and not included.all():
-        xt, blocks = xt[included], blocks[included]
-    return model.basis @ alpha[0] + np.einsum("jn,jn->n", xt, blocks @ model.basis.T)
+        keep = np.flatnonzero(np.concatenate(([True], included)))
+        rows, alpha = rows[keep], alpha[keep]
+    return np.einsum("nd,nd->n", model.basis, rows.T @ alpha)
 
 
 def full_residual(state, model: GibbsModel) -> np.ndarray:
@@ -373,7 +386,9 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     (alpha_j = 0, so b_j = B'(x_j o w o r)) is scanned at once: one matmul of
     their X' rows against B o (w r) forms all their right-hand sides, and the
     first block that leaves the spike is drawn before the scan resumes after
-    it; a run that stays at the spike changes nothing.
+    it; a run that stays at the spike changes nothing.  A run longer than
+    RUN_CHUNK is scanned in pieces, and the pieces share one B o (w r) while
+    no draw changes r.
     """
     k, d = last - first + 1, model.d
     noise = rng.gen.standard_normal((k, d + 2))
@@ -390,6 +405,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     # First included position at or after each position (k if none).
     next_included = np.minimum.accumulate(np.where(inclusion, np.arange(k), k)[::-1])[::-1].tolist()
     resid = state.resid - shift
+    weighted_basis = None  # B o (w r) while r is unchanged, shared by consecutive scans
 
     i = 0
     while i < k:
@@ -399,7 +415,9 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
             new = np.zeros(d) if to_spike else linv[i].T @ (half + shifts[i])
         else:
             stop = min(next_included[i], i + RUN_CHUNK)
-            rhs = xt[i:stop] @ (basis * (w * resid)[:, None])
+            if weighted_basis is None:
+                weighted_basis = basis * (w * resid)[:, None]
+            rhs = xt[i:stop] @ weighted_basis
             halves = (linv[i:stop] @ rhs[:, :, None])[:, :, 0]
             stays = np.einsum("kd,kd->k", halves, halves) < thresholds[i:stop]
             hit = int(np.argmin(stays))
@@ -410,6 +428,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
             to_spike = False
             new = linv[i].T @ (halves[hit] + shifts[i])
         resid -= xt[i] * (basis @ (new - alpha[i]))
+        weighted_basis = None
         alpha[i] = new
         inclusion[i] = not to_spike
         i += 1
@@ -458,7 +477,8 @@ def _fixed_effect(state, model: GibbsModel, x, coef):
     """
     partial = state.resid + x @ coef
     w, shift = model.working_likelihood(state)
-    precision = (x * w[:, None]).T @ x + np.eye(x.shape[1]) / model.prior.prior_scale
+    precision = (x * w[:, None]).T @ x
+    np.einsum("ii->i", precision)[:] += 1.0 / model.prior.prior_scale  # a view of the diagonal
     linv = np.linalg.inv(np.linalg.cholesky(precision))  # of the triangular factor L
     return linv, linv @ (x.T @ (w * (partial - shift))), partial
 
@@ -550,46 +570,64 @@ def update_coefficients(state, model: GibbsModel, rng: RngHandle) -> None:
     prior_alpha = noise[:size].reshape(model.p + 1, model.d)
     prior_alpha *= root_cov
     prior_beta = math.sqrt(prior_scale) * noise[size:-n]
-    # M, with S folded into the factors of each term of Z D Z'
-    scaled_rows = model.rows * (root_cov * root_w)
+    # M, with S folded into the factors of each term of Z D Z', and S t - delta
+    scaled_rows = root_cov * root_w
+    scaled_rows *= model.rows
     system = scaled_rows.T @ scaled_rows
     system *= model.basis_gram
+    rhs = model.y - shift
+    rhs -= _spline_predictor(model, prior_alpha)
     if model.q:
         scaled_e = model.e * (math.sqrt(prior_scale) * root_w)[:, None]
         system += scaled_e @ scaled_e.T
-    system.flat[:: n + 1] += 1.0
-    target = model.y - shift - _spline_predictor(model, prior_alpha) - model.e @ prior_beta
-    v = np.linalg.solve(system, root_w * target - delta)
+        rhs -= model.e @ prior_beta
+    np.einsum("ii->i", system)[:] += 1.0
+    rhs *= root_w
+    rhs -= delta
+    v = np.linalg.solve(system, rhs)
     weighted = root_w * v
-    state.alpha[:] = prior_alpha + cov[:, None] * (model.rows @ (model.basis * weighted[:, None]))
-    state.beta = prior_beta + prior_scale * (model.e.T @ weighted)
+    np.matmul(model.rows, model.basis * weighted[:, None], out=state.alpha)
+    state.alpha *= cov[:, None]
+    state.alpha += prior_alpha
+    state.beta = prior_beta
+    if model.q:
+        state.beta += prior_scale * (model.e.T @ weighted)
     state.inclusion[:] = True
-    state.resid = shift + (delta + v) / root_w
+    v += delta
+    v /= root_w
+    v += shift
+    state.resid = v
 
 
 # ---------------------------------------------------------------------------
 # slab scales, shrinkage rate, spike weight
 
 def update_slab_scales(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
-    """Two-branch slab-scale refresh: Gamma for zero blocks, reciprocal IG otherwise.
+    """Two-branch slab-scale refresh: Gamma for excluded blocks, reciprocal IG for included ones.
 
-    The IG mean of a nonzero block is sqrt(noise_scale * shrink / ||alpha_j||^2).
+    The excluded blocks' scales are drawn first, in one Gamma call; the IG
+    mean of an included block is sqrt(noise_scale * shrink / ||alpha_j||^2).
+    Only the included blocks' norms are taken, and one that is exactly zero
+    raises RuntimeError before any draw.
     """
     if model.p == 0:
         return state.slab
-    norms = np.sum(state.alpha[1:] ** 2, axis=1)
-    if np.any(state.inclusion & (norms == 0.0)):
+    inclusion = state.inclusion
+    excluded = model.p - np.count_nonzero(inclusion)
+    blocks = state.alpha[1:][inclusion] if excluded else state.alpha[1:]
+    norms = (blocks * blocks).sum(axis=1)
+    if not norms.all():
         raise RuntimeError("inclusion flag set on an exactly-zero block")
-    new = np.empty(model.p)
-    zero = norms == 0.0
-    if zero.any():
-        new[zero] = sample_gamma(
-            rng, 0.5 * (model.d + 1), 0.5 * state.shrink, size=int(zero.sum())
-        )
-    nonzero = ~zero
-    if nonzero.any():
-        mean = np.sqrt(state.noise_scale * state.shrink / norms[nonzero])
-        new[nonzero] = 1.0 / sample_inverse_gaussian(rng, mean, state.shrink)
+    if excluded:
+        new = np.empty(model.p)
+        new[~inclusion] = sample_gamma(rng, 0.5 * (model.d + 1), 0.5 * state.shrink, size=excluded)
+    if norms.size:
+        mean = np.sqrt(state.noise_scale * state.shrink / norms)
+        recip = 1.0 / sample_inverse_gaussian(rng, mean, state.shrink)
+        if excluded:
+            new[inclusion] = recip
+        else:
+            new = recip
     state.slab = new
     return new
 
@@ -613,7 +651,7 @@ def update_shrinkage(state, model: GibbsModel, rng: RngHandle) -> float:
 
 
 def pi0_conditional_params(state, model: GibbsModel):
-    n_active = int(np.sum(state.inclusion))
+    n_active = np.count_nonzero(state.inclusion)
     return model.prior.pi0_prior[0] + model.p - n_active, model.prior.pi0_prior[1] + n_active
 
 
@@ -628,8 +666,11 @@ def update_pi0(state, model: GibbsModel, rng: RngHandle) -> float:
 
 def _check_finite(state, model: GibbsModel, iteration: int) -> None:
     """Raise FloatingPointError naming the first non-finite quantity after a sweep."""
-    for name in ("alpha", "beta", "resid") + model.scalar_names:
+    for name in ("alpha", "beta", "resid"):
         if not np.isfinite(getattr(state, name)).all():
+            raise FloatingPointError(f"non-finite {name} after sweep {iteration}")
+    for name in model.scalar_names:
+        if not math.isfinite(getattr(state, name)):
             raise FloatingPointError(f"non-finite {name} after sweep {iteration}")
 
 

@@ -100,7 +100,7 @@ def build_gaussian_model(
 
 def sigma_sq_conditional_params(state: GaussianSamplerState, model: GaussianModel):
     """Inverse-Gamma shape/scale; shape grows by d/2 per active block."""
-    n_active = int(np.sum(state.inclusion))
+    n_active = np.count_nonzero(state.inclusion)
     shape = 0.5 * model.n + 0.5 * model.d * n_active + model.prior.s
     penalty = float(np.sum(np.sum(state.alpha[1:] ** 2, axis=1) / state.zeta_sq))
     scale = 0.5 * float(state.resid @ state.resid) + 0.5 * penalty + model.prior.h

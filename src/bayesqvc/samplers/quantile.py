@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..ald import AldConstants, ald_constants, check_loss
+from ..ald import AldConstants, ald_constants
 from ..basis import SplineConfig, expand_design
 from ..data import Dataset
 from ..rng import RngHandle, sample_exponential, sample_gamma, sample_inverse_gaussian
@@ -135,16 +135,22 @@ def build_quantile_model(
 def update_latent_u(state: SamplerState, model: QuantileModel, rng: RngHandle) -> np.ndarray:
     """Refresh all exponential-mixture latents; their reciprocals are inverse-Gaussian."""
     c = model.consts
-    r = np.maximum(np.abs(state.resid), RESIDUAL_FLOOR)
-    mean = math.sqrt(c.kappa1**2 + 2.0 * c.kappa2_sq) / r
+    mean = np.abs(state.resid)
+    np.maximum(mean, RESIDUAL_FLOOR, out=mean)
+    np.divide(math.sqrt(c.kappa1**2 + 2.0 * c.kappa2_sq), mean, out=mean)
     shape = state.theta * c.kappa1**2 / c.kappa2_sq + 2.0 * state.theta
-    state.u_tilde = 1.0 / sample_inverse_gaussian(rng, mean, shape)
+    draws = sample_inverse_gaussian(rng, mean, shape)
+    state.u_tilde = np.divide(1.0, draws, out=draws)
     return state.u_tilde
 
 
 def theta_conditional_params(state: SamplerState, model: QuantileModel):
-    """Gamma (shape, rate) of theta given the residual, with the latents u integrated out."""
-    rate = float(np.sum(check_loss(state.resid, model.consts.tau))) + model.prior.b
+    """Gamma (shape, rate) of theta given the residual, with the latents u integrated out.
+
+    The rate's sum of check losses rho_tau(r) = r (tau - 1{r < 0}) is one dot product.
+    """
+    resid = state.resid
+    rate = float(resid @ (model.consts.tau - (resid < 0.0))) + model.prior.b
     return model.n + model.prior.a, rate
 
 
@@ -152,4 +158,3 @@ def update_theta(state: SamplerState, model: QuantileModel, rng: RngHandle) -> f
     shape, rate = theta_conditional_params(state, model)
     state.theta = float(sample_gamma(rng, shape, rate))
     return state.theta
-

@@ -25,6 +25,10 @@ simulation's ``truth.json`` and to hash the ``metrics.json`` it writes.  The
 bvc hash moved through that file alone: without it, the digest is the one
 before.  The bqrvcss hash moved through its draws too, when theta began to
 be drawn with u integrated out (``tests/test_golden_draws.py`` says why).
+
+Both hashes moved through their draws, by rounding only, when the spline
+predictor became one (n, p+1) @ (p+1, d) product and theta's rate one dot
+product (``tests/test_golden_draws.py`` says which hashes each moved).
 """
 
 import hashlib
@@ -38,9 +42,9 @@ TIMING_FIELDS = ("wallclock_seconds", "output_seconds", "workers_used")
 
 GOLDEN = {
     "bqrvcss":
-        "9af9382b1aee00373a610fe82432e4750259b22107739ae6769c15d8cd07759e",
+        "f4efdc3a3108d61ffb368832eb98c555e1de241731b11f57ffb4ea458b5ff903",
     "bvc":
-        "b6d7d84641d4cc8c0484fc26a8126dc28d77dfac7a700b58de1df0810d276b41",
+        "2231aaca38d67f432c48f20ef940123afbf88a12cd9919db4ae6b0d0abe7c963",
 }
 
 

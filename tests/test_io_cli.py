@@ -333,6 +333,37 @@ def test_curves_csv_sorts_only_rows_out_of_writer_order(tmp_path, monkeypatch):
         read_curves_csv(shuffled)
 
 
+@pytest.mark.parametrize("live", [[0, 2, 5], [3], [], [0, 1, 2, 3, 4, 5, 6]])
+def test_curves_csv_parses_only_the_live_curves_of_a_writer_file(tmp_path, monkeypatch, live):
+    """A writer-order file parses its first curve and its live ones; the result is the
+    whole-file parse's, bit for bit.  A curve of -0.0 values is written out, so it is live."""
+    rng = np.random.default_rng(3)
+    grid = np.linspace(0, 1, 9)
+    med = np.zeros((7, grid.size))
+    med[live] = rng.normal(size=(len(live), grid.size))
+    med[6, 4] = -0.0
+    bands = CurveBands(grid=grid, median=med, lower=med - 0.5 * (med != 0),
+                       upper=med + 0.5 * (med != 0))
+    path = tmp_path / "curves.csv"
+    write_curves_csv(path, bands)
+    whole = np.loadtxt(path, delimiter=",", skiprows=1)
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def counting(lines, *args, **kwargs):
+        body = loadtxt(lines, *args, **kwargs)
+        parsed.append(len(body))
+        return body
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    got = read_curves_csv(path)
+    assert parsed == [len(set(live) | {0, 6}) * grid.size]
+    np.testing.assert_array_equal(got.grid, whole[: grid.size, 2])
+    for column, band in zip((3, 4, 5), got[1:]):
+        np.testing.assert_array_equal(band, whole[:, column].reshape(7, grid.size))
+        np.testing.assert_array_equal(np.signbit(band), np.signbit(whole[:, column]).reshape(7, -1))
+
+
 def reference_curves_text(bands):
     """The row-by-row writer: one %.17g call per value."""
     lines = ["j,grid_index,v,median,lower,upper"]

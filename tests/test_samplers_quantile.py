@@ -17,7 +17,9 @@ from scipy import stats
 from bayesqvc import Dataset, GaussianPriorConfig, McmcOptions, PriorConfig, RngHandle
 from bayesqvc import SplineConfig
 from bayesqvc.ald import ald_constants, ald_log_density
+from bayesqvc.rng import sample_gamma, sample_inverse_gaussian
 from bayesqvc.samplers.engine import (
+    _spline_predictor,
     alpha0_conditional_moments,
     alpha_block_moments,
     beta_conditional_moments,
@@ -33,6 +35,7 @@ from bayesqvc.samplers.engine import (
     update_alpha_block,
     update_alpha_blocks,
     update_beta,
+    update_slab_scales,
 )
 from bayesqvc.samplers.engine import shrinkage_conditional_params as eta_sq_conditional_params
 from bayesqvc.samplers.gaussian import build_gaussian_model
@@ -437,6 +440,46 @@ def test_g_update_nonzero_branch():
     )
 
 
+@pytest.mark.parametrize("likelihood", ["quantile", "gaussian"])
+@pytest.mark.parametrize("included", ["none", "some", "all"])
+def test_slab_scale_draws_follow_their_stream_contract(likelihood, included):
+    """One Gamma call for the excluded blocks, then the IG draws of the included ones."""
+    rng = np.random.default_rng(21)
+    n, p = 10, 7
+    ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, p)), v=rng.random(n))
+    if likelihood == "quantile":
+        model = build_quantile_model(ds, SplineConfig(2, 1), PriorConfig(), tau=0.3)
+    else:
+        model = build_gaussian_model(ds, SplineConfig(2, 1), GaussianPriorConfig())
+    state = initial_state(model)
+    state.shrink = 1.7
+    if likelihood == "gaussian":
+        state.sigma_sq = 0.6
+    inclusion = {"none": np.zeros(p, bool), "some": np.arange(p) % 3 == 1,
+                 "all": np.ones(p, bool)}[included]
+    state.alpha[1:][inclusion] = rng.normal(size=(inclusion.sum(), model.d))
+    state.inclusion[:] = inclusion
+    state.validate()
+
+    reference = RngHandle(8, 2)
+    expected = np.empty(p)
+    if not inclusion.all():
+        expected[~inclusion] = sample_gamma(reference, 0.5 * (model.d + 1), 0.5 * state.shrink,
+                                            size=int((~inclusion).sum()))
+    if inclusion.any():
+        norms = np.sum(state.alpha[1:][inclusion] ** 2, axis=1)
+        mean = np.sqrt(state.noise_scale * state.shrink / norms)
+        expected[inclusion] = 1.0 / sample_inverse_gaussian(reference, mean, state.shrink)
+    drawn = update_slab_scales(state, model, RngHandle(8, 2))
+    np.testing.assert_array_equal(drawn, expected)
+    np.testing.assert_array_equal(state.slab, expected)
+
+    if inclusion.any():
+        state.alpha[1 + np.flatnonzero(inclusion)[-1]] = 0.0  # an included block at zero
+        with pytest.raises(RuntimeError, match="inclusion"):
+            update_slab_scales(state, model, RngHandle(8, 2))
+
+
 def test_g_update_inconsistent_state_raises(tiny_model, tiny_state):
     state = tiny_state
     state.alpha[1] = 0.0
@@ -552,6 +595,42 @@ def test_full_residual_matches_dense_blocks(spike):
     predictor = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
     np.testing.assert_allclose(full_residual(state, model),
                                model.y - model.e @ state.beta - predictor, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("included", ["none", "some", "all"])
+def test_spline_predictor_matches_dense_block_sum(included):
+    rng = np.random.default_rng(14)
+    n, p = 11, 6
+    ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, p)), v=rng.random(n))
+    model = build_quantile_model(ds, SplineConfig(2, 2), PriorConfig(), tau=0.4)
+    flags = {"none": np.zeros(p, bool), "some": np.arange(p) % 2 == 0,
+             "all": np.ones(p, bool)}[included]
+    alpha = rng.normal(size=(p + 1, model.d))
+    alpha[1:][~flags] = 0.0
+    dense = np.einsum("jnd,jd->n", dense_blocks(model), alpha)
+    np.testing.assert_allclose(_spline_predictor(model, alpha, flags), dense, rtol=1e-12)
+    np.testing.assert_allclose(_spline_predictor(model, alpha), dense, rtol=1e-12)
+
+
+def test_dense_residual_and_response_form_no_p_by_n_temporary():
+    """At n=200, p=2000 a (p, n) float array is 3.2 MB.  The residual of a state that
+    includes every block and a simulated response each stay below a tenth of that."""
+    dataset, _, _ = simulate_dataset(ScenarioSpec(n=200, p=2000, seed=1))
+    model = build_quantile_model(dataset, SplineConfig(2, 2), PriorConfig(), tau=0.5,
+                                 spike=False)
+    state, rng = initial_state(model), RngHandle(2, 0)
+    state.alpha[:] = 0.1 * rng.gen.normal(size=state.alpha.shape)
+    state.inclusion[:] = True
+    state.u_tilde = rng.gen.exponential(size=model.n)
+    p_by_n = model.p * model.n * 8
+    peaks = []
+    tracemalloc.start()
+    for call in (lambda: full_residual(state, model), lambda: draw_response(state, model, rng)):
+        tracemalloc.reset_peak()
+        call()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    tracemalloc.stop()
+    assert max(peaks) < p_by_n / 10
 
 
 def test_block_stage_and_residual_refresh_form_no_p_by_n_temporary():
