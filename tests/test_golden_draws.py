@@ -96,12 +96,16 @@ keep every bit.  The shape-B Gaussian fits have no blocks and draw no
 theta, so bvcss and bvc kept their shape-B hashes.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from bayesqvc import Dataset, McmcOptions, SplineConfig, fit
+from bayesqvc import Dataset, McmcOptions, RngHandle, SplineConfig, fit
+from bayesqvc.samplers import gaussian, quantile
+from bayesqvc.samplers.engine import draw_state_from_prior
+from bayesqvc.samplers.variants import METHODS
 
 
 def _shape_a() -> Dataset:
@@ -166,3 +170,46 @@ def test_golden_draws(method, shape):
     tau = 0.3 if method in ("bqrvcss", "bqrvc") else None
     samples = fit(SHAPES[shape](), method, spline_config=SplineConfig(2, 1), tau=tau, opts=opts)
     assert draws_digest(samples) == GOLDEN[(method, shape)]
+
+
+def _model(method: str, shape: str):
+    """The model ``fit`` builds for ``method`` on ``shape``, with the golden test's settings."""
+    spec = METHODS[method]
+    if spec.needs_tau:
+        return quantile.build_quantile_model(
+            SHAPES[shape](), SplineConfig(2, 1), spec.prior(), tau=0.3, spike=spec.spike)
+    return gaussian.build_gaussian_model(
+        SHAPES[shape](), SplineConfig(2, 1), spec.prior(), spike=spec.spike)
+
+
+def state_digest(states) -> str:
+    """SHA-256 over every field of every state, in field order."""
+    h = hashlib.sha256()
+    for state in states:
+        for item in dataclasses.fields(state):
+            arr = np.ascontiguousarray(getattr(state, item.name))
+            h.update(f"{item.name}:{arr.dtype.str}:{arr.shape}".encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+# draw_state_from_prior overwrites every field of the chain start it builds
+# on, so a change to the start must leave these hashes unchanged: the Geweke
+# test and the fixtures that draw states from the prior rely on its output.
+PRIOR_GOLDEN = {
+    "bqrvcss":
+        "e2ca03192c6202d56908c6429ebc8afd3e0bb1e6087a5df3c154d7a2d72414a4",
+    "bqrvc":
+        "011f5cff4d63af586139782bf8517de4912ff543f9f94e62ec608366f9cdb56c",
+    "bvcss":
+        "4b43eabfe046dddea4f5eaf5f2136f5fd582a587c7a0374b825817f39b40e469",
+    "bvc":
+        "04245dd91e5aa8a111d162e155ab27b6f7da1f2c6e18f8f67ca3888455698710",
+}
+
+
+@pytest.mark.parametrize("method", sorted(PRIOR_GOLDEN))
+def test_prior_draw_digest(method):
+    model, rng = _model(method, "A"), RngHandle(23, 2)
+    states = [draw_state_from_prior(model, rng) for _ in range(3)]
+    assert state_digest(states) == PRIOR_GOLDEN[method]
