@@ -9,9 +9,10 @@ cutoff count as converged.
 The reports split every chain into halves first (split PSRF: Gelman et al.,
 Bayesian Data Analysis, 3rd ed., 2013, section 11.4; Vehtari et al. 2021,
 arXiv:1903.08008).  Plain PSRF assumes over-dispersed starts, but every
-chain here starts from the same all-null state, so it misses a transient
-the chains share; the halves of such a chain differ.  A single chain can
-be diagnosed too.
+chain here starts from the same deterministic state, the null model with
+the noise scale at its conditional mean (``samplers.engine.initial_state``),
+so it misses a transient the chains share; the halves of such a chain
+differ.  A single chain can be diagnosed too.
 """
 
 from __future__ import annotations

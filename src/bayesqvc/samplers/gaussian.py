@@ -55,8 +55,13 @@ class GaussianModel(GibbsModel):
     scalar_names = ("sigma_sq", "lambda_sq", "pi0")
     latent_names = ("zeta_sq",)
 
-    def unit_scales(self) -> dict:
-        return {"sigma_sq": 1.0, "zeta_sq": np.ones(self.p), "lambda_sq": 1.0}
+    def null_state(self, **coefficients) -> GaussianSamplerState:
+        """Unit slab scales and lambda_sq; 1/sigma_sq at its conditional mean, shape / scale."""
+        state = GaussianSamplerState(**coefficients, sigma_sq=1.0, zeta_sq=np.ones(self.p),
+                                     lambda_sq=1.0)
+        shape, scale = sigma_sq_conditional_params(state, self)
+        state.sigma_sq = scale / shape
+        return state
 
     def working_likelihood(self, state: GaussianSamplerState):
         """Uniform weights 1/sigma_sq and no shift."""

@@ -76,8 +76,13 @@ class QuantileModel(GibbsModel):
     scalar_names = ("theta", "eta_sq", "pi0")
     latent_names = ("u_tilde", "g")
 
-    def unit_scales(self) -> dict:
-        return {"u_tilde": np.ones(self.n), "g": np.ones(self.p), "theta": 1.0, "eta_sq": 1.0}
+    def null_state(self, **coefficients) -> SamplerState:
+        """Unit latents, slab scales and eta_sq; theta at its conditional mean, shape / rate."""
+        state = SamplerState(**coefficients, u_tilde=np.ones(self.n), g=np.ones(self.p),
+                             theta=1.0, eta_sq=1.0)
+        shape, rate = theta_conditional_params(state, self)
+        state.theta = shape / rate
+        return state
 
     def working_likelihood(self, state: SamplerState):
         """Weights theta / (kappa2^2 u_i) and the working-response shift kappa1 u."""

@@ -26,6 +26,8 @@ from bayesqvc.samplers.gaussian import (
     update_zeta_sq,
 )
 
+from bayesqvc.simulate import ScenarioSpec, simulate_dataset
+
 from oracles import assert_moments, dense_blocks, spike_probability_oracle_gaussian
 
 
@@ -120,6 +122,36 @@ def test_sigma_sq_scale_includes_slab_penalty(small_model, small_state):
     )
     expected = 0.5 * resid @ resid + 0.5 * penalty + model.prior.h
     assert scale == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("zero_y", [False, True], ids=["y", "zero-y"])
+def test_start_sigma_sq_is_its_conditional_mean(small_model, zero_y):
+    """The null start sets 1/sigma_sq to shape / scale of its conditional given residual y."""
+    model = small_model
+    if zero_y:
+        model.y = np.zeros(model.n)
+    state = initial_state(model)
+    np.testing.assert_array_equal(state.resid, model.y)
+    shape, scale = sigma_sq_conditional_params(state, model)
+    assert state.sigma_sq == scale / shape
+    assert math.isfinite(state.sigma_sq) and state.sigma_sq > 0.0
+    np.testing.assert_array_equal(state.zeta_sq, 1.0)
+    assert (state.lambda_sq, state.pi0) == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scenario", [
+    {"covariate_kind": "gene", "error_kind": "normal", "heteroscedastic": False, "tau": 0.5},
+    {"covariate_kind": "snp", "error_kind": "laplace", "heteroscedastic": True, "tau": 0.25},
+], ids=["gene", "snp"])
+def test_bvcss_first_sweep_includes_few_blocks(scenario, seed):
+    """From the start's sigma_sq, the first bvcss sweep at the paper shape (n=200, p=100,
+    3 true blocks) includes at most 10 blocks; a unit sigma_sq start included 43 to 52."""
+    dataset, _, _ = simulate_dataset(ScenarioSpec(seed=seed, **scenario))
+    model = build_gaussian_model(dataset, SplineConfig(), GaussianPriorConfig(), spike=True)
+    state = initial_state(model)
+    model.sweep(state, RngHandle(seed, 0))
+    assert np.count_nonzero(state.inclusion) <= 10
 
 
 def test_lambda_sq_shapes():

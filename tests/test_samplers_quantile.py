@@ -504,6 +504,29 @@ def test_pi0_counting(tiny_model):
 
 
 # ---------------------------------------------------------------------------
+# chain start
+
+@pytest.mark.parametrize("tau", [0.001, 0.5, 0.999])
+@pytest.mark.parametrize("zero_y", [False, True], ids=["y", "zero-y"])
+def test_start_theta_is_its_conditional_mean(tiny_dataset, tau, zero_y):
+    """The null start: no block, zero coefficients, residual y, and theta at shape / rate
+    of its conditional given them, finite and positive also for y = 0 and tau near 0 or 1."""
+    ds = tiny_dataset
+    if zero_y:
+        ds = Dataset(y=np.zeros(ds.n), x=ds.x, v=ds.v, e=ds.e)
+    model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=tau)
+    state = initial_state(model)
+    assert not state.inclusion.any() and not state.alpha.any() and not state.beta.any()
+    np.testing.assert_array_equal(state.resid, model.y)
+    shape, rate = theta_conditional_params(state, model)
+    assert state.theta == shape / rate
+    assert math.isfinite(state.theta) and state.theta > 0.0
+    np.testing.assert_array_equal(state.u_tilde, 1.0)
+    np.testing.assert_array_equal(state.g, 1.0)
+    assert (state.eta_sq, state.pi0) == (1.0, 0.5)
+
+
+# ---------------------------------------------------------------------------
 # chain driver
 
 def test_run_chain_zero_kept_rejected(tiny_dataset):
