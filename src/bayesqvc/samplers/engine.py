@@ -3,8 +3,8 @@
 Given its latents, each likelihood is Gaussian in the coefficients, so all
 four samplers run one skeleton: model build, the chain start, the residual
 cache, the coefficient updates, the slab-scale, shrinkage and pi0 updates,
-the chain storage loop, the forward prior draw and ``draw_response``.  The Gaussian
-likelihood is the quantile one with three changes:
+the chain storage loop, the forward prior draw and ``draw_response``.  The
+Gaussian likelihood is the quantile one with three changes:
 
 1. uniform working weights 1/sigma_sq in place of theta / (kappa2^2 u_i);
 2. no kappa1 * u offset in the working response;
@@ -79,11 +79,12 @@ Every chain starts at the null model (:func:`initial_state`): no block
 included, all coefficients zero, so the residual is y, and pi0 = 0.5.  The
 likelihood's precision, theta or 1/sigma_sq, starts at the mean of its full
 conditional given that, computed by the sweep's own conditional; the other
-scales and latents start at 1.  A unit noise scale whatever the data made
-the first bvcss sweep include about 45 of 100 blocks at the paper shape
-while sigma_sq collapsed, and the chain spent its burn-in leaving that
-state.  The spike quantile sweep draws theta before it reads theta or u, so
-its draws do not depend on the start's theta.
+scales and latents start at 1.  A noise scale that ignores the scale of y
+lets the first spike sweeps include many blocks: from sigma_sq = 1, the
+first bvcss sweep included about 45 of 100 blocks at the paper shape, and
+the chain spent its burn-in leaving that state while sigma_sq collapsed.
+The spike quantile sweep draws theta before it reads theta or u, so its
+draws do not depend on the start's theta.
 
 The functions the tests check against oracles run the sweep's own code:
 :func:`spike_probability` and the block kernel's :func:`spike_thresholds`
@@ -250,12 +251,13 @@ class GibbsModel:
     ``prior.pi0_prior``.  A likelihood subclasses the model and supplies,
     besides its own constants:
 
-    * ``state_class``, ``scalar_names`` and ``latent_names``: its state and
-      the state attributes stored per draw, in storage order;
-    * ``null_state(**coefficients)``: the chain start, a state with the given
-      all-null coefficients and residual y; the likelihood sets its precision
-      to the mean of its full conditional given them and every other scale
-      and latent to 1 (:func:`initial_state`);
+    * ``scalar_names`` and ``latent_names``: the state attributes stored per
+      draw, in storage order;
+    * ``null_state(**coefficients)``: the chain start, a state of the
+      likelihood's state class with the given all-null coefficients and
+      residual y; the likelihood sets its precision to the mean of its full
+      conditional given them and every other scale and latent to 1
+      (:func:`initial_state`);
     * ``working_likelihood(state)``: the (n,) working weights w and the
       shift s ((n,) or 0.0) with y - s ~ N(Z coef, diag(1/w)) given the
       latents;

@@ -51,7 +51,6 @@ class GaussianModel(GibbsModel):
     # Spike models only: (p, d, d) unweighted block grams.
     block_grams: np.ndarray = field(repr=False, default=None)
 
-    state_class = GaussianSamplerState
     scalar_names = ("sigma_sq", "lambda_sq", "pi0")
     latent_names = ("zeta_sq",)
 

@@ -72,7 +72,6 @@ class QuantileModel(GibbsModel):
     # Spike models only: (p, n) squared covariates X' o X', the data side of the grams.
     xt_sq: np.ndarray = field(repr=False, default=None)
 
-    state_class = SamplerState
     scalar_names = ("theta", "eta_sq", "pi0")
     latent_names = ("u_tilde", "g")
 
