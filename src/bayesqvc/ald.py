@@ -38,7 +38,11 @@ class AldConstants:
 def ald_constants(tau: float) -> AldConstants:
     tau = validate_tau(tau)
     denom = tau * (1.0 - tau)
-    return AldConstants(tau=tau, kappa1=(1.0 - 2.0 * tau) / denom, kappa2_sq=2.0 / denom)
+    kappa1, kappa2_sq = (1.0 - 2.0 * tau) / denom, 2.0 / denom
+    if not (math.isfinite(kappa1 * kappa1) and math.isfinite(kappa2_sq)):
+        raise ValueError(f"tau = {tau!r} is too close to 0 or 1: its ALD constants kappa1^2 = "
+                         f"{kappa1 * kappa1!r} and kappa2^2 = {kappa2_sq!r} must be finite")
+    return AldConstants(tau=tau, kappa1=kappa1, kappa2_sq=kappa2_sq)
 
 
 def check_loss(residual, tau: float):

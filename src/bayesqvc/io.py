@@ -17,8 +17,11 @@ Formats:
   The older ``bayesqvc-samples-v1`` stores a dense ``alpha`` (M, p+1, d)
   and uint8 flags in place of the first four; it still loads.
 * curves: CSV with header ``j, grid_index, v, median, lower, upper``, one
-  row per (curve, grid point) of an :class:`inference.CurveBands`; floats
-  carry 17 significant digits.
+  row per (curve, grid point) of an :class:`inference.CurveBands`, curve by
+  curve in grid order; floats carry 17 significant digits, and an all-+0.0
+  curve is the fixed text ``j,t,v,0,0,0`` (:func:`_zero_curve_text`).  The
+  reader takes that layout only: a file with no rows, a short last curve,
+  rows out of that order or a curve off curve 0's v grid is a ValueError.
 * summaries and metrics: JSON, always embedding the run configuration so a
   result is regenerable from the file alone.
 """
@@ -33,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ald import ald_constants
 from .basis import SplineConfig
 from .data import Dataset
 from .inference import CurveBands
@@ -76,6 +80,8 @@ class RunConfig:
         # be written to the JSON outputs after the fit.
         if not 0.0 < self.tau < 1.0:
             raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
+        if method_spec(self.method).needs_tau:
+            ald_constants(self.tau)  # raises on a tau whose ALD constants overflow
         resolve_workers(self.workers, self.chains)  # raises on a bad worker count
 
     def spline_config(self) -> SplineConfig:
@@ -238,17 +244,6 @@ def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
         fh.write(row_fmt * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
-def _read_rows(fh, what: str) -> np.ndarray:
-    """The rows of a CSV file after the header line ``fh`` has read, as an (rows, columns)
-    float array; ValueError naming ``what`` if there is none."""
-    # np.loadtxt only warns on an empty body, so look for a row first.
-    start = fh.tell()
-    if not any(line.strip() for line in fh):
-        raise ValueError(f"{what} CSV has no data rows")
-    fh.seek(start)
-    return np.loadtxt(fh, delimiter=",", ndmin=2)
-
-
 # ---------------------------------------------------------------------------
 # dataset CSV
 
@@ -279,7 +274,12 @@ def read_dataset_csv(path) -> Dataset:
             if got != want:
                 raise ValueError(f"dataset CSV header must be V, E_1..E_q, X_1..X_p, Y in "
                                  f"order: column {col} is {got}, expected {want}")
-        body = _read_rows(fh, "dataset")
+        # np.loadtxt only warns on an empty body, so look for a row first.
+        start = fh.tell()
+        if not any(line.strip() for line in fh):
+            raise ValueError("dataset CSV has no data rows")
+        fh.seek(start)
+        body = np.loadtxt(fh, delimiter=",", ndmin=2)
     if body.shape[1] != len(header):
         raise ValueError(f"dataset CSV header names {len(header)} columns, "
                          f"but its rows have {body.shape[1]}")
@@ -306,6 +306,8 @@ def load_truth(path):
 # posterior samples: flat binary + JSON sidecar
 
 SAMPLES_FORMAT = "bayesqvc-samples-v2"
+# The ChainSamples fields a chain's index entry holds under their own names.
+_CHAIN_FIELDS = ("seed", "stream_id", "iterations", "burn_in", "thin")
 
 
 def _chain_array_items(chain: ChainSamples):
@@ -339,16 +341,8 @@ def save_samples(directory, samples: PosteriorSamples, config: RunConfig) -> Non
                 fh.write(raw)
                 offset += len(raw)
             arrays["inclusion"]["shape"] = list(chain.inclusion.shape)  # unpacked
-            index_chains.append(
-                {
-                    "seed": chain.seed,
-                    "stream_id": chain.stream_id,
-                    "iterations": chain.iterations,
-                    "burn_in": chain.burn_in,
-                    "thin": chain.thin,
-                    "arrays": arrays,
-                }
-            )
+            index_chains.append({**{k: getattr(chain, k) for k in _CHAIN_FIELDS},
+                                 "arrays": arrays})
     dump_json(
         directory / "samples.json",
         {
@@ -417,25 +411,11 @@ def load_samples(directory):
             for name, meta in entry["arrays"].items()
         }
         alpha0, rows, inclusion = _sparse_alpha(loaded, version, where)
-        chains.append(
-            ChainSamples(
-                seed=entry["seed"],
-                stream_id=entry["stream_id"],
-                iterations=entry["iterations"],
-                burn_in=entry["burn_in"],
-                thin=entry["thin"],
-                alpha0=alpha0,
-                rows=rows,
-                beta=loaded["beta"],
-                inclusion=inclusion,
-                scalars={
-                    k.split(":", 1)[1]: v for k, v in loaded.items() if k.startswith("scalar:")
-                },
-                latents={
-                    k.split(":", 1)[1]: v for k, v in loaded.items() if k.startswith("latent:")
-                },
-            )
-        )
+        named = {kind: {k.partition(":")[2]: v for k, v in loaded.items()
+                        if k.startswith(kind + ":")} for kind in ("scalar", "latent")}
+        chains.append(ChainSamples(**{k: entry[k] for k in _CHAIN_FIELDS}, alpha0=alpha0,
+                                   rows=rows, beta=loaded["beta"], inclusion=inclusion,
+                                   scalars=named["scalar"], latents=named["latent"]))
     samples = PosteriorSamples(
         method=index["method"],
         tau=index["tau"],
@@ -450,6 +430,14 @@ def load_samples(directory):
 # ---------------------------------------------------------------------------
 # curve estimates CSV (plot-ready)
 
+def _zero_curve_text(v_text):
+    """The rows ``j,t,v,0,0,0`` of an all-+0.0 curve j on the grid of v texts ``v_text``, as a
+    function of j: what :func:`write_curves_csv` writes for such a curve, and
+    :func:`read_curves_csv` skips unparsed."""
+    tails = [f",{t},{v},0,0,0\n" for t, v in enumerate(v_text)]
+    return lambda j: str(j) + str(j).join(tails)
+
+
 def write_curves_csv(path, bands: CurveBands) -> None:
     """One row per (curve j, grid point t) of ``bands``, curve by curve."""
     grid = bands.grid
@@ -458,94 +446,73 @@ def write_curves_csv(path, bands: CurveBands) -> None:
     table[:, 1] = range(grid.size)
     table[:, 2] = [FLOAT_FMT % v for v in grid]
     row_fmt = "%d,%d,%s," + ",".join([FLOAT_FMT] * 3) + "\n"
-    # The rows of an all-zero curve after its "j": joined with str(j) as separator.
-    zero_tails = [f",{t},{v},0,0,0\n" for t, v in zip(table[:, 1], table[:, 2])]
+    zero_curve = _zero_curve_text(table[:, 2])
     with open(path, "w") as fh:
         fh.write("j,grid_index,v,median,lower,upper\n")
         for j, rows in enumerate(zip(bands.median, bands.lower, bands.upper)):
             if not any(b.any() or np.signbit(b).any() for b in rows):
-                fh.write(str(j) + str(j).join(zero_tails))
+                fh.write(zero_curve(j))
                 continue
             table[:, 0] = j
             table[:, 3], table[:, 4], table[:, 5] = rows
             _write_rows(fh, row_fmt, table)
 
 
-def _writer_curves(fh) -> CurveBands | None:
-    """The bands of a curves file in writer order, read from ``fh`` past its header, or None.
-
-    A curve the writer emits as constant ``0,0,0`` rows is recognised by
-    exact text: its g rows are the first curve's grid index and v text with
-    its own j and ``0,0,0``, as :func:`write_curves_csv` joins them.  Only the
-    first curve and the other curves are parsed, as the file streams past.
-    None unless the file is in writer order with a full grid and every parsed
-    row is where the writer puts it, so that any other file takes the
-    general path.
-    """
-    lines = iter(fh)
-    first, line = [], next(lines, "")
-    while line.startswith("0,"):
-        first.append(line)
-        line = next(lines, "")
-    g = len(first)
-    heads = [row.split(",", 3) for row in first]
-    if g == 0 or any(len(head) < 4 or head[1] != str(t) for t, head in enumerate(heads)):
-        return None
-    zero_tails = [f",{t},{v},0,0,0\n" for _, t, v, _ in heads]
-    rest = chain([line] if line else [], lines)
-    parsed, n_curves = [0], 1  # the curves parsed, and the count of curves read
-
-    def live_rows():
-        nonlocal n_curves
-        yield from first
-        for j, head in enumerate(rest, start=1):
-            block = [head, *islice(rest, g - 1)]
-            n_curves = j + 1
-            if "".join(block) != str(j) + str(j).join(zero_tails):
-                parsed.append(j)
-                yield from block
-
-    try:
-        body = np.loadtxt(live_rows(), delimiter=",", ndmin=2)
-    except ValueError:
-        return None
-    if (body.shape != (len(parsed) * g, 6)
-            or np.any(body[:, 0] != np.repeat(parsed, g))
-            or np.any(body[:, 1] != np.tile(np.arange(g), len(parsed)))):
-        return None
-    if len(parsed) == n_curves:  # the bands are views of the body, as in the general path
-        return CurveBands(body[:g, 2], *(body[:, k].reshape(n_curves, g) for k in (3, 4, 5)))
-    bands = np.zeros((3, n_curves, g))
-    bands[:, parsed] = body[:, 3:].T.reshape(3, len(parsed), g)
-    return CurveBands(body[:g, 2], *bands)
-
-
 def read_curves_csv(path) -> CurveBands:
     """The :class:`inference.CurveBands` a :func:`write_curves_csv` file holds.
 
-    A file in writer order parses only its first curve and the curves that
-    are not all zero (:func:`_writer_curves`); any other file is parsed
-    whole, with the same result.
+    Curve 0, the rows that start with ``0,``, fixes the grid size g, the grid
+    indices 0..g-1 and the v values.  Each later curve j is the next g rows:
+    the writer's all-zero text (:func:`_zero_curve_text`) reads as +0.0
+    unparsed, and curve 0 and every other curve go through one streamed
+    ``np.loadtxt``.  ValueError if there is no data row, if the last curve
+    is short ("incomplete grid"), if a parsed row has not six columns, or if
+    it lacks its curve's j, its grid index or curve 0's v there.
     """
     with open(path) as fh:
         fh.readline()
-        start = fh.tell()
-        bands = _writer_curves(fh)
-        if bands is not None:
-            return bands
-        fh.seek(start)
-        body = _read_rows(fh, "curves")
-    n_curves = int(body[:, 0].max()) + 1
-    g = int(body[:, 1].max()) + 1
-    if body.shape[0] != n_curves * g:
-        raise ValueError("curves CSV has an incomplete grid")
-    # The writer's rows come curve by curve in grid order; sort only other files.
-    index = body[:, :2].reshape(n_curves, g, 2)
-    if not (np.all(index[..., 0] == np.arange(n_curves)[:, None])
-            and np.all(index[..., 1] == np.arange(g))):
-        body = body[np.lexsort((body[:, 1], body[:, 0]))]
-    grid = body[:g, 2]
-    med = body[:, 3].reshape(n_curves, g)
-    low = body[:, 4].reshape(n_curves, g)
-    upp = body[:, 5].reshape(n_curves, g)
-    return CurveBands(grid, med, low, upp)
+        first, line = [], next(fh, "")
+        while line.startswith("0,"):
+            first.append(line)
+            line = next(fh, "")
+        if not first:
+            raise ValueError("curves CSV has no data rows" if not line.strip() else
+                             f"curves CSV line 2 has curve {line.split(',')[0]}, where the "
+                             "writer puts curve 0")
+        g = len(first)
+        # A row too short to hold a v fails in np.loadtxt.
+        zero_curve = _zero_curve_text(["".join(row.split(",", 3)[2:3]) for row in first])
+        rest = chain([line] if line else [], fh)
+        live = [True]  # per curve read: False if it is the writer's all-zero text
+
+        def live_rows():
+            yield from first
+            for j, head in enumerate(rest, start=1):
+                block = [head, *islice(rest, g - 1)]
+                if len(block) < g:
+                    raise ValueError(f"curves CSV has an incomplete grid: its last curve, {j}, "
+                                     f"has {len(block)} rows, and curve 0 has {g}")
+                live.append("".join(block) != zero_curve(j))
+                if live[-1]:
+                    yield from block
+
+        body = np.loadtxt(live_rows(), delimiter=",", ndmin=2)
+    parsed = np.flatnonzero(live)
+    if body.shape != (len(parsed) * g, 6):
+        raise ValueError(f"curves CSV parsed into {body.shape[0]} rows of {body.shape[1]} "
+                         f"values, where the writer puts {len(parsed) * g} rows of 6")
+    # Row t of the k-th parsed curve, from line 2 + parsed[k] * g + t of the file.
+    rows = body.reshape(len(parsed), g, 6)
+    expected = {"curve": parsed[:, None], "grid index": np.arange(g), "v": body[:g, 2]}
+    for column, (name, want) in enumerate(expected.items()):
+        bad = np.argwhere(rows[..., column] != want)
+        if bad.size:
+            k, t = bad[0]
+            raise ValueError(f"curves CSV line {2 + parsed[k] * g + t} has {name} "
+                             f"{rows[k, t, column]:.17g}, where the writer puts {name} "
+                             f"{np.broadcast_to(want, rows.shape[:2])[k, t]:.17g}")
+    bands = rows.transpose(2, 0, 1)[3:]  # (3, curves parsed, g) views of the body
+    if len(parsed) < len(live):
+        bands, parsed_bands = np.zeros((3, len(live), g)), bands
+        bands[:, parsed] = parsed_bands
+    return CurveBands(body[:g, 2], *bands)

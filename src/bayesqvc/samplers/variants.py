@@ -13,7 +13,6 @@ import os
 from ..basis import SplineConfig
 from ..data import Dataset
 from . import gaussian, quantile
-from .config import METHODS  # noqa: F401  (re-exported; callers import the table from here)
 from .config import GaussianPriorConfig, McmcOptions, PriorConfig, method_spec
 from .engine import run_chain
 from .state import ChainSamples, PosteriorSamples

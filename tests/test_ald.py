@@ -48,6 +48,14 @@ def test_ald_constants():
     assert c7.kappa2_sq == pytest.approx(c3.kappa2_sq)
 
 
+def test_ald_constants_reject_a_tau_whose_squares_overflow():
+    c = ald_constants(1e-154)
+    assert math.isfinite(c.kappa1**2) and math.isfinite(c.kappa2_sq)
+    for tau in (1e-155, 5e-324):
+        with pytest.raises(ValueError, match=f"tau = {tau!r} is too close to 0 or 1"):
+            ald_constants(tau)
+
+
 @given(st.floats(0.01, 0.99))
 def test_u_update_constant_identity(tau):
     # the ratio feeding the latent-u draw must be free of theta

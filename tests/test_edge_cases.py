@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bayesqvc import Dataset, McmcOptions, fit
-from bayesqvc.samplers.variants import METHODS
+from bayesqvc.samplers.config import METHODS
 from bayesqvc.simulate import ScenarioSpec, simulate_dataset
 
 OPTS = McmcOptions(iterations=200, burn_in=100, seed=5)

@@ -21,8 +21,8 @@ import pytest
 
 from bayesqvc import Dataset, GaussianPriorConfig, PriorConfig, RngHandle, SplineConfig
 from bayesqvc.samplers import gaussian, quantile
+from bayesqvc.samplers.config import METHODS
 from bayesqvc.samplers.engine import draw_response, draw_state_from_prior
-from bayesqvc.samplers.variants import METHODS
 
 METHOD_NAMES = ("bqrvcss", "bqrvc", "bvcss", "bvc")
 Z_LIMIT = 4.0

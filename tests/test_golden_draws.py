@@ -115,8 +115,8 @@ import pytest
 
 from bayesqvc import Dataset, McmcOptions, RngHandle, SplineConfig, fit
 from bayesqvc.samplers import gaussian, quantile
+from bayesqvc.samplers.config import METHODS
 from bayesqvc.samplers.engine import draw_state_from_prior
-from bayesqvc.samplers.variants import METHODS
 
 
 def _shape_a() -> Dataset:

@@ -309,28 +309,42 @@ def test_curves_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(upp, bands.upper)
 
 
-def test_curves_csv_sorts_only_rows_out_of_writer_order(tmp_path, monkeypatch):
+def _with_fault(text, fault):
+    """The curves file ``text`` of the writer with one ``fault``; "other-v-grid" halves the v
+    of curve 1's row 3."""
+    header, *rows = text.splitlines(keepends=True)
+    g = sum(row.startswith("0,") for row in rows)
+    j, t, v, values = rows[g + 3].split(",", 3)
+    return header + "".join({
+        "header-only": [],
+        "one-curve": rows[:g],
+        "shuffled": [rows[i] for i in np.random.default_rng(1).permutation(len(rows))],
+        "truncated": rows[:-1],
+        "other-v-grid": [*rows[: g + 3], f"{j},{t},{float(v) / 2:.17g},{values}", *rows[g + 4 :]],
+    }[fault])
+
+
+CURVE_FAULTS = [("header-only", "curves CSV has no data rows"),
+                ("shuffled", "where the writer puts curve"),
+                ("truncated", "curves CSV has an incomplete grid"),
+                ("other-v-grid", "has v")]
+
+
+@pytest.mark.parametrize("fault, message", CURVE_FAULTS, ids=[f for f, _ in CURVE_FAULTS])
+def test_curves_csv_rejects_files_out_of_the_writer_layout(tmp_path, fault, message):
+    """Only the writer's layout reads: a file with its rows out of order, a short last curve,
+    a curve on another grid than curve 0 (here the all-zero curve 1) or no rows raises."""
     grid = np.linspace(0, 1, 7)
     med = np.random.default_rng(0).normal(size=(3, 7))
-    bands = CurveBands(grid=grid, median=med, lower=med - 1.0, upper=med + 1.0)
+    med[1] = 0.0
+    bands = CurveBands(grid=grid, median=med, lower=med - (med != 0), upper=med + (med != 0))
     path = tmp_path / "curves.csv"
     write_curves_csv(path, bands)
-    header, *rows = path.read_text().splitlines(keepends=True)
-    shuffled = tmp_path / "shuffled.csv"
-    shuffled.write_text(header + "".join(rows[i] for i in np.random.default_rng(1).permutation(
-        len(rows))))
-    unsorted = read_curves_csv(shuffled)
-
-    def no_sort(*args, **kwargs):
-        raise AssertionError("a curves file in writer order was sorted")
-
-    monkeypatch.setattr(np, "lexsort", no_sort)
-    for got in (read_curves_csv(path), unsorted):
-        for a, b in zip(got, bands):
-            np.testing.assert_array_equal(a, b)
-    shuffled.write_text(header + "".join(rows[:-1]))
-    with pytest.raises(ValueError, match="incomplete grid"):
-        read_curves_csv(shuffled)
+    for got, want in zip(read_curves_csv(path), bands):
+        np.testing.assert_array_equal(got, want)
+    path.write_text(_with_fault(path.read_text(), fault))
+    with pytest.raises(ValueError, match=message):
+        read_curves_csv(path)
 
 
 @pytest.mark.parametrize("live", [[0, 2, 5], [3], [], [0, 1, 2, 3, 4, 5, 6]])
@@ -452,6 +466,17 @@ def test_fit_flags_override_config_file(tmp_path):
     assert config == expected
     bare = _config_from_args(build_parser().parse_args(["fit", "--data", "d.csv"]))
     assert bare == RunConfig()
+
+
+@pytest.mark.parametrize("command", ["", "simulate", "fit", "evaluate", "diagnose",
+                                     "replicate-study"], ids=lambda command: command or "top")
+def test_every_help_renders(capsys, command):
+    """argparse %-formats each help text: a stray % in one, such as the measured timings of
+    fit --workers or the StudyConfig docstring, would turn --help into a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bayesqvc")
 
 
 def test_cli_simulate_and_fit_load_no_scipy(tmp_path):
@@ -654,17 +679,16 @@ def test_cli_evaluate_missing_truth(fit_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "keep, message",
-    [(0, "curves CSV has no data rows"), (200, "holds 1 curves, but the fit has p = 6, so it "
-                                               "needs 7")],
-    ids=["header-only", "one-curve"],
+    "fault, message",
+    [*CURVE_FAULTS, ("one-curve", "holds 1 curves, but the fit has p = 6, so it needs 7")],
+    ids=[*(f for f, _ in CURVE_FAULTS), "one-curve"],
 )
-def test_cli_evaluate_rejects_malformed_curves(sim_dir, fit_dir, tmp_path, capsys, keep, message):
+def test_cli_evaluate_rejects_malformed_curves(sim_dir, fit_dir, tmp_path, capsys, fault,
+                                               message):
     fit = tmp_path / "fit"
     fit.mkdir()
     (fit / "fit_summary.json").write_bytes((fit_dir / "fit_summary.json").read_bytes())
-    lines = (fit_dir / "curves.csv").read_text().splitlines(keepends=True)
-    (fit / "curves.csv").write_text("".join(lines[: 1 + keep]))  # header, then curve 0
+    (fit / "curves.csv").write_text(_with_fault((fit_dir / "curves.csv").read_text(), fault))
     out = tmp_path / "metrics.json"
     assert run_cli("evaluate", "--fit", fit, "--truth", sim_dir / "truth.json",
                    "--out", out) == 1
@@ -790,13 +814,16 @@ def test_cli_fit_rejects_malformed_prior_flag(sim_dir, tmp_path, capsys, item, m
                                       "finite, got inf"),
      (["--prior", "b=inf"], "prior hyperparameter b must be positive and finite, got inf"),
      (["--method", "bvc", "--tau", "nan"], "tau must lie in (0, 1), got nan"),
+     # kappa1^2 = (1 - 2 tau)^2 / (tau (1 - tau))^2 overflows below tau = 7.5e-155 or so.
+     (["--method", "bqrvc", "--tau", "1e-160"], "tau = 1e-160 is too close to 0 or 1"),
+     (["--method", "bqrvcss", "--tau", "1e-155"], "tau = 1e-155 is too close to 0 or 1"),
      (["--prior", "prior_scale=1e-320"], "prior hyperparameter prior_scale must have a finite "
                                          "reciprocal, got 1e-320"),
      # A chain that would store no draw.
      (["--iterations", "10", "--burn-in", "5", "--thin", "10"],
       "got iterations=10, burn_in=5, thin=10")],
-    ids=["a-nan", "prior_scale-inf", "b-inf", "bvc-tau-nan", "prior_scale-1e-320",
-         "no-stored-draw"],
+    ids=["a-nan", "prior_scale-inf", "b-inf", "bvc-tau-nan", "bqrvc-tau-1e-160",
+         "bqrvcss-tau-1e-155", "prior_scale-1e-320", "no-stored-draw"],
 )
 def test_cli_fit_rejects_non_finite_numbers_before_the_fit(sim_dir, tmp_path, capsys, flags,
                                                            message):
@@ -933,14 +960,17 @@ def test_replicate_study_checks_top_level(tmp_path, capsys, change, message):
      ("study", {"priors": {"a": float("nan")}},
       "prior hyperparameter a must be positive and finite, got nan"),
      ("study", {"priors": {"prior_scale": 1e-320}},
-      "prior hyperparameter prior_scale must have a finite reciprocal, got 1e-320")],
+      "prior hyperparameter prior_scale must have a finite reciprocal, got 1e-320"),
+     ("fit", {"method": "bqrvc", "tau": 1e-160}, "tau = 1e-160 is too close to 0 or 1"),
+     ("study", {"scenarios": [{"n": 40, "p": 3, "tau": 1e-160}], "methods": ["bqrvcss"]},
+      "tau = 1e-160 is too close to 0 or 1")],
     ids=["seed-float", "seed-str", "iterations-float", "chains-float", "degree-float",
          "thin-bool", "store_latents-str", "tau-str", "method-int", "prior-str", "prior-bool",
          "priors-int", "fit-config-list", "study-config-list", "base_seed-str",
          "base_seed-float", "base_seed-negative", "replicates-bool", "save_samples-str",
          "out_dir-int", "mcmc-iterations-float", "scenario-heteroscedastic-str",
          "scenario-n-str", "study-workers-zero", "study-workers-str", "study-prior-nan",
-         "study-prior_scale-1e-320"],
+         "study-prior_scale-1e-320", "fit-tau-1e-160", "study-tau-1e-160"],
 )
 def test_config_values_of_the_wrong_type_are_rejected(sim_dir, tmp_path, capsys, command,
                                                       change, message):
