@@ -328,9 +328,7 @@ def save_samples(directory, samples: PosteriorSamples, config: RunConfig) -> Non
         for chain in samples.chains:
             arrays = {}
             for name, arr in _chain_array_items(chain):
-                arr = np.ascontiguousarray(arr)
-                if arr.dtype.byteorder == ">":
-                    arr = arr.astype(arr.dtype.newbyteorder("<"))
+                arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
                 raw = arr.tobytes()
                 arrays[name] = {
                     "dtype": arr.dtype.str,
@@ -466,8 +464,8 @@ def read_curves_csv(path) -> CurveBands:
     the writer's all-zero text (:func:`_zero_curve_text`) reads as +0.0
     unparsed, and curve 0 and every other curve go through one streamed
     ``np.loadtxt``.  ValueError if there is no data row, if the last curve
-    is short ("incomplete grid"), if a parsed row has not six columns, or if
-    it lacks its curve's j, its grid index or curve 0's v there.
+    is short ("incomplete grid"), if a parsed row does not hold six numbers,
+    or if it lacks its curve's j, its grid index or curve 0's v there.
     """
     with open(path) as fh:
         fh.readline()
@@ -496,7 +494,11 @@ def read_curves_csv(path) -> CurveBands:
                 if live[-1]:
                     yield from block
 
-        body = np.loadtxt(live_rows(), delimiter=",", ndmin=2)
+        try:
+            body = np.loadtxt(live_rows(), delimiter=",", ndmin=2)
+        except ValueError as err:
+            _raise_unparsed_row(path, np.flatnonzero(live), g, err)
+            raise
     parsed = np.flatnonzero(live)
     if body.shape != (len(parsed) * g, 6):
         raise ValueError(f"curves CSV parsed into {body.shape[0]} rows of {body.shape[1]} "
@@ -516,3 +518,18 @@ def read_curves_csv(path) -> CurveBands:
         bands, parsed_bands = np.zeros((3, len(live), g)), bands
         bands[:, parsed] = parsed_bands
     return CurveBands(body[:g, 2], *bands)
+
+
+def _raise_unparsed_row(path, curves, g: int, err: ValueError) -> None:
+    """Raise a ValueError naming the file line 2 + j g + t of the first row t of a curve j in
+    ``curves`` that does not hold six numbers; return if every row does."""
+    with open(path) as fh:
+        lines = fh.read().split("\n")  # the lines the reader iterated over
+    for line in (2 + j * g + t for j in curves for t in range(g)):
+        row = lines[line - 1]
+        try:
+            numbers = [float(value) for value in row.split(",")]
+        except ValueError:
+            numbers = []
+        if len(numbers) != 6:
+            raise ValueError(f"curves CSV line {line} is not six numbers: {row!r}") from err

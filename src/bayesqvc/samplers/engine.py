@@ -45,9 +45,9 @@ The coefficients are drawn in one of two ways.
 * The spike samplers (bqrvcss, bvcss) refresh blocks 1..p one at a time
   with the spike-and-slab block draw, then alpha_0 and beta, each from its
   conditional.  Each of these precisions is factored once by Cholesky,
-  P = L L' (Rue 2001), and the draw and the moments read L^-1: with
-  half = L^-1 b, the mean is L^-T half and L^-T (half + z) a draw (z
-  scaled by sqrt(noise_scale) for a slab).  A block's quadratic form
+  P = L L' (Rue 2001), and the draw reads L^-1: with half = L^-1 b, the
+  mean is L^-T half and L^-T (half + z) a draw (z scaled by
+  sqrt(noise_scale) for a slab).  A block's quadratic form
   b' P^-1 b is |half|^2, and log|P^-1| = 2 sum log diag L^-1.
 * The plain samplers (bqrvc, bvc) include every block, so given the
   likelihood's latents and scales all coefficients are jointly Gaussian.
@@ -86,11 +86,11 @@ the chain spent its burn-in leaving that state while sigma_sq collapsed.
 The spike quantile sweep draws theta before it reads theta or u, so its
 draws do not depend on the start's theta.
 
-The functions the tests check against oracles run the sweep's own code:
-:func:`spike_probability` and the block kernel's :func:`spike_thresholds`
-share :func:`slab_log_volume`, :func:`alpha_block_moments` reads the factor
-the block draw uses, and the alpha_0 and beta updates draw from the factor
-their moment functions read (``_fixed_effect``).
+Each conditional has one implementation, the stage that draws from it.  The
+oracle tests feed the stages fixed noise: a stage's draw is an affine map of
+its one ``standard_normal`` array, so the unit vectors +-e_k read off the
+conditional mean and a factor of its covariance, and a block's spike
+decision is read off the energy E of the RNG contract below.
 
 RNG contract of the block stage: a call that refreshes blocks first..last
 draws, before anything else, one ``standard_normal((k, d + 2))`` array with
@@ -168,21 +168,6 @@ def covariance_factors(precisions: np.ndarray):
     return linv.transpose(2, 0, 1), 2.0 * np.sum(np.log(recip), axis=0)
 
 
-def log_spike_probability(log_bayes_factor, pi0: float) -> np.ndarray:
-    """Elementwise log P(spike) = log pi0 - log(pi0 + (1-pi0) exp(log_bayes_factor)).
-
-    Log-domain, so no overflow for any finite log Bayes factor; 0 at
-    pi0 = 1, -inf at pi0 = 0.
-    """
-    log_bf = np.asarray(log_bayes_factor, dtype=float)
-    if pi0 >= 1.0:
-        return np.zeros_like(log_bf)
-    if pi0 <= 0.0:
-        return np.full_like(log_bf, -np.inf)
-    log_spike = math.log(pi0)
-    return log_spike - np.logaddexp(log_spike, math.log1p(-pi0) + log_bf)
-
-
 def slab_log_volume(logdet, slab, d: int):
     """(log|Sigma| - d log g) / 2: the log Bayes factor, slab over spike, of a zero right-hand side.
 
@@ -211,20 +196,6 @@ def spike_thresholds(logdet, slab, d: int, energy, noise_scale: float, pi0: floa
     return 2.0 * noise_scale * (log_odds + log_expm1 - slab_log_volume(logdet, slab, d))
 
 
-def spike_probability(
-    mu: np.ndarray, sigma: np.ndarray, g: float, pi0: float, sigma_sq: float = 1.0
-) -> float:
-    """Point-mass probability of a block with slab mean mu and unscaled covariance sigma.
-
-    ``sigma_sq`` is the noise scale of the slab: 1.0 for the quantile model.
-    """
-    chol = np.linalg.cholesky(np.asarray(sigma, dtype=float))
-    logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-    half = np.linalg.solve(chol, np.asarray(mu, dtype=float))
-    log_bf = slab_log_volume(logdet, g, half.size) + 0.5 * (half @ half) / sigma_sq
-    return float(np.exp(log_spike_probability(log_bf, pi0)))
-
-
 # ---------------------------------------------------------------------------
 # model
 
@@ -241,10 +212,11 @@ class GibbsModel:
     are read from them.  :meth:`build` is the one place that forms them
     from a :class:`Dataset`.
 
-    Besides them, a spike model holds the row outer products B_i B_i' its
-    block grams are formed from (the quantile spike model also holds the
-    squared covariates X' o X'), and a plain model (``spike`` False) the
-    one data-only part of the joint coefficient draw, B B'.
+    Besides them, a plain model (``spike`` False) holds the one data-only
+    part of the joint coefficient draw, B B'.  A spike model holds what its
+    sweep reads of the block grams, set by its likelihood's builder: the
+    quantile model the row outer products B_i B_i' and the squared
+    covariates X' o X', the Gaussian model the unweighted grams themselves.
 
     The engine reads ``prior.prior_scale``, the variance of the N(0,
     prior_scale I) priors of alpha_0 and beta, ``prior.shrink_prior`` and
@@ -281,8 +253,6 @@ class GibbsModel:
     rows: np.ndarray = field(repr=False)  # (p+1, n) covariate rows [1; X']
     prior: PriorConfig | GaussianPriorConfig
     spike: bool
-    # Spike models only: (n, d, d) rows B_i B_i'.
-    basis_outer: np.ndarray = field(repr=False, default=None)
     # Plain models only: (n, n) B B', the constant of the joint draw.
     basis_gram: np.ndarray = field(repr=False, default=None)
 
@@ -303,9 +273,7 @@ class GibbsModel:
             spike=spike,
             **extra,
         )
-        if spike:
-            model.basis_outer = basis[:, :, None] * basis[:, None, :]
-        else:
+        if not spike:
             model.basis_gram = basis @ basis.T
         return model
 
@@ -383,16 +351,6 @@ def refresh_residual(state, model: GibbsModel) -> None:
 # ---------------------------------------------------------------------------
 # spline blocks 1..p
 
-def _check_block(model: GibbsModel, j: int) -> None:
-    if not 1 <= j <= model.p:
-        raise IndexError("block index must lie in 1..p")
-
-
-def _block_factors(grams: np.ndarray, slab: np.ndarray):
-    """:func:`covariance_factors` of the slab precisions G_j + I/g_j."""
-    return covariance_factors(grams + np.eye(grams.shape[-1]) / slab[:, None, None])
-
-
 def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHandle) -> None:
     """Sequential mixture draws for blocks first..last; maintains the residual cache.
 
@@ -414,7 +372,7 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     grams, w, shift = model.block_system(state, first, last)
     slab = state.slab[first - 1 : last]
     scale = state.noise_scale
-    linv, logdet = _block_factors(grams, slab)
+    linv, logdet = covariance_factors(grams + np.eye(d) / slab[:, None, None])
     energy = 0.5 * (noise[:, d] ** 2 + noise[:, d + 1] ** 2)
     thresholds = spike_thresholds(logdet, slab, d, energy, scale, state.pi0)
     alpha = state.alpha[first : last + 1]
@@ -456,23 +414,10 @@ def _update_blocks(state, model: GibbsModel, first: int, last: int, rng: RngHand
     state.resid = resid + shift
 
 
-def alpha_block_moments(state, model: GibbsModel, j: int):
-    """Slab mean and unscaled covariance (gram + I/g_j)^-1 of block j given the rest.
-
-    Both come from the factor L^-1 the block draw uses: covariance L^-T L^-1
-    and mean L^-T L^-1 b.  The slab draw has covariance noise_scale times
-    the returned factor.
-    """
-    _check_block(model, j)
-    grams, w, shift = model.block_system(state, j, j)
-    rhs = (model.xt[j - 1] * (w * (state.resid - shift))) @ model.basis + grams[0] @ state.alpha[j]
-    linv = _block_factors(grams, state.slab[j - 1 : j])[0][0]
-    return linv.T @ (linv @ rhs), linv.T @ linv
-
-
 def update_alpha_block(state, model: GibbsModel, j: int, rng: RngHandle) -> None:
     """Spike-and-slab refresh of a single block (a plain normal one at pi0 = 0)."""
-    _check_block(model, j)
+    if not 1 <= j <= model.p:
+        raise IndexError("block index must lie in 1..p")
     _update_blocks(state, model, j, j, rng)
 
 
@@ -485,39 +430,23 @@ def update_alpha_blocks(state, model: GibbsModel, rng: RngHandle) -> None:
 # ---------------------------------------------------------------------------
 # alpha_0 and beta
 
-def _fixed_effect(state, model: GibbsModel, x, coef):
-    """Factor L^-1, whitened right-hand side L^-1 b and partial residual of a fixed-effect
-    term x @ coef.
+def _draw_fixed_effect(state, model: GibbsModel, x, coef, rng: RngHandle):
+    """Draw of a fixed-effect term x @ coef from one ``standard_normal`` vector; updates the residual.
 
     Its conditional precision P = x'Wx + I / prior_scale is factored once,
     P = L L', and b = x'W(partial - s) for the working weights W and shift s.
-    The conditional is N(L^-T L^-1 b, L^-T L^-1): with half = L^-1 b, its
-    mean is L^-T half and a draw is L^-T (half + z).
+    The conditional is N(L^-T L^-1 b, L^-T L^-1): with half = L^-1 b, a draw
+    is L^-T (half + z).
     """
     partial = state.resid + x @ coef
     w, shift = model.working_likelihood(state)
     precision = (x * w[:, None]).T @ x
     np.einsum("ii->i", precision)[:] += 1.0 / model.prior.prior_scale  # a view of the diagonal
     linv = np.linalg.inv(np.linalg.cholesky(precision))  # of the triangular factor L
-    return linv, linv @ (x.T @ (w * (partial - shift))), partial
-
-
-def _fixed_effect_moments(state, model: GibbsModel, x, coef):
-    """Mean and covariance of a fixed-effect term's conditional, read off its factor."""
-    linv, half, _ = _fixed_effect(state, model, x, coef)
-    return linv.T @ half, linv.T @ linv
-
-
-def _draw_fixed_effect(state, model: GibbsModel, x, coef, rng: RngHandle):
-    """Draw of a fixed-effect term from one ``standard_normal`` vector; updates the residual."""
-    linv, half, partial = _fixed_effect(state, model, x, coef)
+    half = linv @ (x.T @ (w * (partial - shift)))
     draw = linv.T @ (half + rng.gen.standard_normal(x.shape[1]))
     state.resid = partial - x @ draw
     return draw
-
-
-def alpha0_conditional_moments(state, model: GibbsModel):
-    return _fixed_effect_moments(state, model, model.basis, state.alpha[0])
 
 
 def update_alpha0(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
@@ -525,10 +454,6 @@ def update_alpha0(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:
     draw = _draw_fixed_effect(state, model, model.basis, state.alpha[0], rng)
     state.alpha[0] = draw
     return draw
-
-
-def beta_conditional_moments(state, model: GibbsModel):
-    return _fixed_effect_moments(state, model, model.e, state.beta)
 
 
 def update_beta(state, model: GibbsModel, rng: RngHandle) -> np.ndarray:

@@ -6,10 +6,10 @@ latents, and a slab covariance scaled by sigma_sq.  What that changes in the
 sweep lives here; everything else is in :mod:`.engine`:
 
 * the block grams Z_j'Z_j are unweighted and computed once at build, from
-  a local X' o X', and the block stage's weights are 1.0: the working
-  response of block j is r_j (1/sigma_sq cancels in the slab mean); the
-  slab's quadratic form and draw are scaled by sigma_sq through the state's
-  noise scale;
+  a local X' o X' and local row outer products B_i B_i', and the block
+  stage's weights are 1.0: the working response of block j is r_j
+  (1/sigma_sq cancels in the slab mean); the slab's quadratic form and draw
+  are scaled by sigma_sq through the state's noise scale;
 * the sigma_sq update.
 
 The spike-and-slab variant (bvcss) draws the blocks one at a time, then
@@ -98,7 +98,8 @@ def build_gaussian_model(
     basis = expand_design(dataset, spline_config)
     model = GaussianModel.build(dataset, basis, prior, spike)
     if spike:
-        model.block_grams = weighted_block_grams(model.basis_outer, model.xt * model.xt)
+        basis_outer = basis[:, :, None] * basis[:, None, :]
+        model.block_grams = weighted_block_grams(basis_outer, model.xt * model.xt)
     return model
 
 

@@ -69,7 +69,9 @@ RESIDUAL_FLOOR = 1e-10
 @dataclass
 class QuantileModel(GibbsModel):
     consts: AldConstants = None
-    # Spike models only: (p, n) squared covariates X' o X', the data side of the grams.
+    # Spike models only, the two data sides of the grams: (n, d, d) rows
+    # B_i B_i' and (p, n) squared covariates X' o X'.
+    basis_outer: np.ndarray = field(repr=False, default=None)
     xt_sq: np.ndarray = field(repr=False, default=None)
 
     scalar_names = ("theta", "eta_sq", "pi0")
@@ -132,6 +134,7 @@ def build_quantile_model(
     basis = expand_design(dataset, spline_config)
     model = QuantileModel.build(dataset, basis, prior, spike, consts=ald_constants(tau))
     if spike:
+        model.basis_outer = basis[:, :, None] * basis[:, None, :]
         model.xt_sq = model.xt * model.xt
     return model
 

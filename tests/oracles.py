@@ -1,19 +1,125 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles used across the test suite, and the fixed noise that reads a stage off.
 
 Each oracle recomputes a quantity along a different mathematical route from
 the implementation it checks: truncated-power divided differences for
 B-splines, numerical quadrature for marginal likelihoods and conditional
 densities, and plain dense arithmetic for the Gaussian conditionals.
+
+The tests compare the oracles with the sampler's stages themselves, which
+they feed fixed noise through :class:`FixedNoise`.  A stage's draw is an
+affine map of its one ``standard_normal`` array, so the unit vectors e_k and
+-e_k give the conditional mean plus and minus column k of a factor A with
+A A' the covariance (:func:`affine_moments`).  A spike block's decision
+entries z, z' have energy E = (z^2 + z'^2) / 2, and the block goes to the
+spike iff E > -log P(spike): fed E just below and just above -log P of an
+oracle, through z alone and through z' alone, the decision is checked
+exactly (:func:`spike_decisions`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate
 
 from bayesqvc.ald import ald_constants
+from bayesqvc.samplers.engine import initial_state, update_alpha_block
+
+
+# ---------------------------------------------------------------------------
+# fixed noise
+
+class FixedNoise:
+    """An RNG handle whose one standard_normal call returns a copy of ``values``.
+
+    The call must ask for the shape of ``values``: an int size for a vector,
+    a tuple for an array.
+    """
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.gen = SimpleNamespace(standard_normal=self._standard_normal)
+
+    def _standard_normal(self, size):
+        assert (size if isinstance(size, tuple) else (size,)) == self.values.shape
+        return self.values.copy()
+
+
+def affine_moments(draw, size: int):
+    """Mean and covariance of ``draw(z)`` for z ~ N(0, I_size), read off an affine ``draw``.
+
+    draw(e_k) and draw(-e_k) are the mean plus and minus column k of a factor
+    A with A A' the covariance.  No draw is fed zero noise, at which a slab
+    of zero mean would draw an exactly-zero block, which the block stage
+    rejects.
+    """
+    plus = np.array([draw(unit) for unit in np.eye(size)])
+    minus = np.array([draw(-unit) for unit in np.eye(size)])
+    factor = (plus - minus).T / 2.0
+    return (plus + minus).mean(axis=0) / 2.0, factor @ factor.T
+
+
+def with_block_paths(model, rng):
+    """A start state of ``model`` (p >= 2) with block 2 excluded and every other block included.
+
+    alpha and beta are 0.5 times normals from ``rng``, block 2 is zero and the
+    residual is the dense one, so ``update_alpha_block`` takes its one-block
+    path at j = 1 and its run scan at j = 2.  The caller sets the scales.
+    """
+    state = initial_state(model)
+    state.alpha[:] = 0.5 * rng.normal(size=state.alpha.shape)
+    state.alpha[2] = 0.0
+    state.inclusion[:] = True
+    state.inclusion[1] = False
+    state.beta = 0.5 * rng.normal(size=model.q)
+    fitted = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha) + model.e @ state.beta
+    state.resid = model.y - fitted
+    return state
+
+
+def block_replay(state, model, j: int, noise):
+    """A copy of ``state`` after ``update_alpha_block`` of block j fed the (d + 2,) ``noise``.
+
+    The first d entries are the slab innovation and the last two z, z'.
+    """
+    trial = copy.deepcopy(state)
+    update_alpha_block(trial, model, j, FixedNoise(np.asarray(noise, dtype=float)[None]))
+    return trial
+
+
+def block_slab_moments(state, model, j: int):
+    """Mean and covariance of block j's slab draw, read off the block stage.
+
+    With z = z' = 0 the energy is 0, below -log P(spike) for every pi0 < 1,
+    so every replay draws from the slab.
+    """
+    def draw(innovation):
+        trial = block_replay(state, model, j, np.concatenate([innovation, [0.0, 0.0]]))
+        assert trial.inclusion[j - 1]
+        return trial.alpha[j]
+
+    return affine_moments(draw, model.d)
+
+
+def spike_decisions(state, model, j: int, log_p: float, margin: float = 1e-6) -> list[bool]:
+    """Whether block j goes to the spike fed E = (1 - margin) (-log P) and E = (1 + margin)
+    (-log P), through z alone and then through z' alone.
+
+    A block whose log spike probability is ``log_p`` gives [False, True, False, True].  The
+    slab innovation, which the decision does not read, is all ones, so that a slab of zero
+    mean draws no exactly-zero block.
+    """
+    d = model.d
+    decisions = []
+    for entry in (d, d + 1):
+        for energy in ((1.0 - margin) * -log_p, (1.0 + margin) * -log_p):
+            noise = np.r_[np.ones(d), 0.0, 0.0]
+            noise[entry] = math.sqrt(2.0 * energy)
+            decisions.append(not block_replay(state, model, j, noise).inclusion[j - 1])
+    return decisions
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +215,24 @@ def spike_probability_oracle_gaussian(zj, resid_partial, sigma_sq, zeta_sq, pi0)
     )
 
 
+def spike_probability_oracle_marginal(zj, target, weights, slab_var, pi0):
+    """P(block = 0 | rest) from the block's two marginal likelihoods of ``target``, any d.
+
+    Under the spike, target ~ N(0, W^-1); under the slab N(0, slab_var I),
+    target ~ N(0, W^-1 + slab_var Z_j Z_j').  Both n-variate normal log
+    densities come from a Cholesky factor, up to their common constant.
+    """
+    def log_density(cov):
+        chol = np.linalg.cholesky(cov)
+        white = np.linalg.solve(chol, target)
+        return -np.log(np.diag(chol)).sum() - 0.5 * float(white @ white)
+
+    spike_cov = np.diag(1.0 / np.asarray(weights, dtype=float))
+    log_spike = math.log(pi0) + log_density(spike_cov)
+    log_slab = math.log1p(-pi0) + log_density(spike_cov + slab_var * zj @ zj.T)
+    return math.exp(log_spike - np.logaddexp(log_spike, log_slab))
+
+
 def scalar_spike_probability(log_bayes_factor: float, pi0: float) -> float:
     """P(spike) = pi0 / (pi0 + (1-pi0) * exp(log_bayes_factor)) in scalar math, overflow-safe."""
     if pi0 >= 1.0:
@@ -132,6 +256,22 @@ def dense_blocks(model) -> np.ndarray:
     return np.concatenate([basis[None], model.xt[:, :, None] * basis[None]])
 
 
+def dense_partial_residual(model, state, j: int) -> np.ndarray:
+    """y - E beta - sum_{k != j} Z_k alpha_k: block j's partial residual, from the dense blocks."""
+    others = np.delete(dense_blocks(model), j, axis=0), np.delete(state.alpha, j, axis=0)
+    return model.y - model.e @ state.beta - np.einsum("jnd,jd->n", *others)
+
+
+def dense_ridge_posterior(x, weights, target, prior_var):
+    """Mean and covariance of a given target ~ N(x a, diag(1/weights)), a ~ N(0, diag(prior_var)).
+
+    ``prior_var`` is one variance for every coefficient or one per coefficient.
+    The precision x'Wx + diag(1 / prior_var) is inverted by a general inverse.
+    """
+    cov = np.linalg.inv((x.T * weights) @ x + np.eye(x.shape[1]) / prior_var)
+    return cov @ (x.T @ (weights * target)), cov
+
+
 def dense_coefficient_posterior(model, weights, target, slab_cov):
     """Mean and covariance of (alpha_0, blocks 1..p, beta) from the dense (n, D) design.
 
@@ -139,15 +279,11 @@ def dense_coefficient_posterior(model, weights, target, slab_cov):
     prior is N(0, diag(prior_scale 1_d, slab_cov_j 1_d, ..., prior_scale 1_q)).
     Coefficients are in the order of alpha.ravel() followed by beta.
     """
-    blocks = dense_blocks(model)
-    design = np.hstack([*blocks, model.e])
+    design = np.hstack([*dense_blocks(model), model.e])
     scale = model.prior.prior_scale
     prior_var = np.concatenate([np.full(model.d, scale), np.repeat(slab_cov, model.d),
                                 np.full(model.q, scale)])
-    prior = np.diag(prior_var)
-    weighted = design.T * weights
-    cov = np.linalg.inv(weighted @ design + np.linalg.inv(prior))
-    return cov @ (weighted @ target), cov
+    return dense_ridge_posterior(design, weights, target, prior_var)
 
 
 # ---------------------------------------------------------------------------

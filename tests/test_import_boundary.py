@@ -88,3 +88,46 @@ def test_cli_import_loads_no_process_pool_modules():
                          env=os.environ | {"PYTHONPATH": str(ROOT / "src")},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# Public engine functions that nothing in the package calls, and why each is kept.  None is
+# a second form of sampler arithmetic: the first runs the block stage itself, the other two
+# are the generative model that the Geweke tests check the composed sweep against.
+ENGINE_TEST_ENTRIES = {
+    "update_alpha_block": "the block stage on one block, which the oracle tests replay",
+    "draw_state_from_prior": "the forward draw of the hierarchical prior",
+    "draw_response": "y drawn from the working likelihood given the parameters",
+}
+
+
+def _names_referenced(tree) -> set[str]:
+    """Names, attribute names and imported names that the nodes under ``tree`` use."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_engine_function_is_used_by_the_package():
+    """A public function of ``samplers/engine.py`` that only tests call is a test-only twin of
+    sampler arithmetic; the oracle tests feed the stages fixed noise instead."""
+    engine = PACKAGE / "samplers" / "engine.py"
+    referenced = set()
+    for path in PACKAGE.rglob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if path == engine and isinstance(node, ast.FunctionDef):
+                # a reference to a function from its own body does not count
+                referenced |= _names_referenced(node) - {node.name}
+            else:
+                referenced |= _names_referenced(node)
+    public = [node.name for node in ast.parse(engine.read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert set(ENGINE_TEST_ENTRIES) <= set(public)
+    unused = [name for name in public if name not in referenced | set(ENGINE_TEST_ENTRIES)]
+    assert not unused, unused

@@ -195,6 +195,25 @@ def test_samples_v2_roundtrip_bit_exact(tmp_path, kind):
         assert back.chains[0].beta.shape == (m, 2)
 
 
+def test_samples_write_big_endian_scalars_as_little_endian(tmp_path):
+    """Scalars held as explicitly big-endian ``>f8`` arrays write the native little-endian
+    files byte for byte, and load back equal."""
+    samples, config = fit_for_samples("spike")
+    save_samples(tmp_path / "native", samples, config)
+    for chain in samples.chains:
+        chain.scalars = {k: v.astype(">f8") for k, v in chain.scalars.items()}
+    save_samples(tmp_path / "big", samples, config)
+    for name in ("samples.bin", "samples.json"):
+        assert (tmp_path / "big" / name).read_bytes() == (tmp_path / "native" / name).read_bytes()
+    index = json.loads((tmp_path / "big" / "samples.json").read_text())
+    assert {array["dtype"] for chain in index["chains"] for name, array in chain["arrays"].items()
+            if name.startswith("scalar:")} == {"<f8"}
+    back, _ = load_samples(tmp_path / "big")
+    for orig, loaded in zip(samples.chains, back.chains):
+        for key in orig.scalars:
+            np.testing.assert_array_equal(loaded.scalars[key], orig.scalars[key])
+
+
 @pytest.mark.parametrize("kind", ["spike", "plain", "latents"])
 def test_samples_v1_file_loads_to_the_draws_of_v2(tmp_path, kind):
     samples, config = fit_for_samples(kind)
@@ -311,29 +330,35 @@ def test_curves_csv_roundtrip(tmp_path):
 
 def _with_fault(text, fault):
     """The curves file ``text`` of the writer with one ``fault``; "other-v-grid" halves the v
-    of curve 1's row 3."""
+    of curve 1's row 3, and "not-a-number" puts abc in place of the median of curve 2's row 2,
+    file line 2 g + 4."""
     header, *rows = text.splitlines(keepends=True)
     g = sum(row.startswith("0,") for row in rows)
     j, t, v, values = rows[g + 3].split(",", 3)
+    unparsed = rows[2 * g + 2].split(",")
     return header + "".join({
         "header-only": [],
         "one-curve": rows[:g],
         "shuffled": [rows[i] for i in np.random.default_rng(1).permutation(len(rows))],
         "truncated": rows[:-1],
         "other-v-grid": [*rows[: g + 3], f"{j},{t},{float(v) / 2:.17g},{values}", *rows[g + 4 :]],
+        "not-a-number": [*rows[: 2 * g + 2], ",".join([*unparsed[:3], "abc", *unparsed[4:]]),
+                         *rows[2 * g + 3 :]],
     }[fault])
 
 
 CURVE_FAULTS = [("header-only", "curves CSV has no data rows"),
                 ("shuffled", "where the writer puts curve"),
                 ("truncated", "curves CSV has an incomplete grid"),
-                ("other-v-grid", "has v")]
+                ("other-v-grid", "has v"),
+                ("not-a-number", "is not six numbers")]
 
 
 @pytest.mark.parametrize("fault, message", CURVE_FAULTS, ids=[f for f, _ in CURVE_FAULTS])
 def test_curves_csv_rejects_files_out_of_the_writer_layout(tmp_path, fault, message):
     """Only the writer's layout reads: a file with its rows out of order, a short last curve,
-    a curve on another grid than curve 0 (here the all-zero curve 1) or no rows raises."""
+    a curve on another grid than curve 0 (here the all-zero curve 1), a value that is not a
+    number or no rows raises."""
     grid = np.linspace(0, 1, 7)
     med = np.random.default_rng(0).normal(size=(3, 7))
     med[1] = 0.0
@@ -343,8 +368,10 @@ def test_curves_csv_rejects_files_out_of_the_writer_layout(tmp_path, fault, mess
     for got, want in zip(read_curves_csv(path), bands):
         np.testing.assert_array_equal(got, want)
     path.write_text(_with_fault(path.read_text(), fault))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as raised:
         read_curves_csv(path)
+    if fault == "not-a-number":  # the file line, though the zero curve 1 is not parsed
+        assert str(raised.value).startswith("curves CSV line 18 is not six numbers: '2,2,")
 
 
 @pytest.mark.parametrize("live", [[0, 2, 5], [3], [], [0, 1, 2, 3, 4, 5, 6]])

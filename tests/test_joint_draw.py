@@ -1,8 +1,8 @@
 """The plain samplers' joint coefficient draw against the dense Gaussian posterior.
 
-The draw is an affine map of its one standard-normal array: fed zero noise
-it returns the conditional mean, and fed each unit vector e_k it returns the
-mean plus column k of a factor A with A A' the conditional covariance.
+The draw is an affine map of its one standard-normal array: fed the unit
+vectors e_k and -e_k it returns the conditional mean plus and minus column k
+of a factor A with A A' the conditional covariance (``oracles.affine_moments``).
 
 The draw sets the residual from its solve, s + (delta + v) / sqrt(w), not
 from the new coefficients.  Two tests hold that identity to the dense
@@ -11,7 +11,6 @@ of long plain chains, which never refresh the residual from scratch.
 """
 
 import copy
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,19 +24,7 @@ from bayesqvc.samplers.engine import (
     update_coefficients,
 )
 
-from oracles import dense_coefficient_posterior, quantile_block_fixture
-
-
-class FixedNoise:
-    """An RNG handle whose one standard_normal call returns a copy of ``values``."""
-
-    def __init__(self, values):
-        self.values = values
-        self.gen = SimpleNamespace(standard_normal=self._standard_normal)
-
-    def _standard_normal(self, size):
-        assert size == self.values.size
-        return self.values.copy()
+from oracles import FixedNoise, affine_moments, dense_coefficient_posterior, quantile_block_fixture
 
 
 def _model(likelihood: str, p: int, q: int):
@@ -79,17 +66,11 @@ def test_joint_draw_matches_dense_posterior(likelihood, p, q):
     weights, target = _working_likelihood(state, model, likelihood)
     mean, cov = dense_coefficient_posterior(model, weights, target,
                                             state.noise_scale * state.slab)
-    size = (p + 1) * model.d + q
-    noise = np.zeros(size + model.n)
-    draw = _draw(state, model, noise)
-    np.testing.assert_allclose(draw, mean, rtol=1e-10, atol=1e-12 * np.abs(mean).max())
-    factor = np.empty((size, noise.size))
-    for k in range(noise.size):
-        noise[:] = 0.0
-        noise[k] = 1.0
-        factor[:, k] = _draw(state, model, noise) - draw
+    draw_mean, draw_cov = affine_moments(lambda noise: _draw(state, model, noise),
+                                         (p + 1) * model.d + q + model.n)
+    np.testing.assert_allclose(draw_mean, mean, rtol=1e-10, atol=1e-12 * np.abs(mean).max())
     scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
-    np.testing.assert_allclose(factor @ factor.T / scale, cov / scale, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(draw_cov / scale, cov / scale, rtol=1e-10, atol=1e-10)
 
 
 # Largest gap between the residual of the solve and the dense one, relative to max|y|.

@@ -8,14 +8,12 @@ import pytest
 
 from bayesqvc import Dataset, GaussianPriorConfig, McmcOptions, RngHandle, SplineConfig
 from bayesqvc.samplers.engine import (
-    alpha_block_moments,
     draw_state_from_prior,
     full_residual,
     initial_state,
     pi0_conditional_params,
     refresh_residual,
     run_chain,
-    spike_probability,
     update_alpha_block,
     update_alpha_blocks,
 )
@@ -28,7 +26,16 @@ from bayesqvc.samplers.gaussian import (
 
 from bayesqvc.simulate import ScenarioSpec, simulate_dataset
 
-from oracles import assert_moments, dense_blocks, spike_probability_oracle_gaussian
+from oracles import (
+    assert_moments,
+    block_slab_moments,
+    dense_blocks,
+    dense_partial_residual,
+    dense_ridge_posterior,
+    spike_decisions,
+    spike_probability_oracle_gaussian,
+    with_block_paths,
+)
 
 
 @pytest.fixture
@@ -48,47 +55,51 @@ def small_state(small_model):
     return draw_state_from_prior(small_model, RngHandle(41, 0))
 
 
-def test_alpha_block_moments_dense_oracle(small_model, small_state):
-    model, state = small_model, small_state
-    for j in (1, 2, 3):
-        mu, sigma = alpha_block_moments(state, model, j)
+def _block_case(n: int, d: int, seed: int, sigma_sq: float, zeta_sq: float, pi0: float):
+    """A Gaussian spike model with p = 3, q = 1 and d basis functions, and a with_block_paths
+    state whose slab scales are all ``zeta_sq``."""
+    rng = np.random.default_rng(seed)
+    ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, 3)), v=rng.random(n),
+                 e=rng.normal(size=(n, 1)))
+    model = build_gaussian_model(ds, SplineConfig(d - 1, 0), GaussianPriorConfig(), spike=True)
+    state = with_block_paths(model, rng)
+    state.sigma_sq, state.zeta_sq[:], state.pi0 = sigma_sq, zeta_sq, pi0
+    return model, state
+
+
+def test_alpha_block_moments_dense_oracle(small_model):
+    """The block stage's slab N(mean, sigma_sq (Z_j'Z_j + I/zeta_j)^-1) on both of its paths
+    (block 1 included, block 2 excluded) against the dense normal equations."""
+    model = small_model
+    state = with_block_paths(model, np.random.default_rng(41))
+    state.sigma_sq, state.zeta_sq[:] = 0.7, (0.8, 1.9, 0.5)
+    for j in (1, 2):
         zj = dense_blocks(model)[j]
-        others = sum(
-            dense_blocks(model)[k] @ state.alpha[k]
-            for k in range(model.p + 1)
-            if k != j
-        )
-        r = model.y - model.e @ state.beta - others
-        sigma_oracle = np.linalg.inv(zj.T @ zj + np.eye(model.d) / state.zeta_sq[j - 1])
-        mu_oracle = sigma_oracle @ (zj.T @ r)
-        np.testing.assert_allclose(sigma, sigma_oracle, atol=1e-12)
-        np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+        mean, cov = block_slab_moments(state, model, j)
+        mean_oracle, cov_oracle = dense_ridge_posterior(
+            zj, np.full(model.n, 1.0 / state.sigma_sq), dense_partial_residual(model, state, j),
+            state.sigma_sq * state.zeta_sq[j - 1])
+        np.testing.assert_allclose(cov, cov_oracle, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(mean, mean_oracle, rtol=1e-10, atol=1e-12)
+
+
+def _check_spike_decisions(model, state) -> None:
+    """The stage's spike decision on both paths against the quadrature P(spike): exact at
+    E = (1 -+ 1e-6) (-log P), through each decision entry."""
+    for j in (1, 2):
+        zj = dense_blocks(model)[j]
+        prob = spike_probability_oracle_gaussian(zj, dense_partial_residual(model, state, j),
+                                                 state.sigma_sq, state.zeta_sq[j - 1], state.pi0)
+        assert 0.05 < prob < 0.95
+        assert spike_decisions(state, model, j, math.log(prob)) == [False, True] * 2
 
 
 def test_spike_probability_gaussian_quadrature_d1():
-    rng = np.random.default_rng(0)
-    n = 3
-    zj = rng.normal(size=(n, 1))
-    resid = rng.normal(size=n)
-    sigma_sq, zeta_sq, pi0 = 1.3, 0.7, 0.45
-    oracle = spike_probability_oracle_gaussian(zj, resid, sigma_sq, zeta_sq, pi0)
-    factor = np.linalg.inv(zj.T @ zj + np.eye(1) / zeta_sq)
-    mu = factor @ (zj.T @ resid)
-    ours = spike_probability(mu, factor, zeta_sq, pi0, sigma_sq)
-    assert ours == pytest.approx(oracle, rel=1e-6)
+    _check_spike_decisions(*_block_case(3, 1, 0, sigma_sq=1.3, zeta_sq=0.7, pi0=0.45))
 
 
 def test_spike_probability_gaussian_quadrature_d2():
-    rng = np.random.default_rng(3)
-    n = 4
-    zj = rng.normal(size=(n, 2))
-    resid = rng.normal(size=n)
-    sigma_sq, zeta_sq, pi0 = 0.8, 1.4, 0.6
-    oracle = spike_probability_oracle_gaussian(zj, resid, sigma_sq, zeta_sq, pi0)
-    factor = np.linalg.inv(zj.T @ zj + np.eye(2) / zeta_sq)
-    mu = factor @ (zj.T @ resid)
-    ours = spike_probability(mu, factor, zeta_sq, pi0, sigma_sq)
-    assert ours == pytest.approx(oracle, rel=1e-4)
+    _check_spike_decisions(*_block_case(4, 2, 3, sigma_sq=0.8, zeta_sq=1.4, pi0=0.6))
 
 
 def test_sigma_sq_shape_counting():

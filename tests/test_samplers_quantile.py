@@ -1,10 +1,11 @@
 """Unit-level checks of the quantile Gibbs conditionals against dense and
 quadrature oracles; the heavier moment/joint suites live in the acceptance
-module.  The alpha_0 and beta conditionals and ``draw_response``, which the
-engine forms from either likelihood's working Gaussian, are checked for the
-Gaussian likelihood too.  The sparse residual refresh is checked against the
-dense blocks, and the memory of one wide-shape block stage against a (p, n)
-array."""
+module.  The block, alpha_0 and beta conditionals are read off the stages
+themselves, fed fixed noise (``oracles.FixedNoise``).  The alpha_0 and beta
+conditionals and ``draw_response``, which the engine forms from either
+likelihood's working Gaussian, are checked for the Gaussian likelihood too.
+The sparse residual refresh is checked against the dense blocks, and the
+memory of one wide-shape block stage against a (p, n) array."""
 
 import copy
 import math
@@ -20,9 +21,6 @@ from bayesqvc.ald import ald_constants, ald_log_density
 from bayesqvc.rng import sample_gamma, sample_inverse_gaussian
 from bayesqvc.samplers.engine import (
     _spline_predictor,
-    alpha0_conditional_moments,
-    alpha_block_moments,
-    beta_conditional_moments,
     draw_response,
     draw_state_from_prior,
     full_residual,
@@ -30,7 +28,6 @@ from bayesqvc.samplers.engine import (
     pi0_conditional_params,
     refresh_residual,
     run_chain,
-    spike_probability,
     update_alpha0,
     update_alpha_block,
     update_alpha_blocks,
@@ -48,11 +45,19 @@ from bayesqvc.samplers.quantile import (
 from bayesqvc.simulate import ScenarioSpec, simulate_dataset
 
 from oracles import (
+    FixedNoise,
+    affine_moments,
     assert_moments,
+    block_replay,
+    block_slab_moments,
     dense_blocks,
+    dense_partial_residual,
+    dense_ridge_posterior,
     density_cdf_oracle,
     quantile_block_fixture,
+    spike_decisions,
     spike_probability_oracle_quantile,
+    with_block_paths,
 )
 
 
@@ -101,92 +106,96 @@ def test_latent_u_density_quadrature():
 
 
 # ---------------------------------------------------------------------------
-# spike probability
+# alpha blocks: the block stage fed fixed noise (oracles.block_replay)
+
+INCLUDED, EXCLUDED = 1, 2  # the one-block path and the run scan of with_block_paths
+
+
+def _block_case(d: int, seed: int):
+    """A quantile spike model with n = 5, p = 3, q = 1 and d basis functions, and a
+    with_block_paths state with fixed latents, slab scales and pi0."""
+    rng = np.random.default_rng(seed)
+    n = 5
+    ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, 3)), v=rng.random(n),
+                 e=rng.normal(size=(n, 1)))
+    model = build_quantile_model(ds, SplineConfig(d - 1, 0), PriorConfig(), tau=0.3)
+    state = with_block_paths(model, rng)
+    state.theta, state.u_tilde = 1.4, rng.gamma(2.0, 1.0, size=n)
+    state.g[:] = (0.8, 1.2, 0.6)
+    state.pi0 = 0.45
+    return model, state
+
+
+def _block_working_gaussian(model, state, j: int):
+    """Block j's dense design Z_j, and the working weights and target of its partial residual."""
+    zj = dense_blocks(model)[j]
+    w, target = quantile_block_fixture(zj, dense_partial_residual(model, state, j),
+                                       state.u_tilde, state.theta, model.consts.tau)
+    return zj, w, target
+
+
+def _check_spike_decisions(d: int, seed: int) -> None:
+    """The stage's spike decision on both paths against the quadrature P(spike): exact at
+    E = (1 -+ 1e-6) (-log P), through each decision entry."""
+    model, state = _block_case(d, seed)
+    for j in (INCLUDED, EXCLUDED):
+        zj, w, target = _block_working_gaussian(model, state, j)
+        prob = spike_probability_oracle_quantile(zj, target, w, state.g[j - 1], state.pi0)
+        assert 0.05 < prob < 0.95
+        assert spike_decisions(state, model, j, math.log(prob)) == [False, True] * 2
+
 
 def test_spike_probability_degenerate_pi0():
-    mu = np.array([0.3, -0.2])
-    sigma = np.array([[0.5, 0.1], [0.1, 0.4]])
-    assert spike_probability(mu, sigma, g=1.0, pi0=1.0) == 1.0
-    assert spike_probability(mu, sigma, g=1.0, pi0=0.0) == 0.0
+    """pi0 = 1 sends a block to the spike at E = 0, the energy most in favour of the slab, and
+    pi0 = 0 keeps it in the slab at E = 1e6; on both paths."""
+    model, state = _block_case(2, 0)
+    slab_energy, spike_energy = np.zeros(model.d + 2), np.r_[np.zeros(model.d), 1e3, 1e3]
+    for j in (INCLUDED, EXCLUDED):
+        state.pi0 = 1.0
+        assert not block_replay(state, model, j, slab_energy).inclusion[j - 1]
+        state.pi0 = 0.0
+        assert block_replay(state, model, j, spike_energy).inclusion[j - 1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spike_probability_quadrature_d1(seed):
-    rng = np.random.default_rng(seed)
-    n = 3
-    zj = rng.normal(size=(n, 1))
-    resid = rng.normal(size=n)
-    u = rng.gamma(2.0, 1.0, size=n)
-    theta, tau, g, pi0 = 1.4, 0.3, 0.8, 0.4
-    w, target = quantile_block_fixture(zj, resid, u, theta, tau)
-    oracle = spike_probability_oracle_quantile(zj, target, w, g, pi0)
-
-    gram = (zj * w[:, None]).T @ zj
-    sigma = np.linalg.inv(gram + np.eye(1) / g)
-    mu = sigma @ (zj.T @ (w * target))
-    ours = spike_probability(mu, sigma, g, pi0)
-    assert ours == pytest.approx(oracle, rel=1e-6)
+    _check_spike_decisions(1, seed)
 
 
 def test_spike_probability_quadrature_d2():
-    rng = np.random.default_rng(42)
-    n = 5
-    zj = rng.normal(size=(n, 2))
-    resid = rng.normal(size=n)
-    u = rng.gamma(2.0, 1.0, size=n)
-    theta, tau, g, pi0 = 0.9, 0.6, 1.2, 0.55
-    w, target = quantile_block_fixture(zj, resid, u, theta, tau)
-    oracle = spike_probability_oracle_quantile(zj, target, w, g, pi0)
+    _check_spike_decisions(2, 42)
 
-    gram = (zj * w[:, None]).T @ zj
-    sigma = np.linalg.inv(gram + np.eye(2) / g)
-    mu = sigma @ (zj.T @ (w * target))
-    ours = spike_probability(mu, sigma, g, pi0)
-    assert ours == pytest.approx(oracle, rel=1e-4)
-
-
-# ---------------------------------------------------------------------------
-# alpha blocks
 
 def test_alpha_block_no_data_case():
-    # one observation with Z = 0 for the block: Sigma = g I, mu = 0, l = pi0
+    # one observation with Z = 0 for the block: slab N(0, g I) and P(spike) = pi0
     ds = Dataset(y=np.array([1.0]), x=np.array([[0.0]]), v=np.array([0.5]))
     model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=0.4)
     state = initial_state(model)
     state.g[:] = 2.7
     state.pi0 = 0.37
     refresh_residual(state, model)
-    mu, sigma = alpha_block_moments(state, model, 1)
-    np.testing.assert_allclose(sigma, 2.7 * np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(mu, 0.0, atol=1e-12)
-    assert spike_probability(mu, sigma, 2.7, state.pi0) == pytest.approx(0.37)
+    for included in (False, True):  # the run scan, then the one-block path
+        state.alpha[1] = (0.3, -0.2) if included else 0.0
+        state.inclusion[0] = included
+        mean, cov = block_slab_moments(state, model, 1)
+        np.testing.assert_allclose(cov, 2.7 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(mean, 0.0, atol=1e-12)
+        assert spike_decisions(state, model, 1, math.log(0.37)) == [False, True] * 2
 
 
 def test_alpha_block_moments_dense_oracle():
-    rng = np.random.default_rng(8)
-    n, p = 5, 2
-    ds = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, p)), v=rng.random(n))
-    model = build_quantile_model(ds, SplineConfig(1, 0), PriorConfig(), tau=0.3)
-    state = draw_state_from_prior(model, RngHandle(4, 0))
-    # This prior draw has theta near 6e-6, so the gram would be invisible next to I/g.
-    state.theta = 2.0
-    c = model.consts
-    for j in (1, 2):
-        mu, sigma = alpha_block_moments(state, model, j)
-        # dense normal-equations oracle
-        zj = dense_blocks(model)[j]
-        w = np.diag(state.theta / (c.kappa2_sq * state.u_tilde))
-        others = sum(
-            dense_blocks(model)[k] @ state.alpha[k] for k in range(p + 1) if k != j
-        )
-        r = model.y - others - c.kappa1 * state.u_tilde
-        sigma_oracle = np.linalg.inv(zj.T @ w @ zj + np.eye(model.d) / state.g[j - 1])
-        mu_oracle = sigma_oracle @ (zj.T @ w @ r)
-        np.testing.assert_allclose(sigma, sigma_oracle, atol=1e-12)
-        np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+    """The slab mean and covariance the block stage draws from, on both paths, against the
+    dense normal equations (Z_j' W Z_j + I/g_j)^-1 Z_j' W r."""
+    model, state = _block_case(3, 8)
+    for j in (INCLUDED, EXCLUDED):
+        zj, w, target = _block_working_gaussian(model, state, j)
+        mean, cov = block_slab_moments(state, model, j)
+        mean_oracle, cov_oracle = dense_ridge_posterior(zj, w, target, state.g[j - 1])
+        np.testing.assert_allclose(cov, cov_oracle, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(mean, mean_oracle, rtol=1e-10, atol=1e-12)
         # the gram folded from X' o X' and w vec(B_i B_i') is the dense Z_j' diag(w) Z_j
         gram = model.block_system(state, j, j)[0][0]
-        np.testing.assert_allclose(gram, zj.T @ w @ zj, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(gram, (zj.T * w) @ zj, rtol=1e-12, atol=0.0)
 
 
 def test_point_mass_update_leaves_other_blocks(tiny_model):
@@ -237,33 +246,38 @@ def _working_gaussians(tiny_dataset, tiny_model, tiny_state):
     return [quantile_case, gaussian_case]
 
 
-def test_beta_moments_dense_ridge_oracle(tiny_dataset, tiny_model, tiny_state):
+def _dense_ridge_moments(model, state, weights, shift, term: str):
+    """Mean and covariance of alpha_0 (``term`` "alpha0") or beta given the rest, from the
+    dense design."""
+    blocks = dense_blocks(model)
+    x, coef = (blocks[0], state.alpha[0]) if term == "alpha0" else (model.e, state.beta)
+    fitted = np.einsum("jnd,jd->n", blocks, state.alpha) + model.e @ state.beta
+    return dense_ridge_posterior(x, weights, model.y - shift - fitted + x @ coef,
+                                 model.prior.prior_scale)
+
+
+def _stage_moments(model, state, term: str):
+    """Mean and covariance of update_alpha0's (``term`` "alpha0") or update_beta's draw, read
+    off the stage fed fixed noise."""
+    update, size = (update_alpha0, model.d) if term == "alpha0" else (update_beta, model.q)
+    return affine_moments(lambda z: update(copy.deepcopy(state), model, FixedNoise(z)), size)
+
+
+def _check_stage_moments(tiny_dataset, tiny_model, tiny_state, term: str) -> None:
     for model, state, weights, shift, _ in _working_gaussians(tiny_dataset, tiny_model,
                                                                 tiny_state):
-        mu, cov = beta_conditional_moments(state, model)
-        w = np.diag(weights)
-        zsum = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
-        r = model.y - zsum - shift
-        cov_oracle = np.linalg.inv(model.e.T @ w @ model.e
-                                   + np.linalg.inv(model.prior.prior_scale * np.eye(model.q)))
-        mu_oracle = cov_oracle @ (model.e.T @ w @ r)
+        mean, cov = _stage_moments(model, state, term)
+        mean_oracle, cov_oracle = _dense_ridge_moments(model, state, weights, shift, term)
         np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
-        np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+        np.testing.assert_allclose(mean, mean_oracle, atol=1e-12)
+
+
+def test_beta_moments_dense_ridge_oracle(tiny_dataset, tiny_model, tiny_state):
+    _check_stage_moments(tiny_dataset, tiny_model, tiny_state, "beta")
 
 
 def test_alpha0_moments_dense_ridge_oracle(tiny_dataset, tiny_model, tiny_state):
-    for model, state, weights, shift, _ in _working_gaussians(tiny_dataset, tiny_model,
-                                                                tiny_state):
-        mu, cov = alpha0_conditional_moments(state, model)
-        z0 = dense_blocks(model)[0]
-        w = np.diag(weights)
-        others = np.einsum("jnd,jd->n", dense_blocks(model)[1:], state.alpha[1:])
-        r = model.y - model.e @ state.beta - others - shift
-        cov_oracle = np.linalg.inv(z0.T @ w @ z0
-                                   + np.linalg.inv(model.prior.prior_scale * np.eye(model.d)))
-        mu_oracle = cov_oracle @ (z0.T @ w @ r)
-        np.testing.assert_allclose(cov, cov_oracle, atol=1e-12)
-        np.testing.assert_allclose(mu, mu_oracle, atol=1e-12)
+    _check_stage_moments(tiny_dataset, tiny_model, tiny_state, "alpha0")
 
 
 def test_draw_response_is_mean_plus_likelihood_noise(tiny_dataset, tiny_model, tiny_state):
@@ -272,18 +286,6 @@ def test_draw_response_is_mean_plus_likelihood_noise(tiny_dataset, tiny_model, t
         z = RngHandle(12, 3).gen.standard_normal(model.n)
         y = draw_response(state, model, RngHandle(12, 3))
         np.testing.assert_allclose(y, mean + shift + sd * z, rtol=0, atol=1e-12)
-
-
-def _dense_ridge_moments(model, state, weights, shift, term: str):
-    """Mean and covariance of alpha_0 (``term`` "alpha0") or beta given the rest, from the
-    dense design: (x'Wx + I / prior_scale)^-1 by a general inverse."""
-    blocks = dense_blocks(model)
-    x, coef = (blocks[0], state.alpha[0]) if term == "alpha0" else (model.e, state.beta)
-    fitted = np.einsum("jnd,jd->n", blocks, state.alpha) + model.e @ state.beta
-    r = model.y - shift - fitted + x @ coef
-    w = np.diag(weights)
-    cov = np.linalg.inv(x.T @ w @ x + np.eye(x.shape[1]) / model.prior.prior_scale)
-    return cov @ (x.T @ w @ r), cov
 
 
 FIXED_EFFECT_DRAWS = 20_000
@@ -317,7 +319,7 @@ def test_fixed_effect_draws_follow_the_dense_ridge_conditional(tiny_dataset, tin
 def test_collinear_clinical_columns(tiny_dataset):
     """Two identical E columns make E'WE singular; the ridge keeps the beta precision definite.
 
-    update_beta draws finite values, and the moments match the dense ridge oracle.
+    update_beta draws finite values, from the moments of the dense ridge oracle.
     """
     e = np.repeat(tiny_dataset.e[:, :1], 2, axis=1)
     ds = Dataset(y=tiny_dataset.y, x=tiny_dataset.x, v=tiny_dataset.v, e=e)
@@ -326,7 +328,7 @@ def test_collinear_clinical_columns(tiny_dataset):
     for model, state, weights, shift, _ in _working_gaussians(ds, model, state):
         assert np.linalg.matrix_rank(model.e.T @ np.diag(weights) @ model.e) == 1
         mean, cov = _dense_ridge_moments(model, state, weights, shift, "beta")
-        mu, sigma = beta_conditional_moments(state, model)
+        mu, sigma = _stage_moments(model, state, "beta")
         np.testing.assert_allclose(sigma, cov, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(mu, mean, rtol=1e-10, atol=1e-12)
         rng = RngHandle(6, 0)
@@ -339,7 +341,7 @@ def test_beta_degenerate_prior_pins_posterior(tiny_dataset):
     prior = PriorConfig(prior_scale=1e-16)
     model = build_quantile_model(tiny_dataset, SplineConfig(1, 0), prior, tau=0.3)
     state = draw_state_from_prior(model, RngHandle(3, 0))
-    mu, _ = beta_conditional_moments(state, model)
+    mu, _ = _stage_moments(model, state, "beta")
     np.testing.assert_allclose(mu, 0.0, atol=1e-10)
 
 
@@ -349,7 +351,7 @@ def test_beta_diffuse_prior_matches_weighted_projection(tiny_dataset):
     state = draw_state_from_prior(model, RngHandle(3, 0))
     state.u_tilde = np.ones(model.n)  # equal weights
     refresh_residual(state, model)
-    mu, _ = beta_conditional_moments(state, model)
+    mu, _ = _stage_moments(model, state, "beta")
     c = model.consts
     zsum = np.einsum("jnd,jd->n", dense_blocks(model), state.alpha)
     target = model.y - zsum - c.kappa1 * state.u_tilde
