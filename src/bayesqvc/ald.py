@@ -30,10 +30,6 @@ class AldConstants:
     kappa1: float
     kappa2_sq: float
 
-    @property
-    def kappa2(self) -> float:
-        return math.sqrt(self.kappa2_sq)
-
 
 def ald_constants(tau: float) -> AldConstants:
     tau = validate_tau(tau)
@@ -66,14 +62,3 @@ def ald_log_density(residual, theta: float, tau: float):
     out = math.log(tau * (1.0 - tau) * theta) - theta * check_loss(residual, tau)
     return out
 
-
-def ald_cdf(residual, theta: float, tau: float):
-    """Exact CDF of the asymmetric Laplace (location 0, inverse scale theta)."""
-    tau = validate_tau(tau)
-    if theta <= 0.0:
-        raise ValueError("theta must be strictly positive")
-    eps = np.asarray(residual, dtype=float)
-    upper = 1.0 - (1.0 - tau) * np.exp(-theta * tau * eps)
-    lower = tau * np.exp(theta * (1.0 - tau) * eps)
-    out = np.where(eps >= 0.0, upper, lower)
-    return float(out) if out.ndim == 0 else out

@@ -254,7 +254,8 @@ def cmd_evaluate(args) -> int:
 def cmd_diagnose(args) -> int:
     samples, config = load_samples(Path(args.fit))
     tracked = tracked_parameters(samples)
-    report = psrf_report(tracked)
+    values, degenerate = psrf_report(tracked)
+    converged = all(v <= PSRF_CUTOFF for v in values.values())
     length = samples.chains[0].stored
     if args.checkpoints:
         checkpoints = [c for c in args.checkpoints if c <= length]
@@ -269,16 +270,16 @@ def cmd_diagnose(args) -> int:
     payload = {
         "config": config.to_dict(),
         "cutoff": PSRF_CUTOFF,
-        "converged": report.converged,
-        "psrf": report.values,
-        "degenerate": report.degenerate,
+        "converged": converged,
+        "psrf": values,
+        "degenerate": degenerate,
         "trace": trace,
     }
     out = Path(args.out) if args.out else Path(args.fit) / "psrf.json"
     dump_json(out, payload)
-    flag = "converged" if report.converged else "NOT converged"
-    print(f"{flag}: max split PSRF {max(report.values.values()):.4f} over "
-          f"{len(report.values)} tracked parameters; wrote {out}")
+    flag = "converged" if converged else "NOT converged"
+    print(f"{flag}: max split PSRF {max(values.values()):.4f} over "
+          f"{len(values)} tracked parameters; wrote {out}")
     return 0
 
 

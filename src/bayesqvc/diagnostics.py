@@ -17,8 +17,6 @@ differ.  A single chain can be diagnosed too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .inference import selection
@@ -46,16 +44,6 @@ def psrf(chains: np.ndarray) -> tuple[float, bool]:
         return (1.0, True) if b == 0.0 else (float("inf"), True)
     var_plus = (n - 1) / n * w + b / n
     return float(np.sqrt(var_plus / w)), False
-
-
-@dataclass
-class PsrfReport:
-    values: dict[str, float]
-    degenerate: dict[str, bool]
-    converged: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.converged = all(v <= PSRF_CUTOFF for v in self.values.values())
 
 
 def tracked_parameters(samples: PosteriorSamples) -> dict[str, np.ndarray]:
@@ -90,12 +78,13 @@ def split_psrf(chains: np.ndarray) -> tuple[float, bool]:
     return psrf(x[:, : n - n % 2].reshape(2 * m, n // 2))
 
 
-def psrf_report(tracked: dict[str, np.ndarray]) -> PsrfReport:
-    """Split PSRF of each (m, n) array of a :func:`tracked_parameters` set."""
+def psrf_report(tracked: dict[str, np.ndarray]) -> tuple[dict[str, float], dict[str, bool]]:
+    """Split PSRF of each (m, n) array of a :func:`tracked_parameters` set: two dicts by
+    name, of the values and of the degenerate flags of :func:`psrf`."""
     values, degenerate = {}, {}
     for name, arr in tracked.items():
         values[name], degenerate[name] = split_psrf(arr)
-    return PsrfReport(values=values, degenerate=degenerate)
+    return values, degenerate
 
 
 def psrf_report_trace(

@@ -9,7 +9,8 @@ interpolation between order statistics (Hyndman and Fan's type 7, numpy's
 default), and medians of even-length samples use the midpoint convention.
 The curve bands read these order statistics straight from sorted draws with
 numpy's own arithmetic, so they equal ``np.median`` and ``np.percentile`` bit
-for bit.
+for bit.  They assume finite draws, which every fit and every loaded samples
+file holds: a NaN, which numpy's median would propagate, sorts last here.
 """
 
 from __future__ import annotations
@@ -118,14 +119,8 @@ def _block_bands(coef: np.ndarray, basis: np.ndarray):
     draws = coef @ basis.T
     draws = np.ascontiguousarray(draws.transpose(0, 2, 1))
     draws.sort(axis=-1)
-    bands = (_sorted_median(draws), _sorted_percentile(draws, TAIL),
-             _sorted_percentile(draws, 100.0 - TAIL))
-    # A lane's NaNs sort last, and numpy's median and percentiles of it are NaN.
-    nan = np.isnan(draws[..., -1])
-    if nan.any():
-        for band in bands:
-            band[nan] = np.nan
-    return bands
+    return (_sorted_median(draws), _sorted_percentile(draws, TAIL),
+            _sorted_percentile(draws, 100.0 - TAIL))
 
 
 def _sorted_median(lanes: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 Formats:
 
 * datasets: CSV with header ``V, E_1..E_q, X_1..X_p, Y``; floats carry 17
-  significant digits so a write/read round trip is bit exact.
+  significant digits so a write/read round trip is bit exact.  A row that
+  is not one number per header column is a ValueError naming its file line.
 * posterior samples: one flat binary of concatenated C-order little-endian
   arrays (``samples.bin``) plus a JSON sidecar index (``samples.json``)
   holding dtypes, shapes, offsets, and the full run configuration.  Both
@@ -15,7 +16,9 @@ Formats:
   axis by ``np.packbits`` (M * ceil(p / 8) bytes; the index gives the
   unpacked shape); then ``scalar:<name>`` (M,) and ``latent:<name>`` arrays.
   The older ``bayesqvc-samples-v1`` stores a dense ``alpha`` (M, p+1, d)
-  and uint8 flags in place of the first four; it still loads.
+  and uint8 flags in place of the first four; it still loads.  A missing
+  array, or a float array with a value that is not finite, is a ValueError
+  naming the file, the chain and the array.
 * curves: CSV with header ``j, grid_index, v, median, lower, upper``, one
   row per (curve, grid point) of an :class:`inference.CurveBands`, curve by
   curve in grid order; floats carry 17 significant digits, and an all-+0.0
@@ -23,7 +26,8 @@ Formats:
   reader takes that layout only: a file with no rows, a short last curve,
   rows out of that order or a curve off curve 0's v grid is a ValueError.
 * summaries and metrics: JSON, always embedding the run configuration so a
-  result is regenerable from the file alone.
+  result is regenerable from the file alone.  A file that is not JSON, or a
+  truth file without its scenario or support, is a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ class RunConfig:
     store_latents: bool = False
     workers: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.spline_config()
         self.mcmc_options()
         self.prior_config()
@@ -99,9 +103,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunConfig":
-        cfg = cls(**known_keys(cls, payload, "config"))
-        cfg.validate()
-        return cfg
+        return cls(**known_keys(cls, payload, "config"))
 
 
 def scenario_label(spec: ScenarioSpec) -> str:
@@ -169,7 +171,6 @@ class StudyConfig:
         config = RunConfig(method=method, tau=spec.tau, **asdict(self.spline),
                            **asdict(replace(self.mcmc, seed=seed)), priors=self.priors,
                            workers=1)
-        config.validate()
         return replace(spec, seed=seed), config
 
     @classmethod
@@ -233,7 +234,10 @@ def dump_json(path, payload) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path} is not a JSON file: {err}") from None
 
 
 def _write_rows(fh, row_fmt: str, table: np.ndarray) -> None:
@@ -263,7 +267,8 @@ def read_dataset_csv(path) -> Dataset:
     """The :class:`Dataset` of a :func:`write_dataset_csv` file.
 
     ValueError unless the header is exactly V, E_1..E_q, X_1..X_p, Y and
-    every row has one value per header column.
+    every row has one number per header column; a row that numpy cannot
+    read as such is named by its file line.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -279,7 +284,11 @@ def read_dataset_csv(path) -> Dataset:
         if not any(line.strip() for line in fh):
             raise ValueError("dataset CSV has no data rows")
         fh.seek(start)
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as err:
+            _raise_unparsed_row(path, "dataset CSV", len(header), err)
+            raise
     if body.shape[1] != len(header):
         raise ValueError(f"dataset CSV header names {len(header)} columns, "
                          f"but its rows have {body.shape[1]}")
@@ -298,6 +307,9 @@ def write_truth(path, spec: ScenarioSpec, support, data_checksum: str) -> None:
 def load_truth(path):
     """The scenario, the true support and the data checksum (None in older files) of a truth file."""
     payload = load_json(path)
+    for key in ("scenario", "support"):
+        if key not in payload:
+            raise ValueError(f"{path} has no {key!r} key")
     spec = ScenarioSpec(**known_keys(ScenarioSpec, payload["scenario"], "scenario"))
     return spec, set(payload["support"]), payload.get("data_checksum")
 
@@ -306,6 +318,9 @@ def load_truth(path):
 # posterior samples: flat binary + JSON sidecar
 
 SAMPLES_FORMAT = "bayesqvc-samples-v2"
+# The arrays every chain of each format stores, besides its scalars and latents.
+_FORMAT_ARRAYS = {"bayesqvc-samples-v1": ("alpha", "beta", "inclusion"),
+                  SAMPLES_FORMAT: ("alpha0", "rows", "beta", "inclusion")}
 # The ChainSamples fields a chain's index entry holds under their own names.
 _CHAIN_FIELDS = ("seed", "stream_id", "iterations", "burn_in", "thin")
 
@@ -372,8 +387,8 @@ def _sparse_alpha(loaded: dict, version: str, where: str):
 
 def _read_array(blob: bytes, meta: dict, packed: bool, where: str) -> np.ndarray:
     """The array ``meta`` indexes in ``blob``; ValueError naming ``where`` unless its bytes lie
-    inside the blob and their count matches the shape and dtype (bit-packed flags if
-    ``packed``)."""
+    inside the blob, their count matches the shape and dtype (bit-packed flags if
+    ``packed``) and, for a float array, every value is finite."""
     dtype, shape = np.dtype(meta["dtype"]), [int(size) for size in meta["shape"]]
     start, nbytes = meta["offset"], meta["nbytes"]
     if not 0 <= start <= start + nbytes <= len(blob):
@@ -387,6 +402,9 @@ def _read_array(blob: bytes, meta: dict, packed: bool, where: str) -> np.ndarray
         raise ValueError(f"{where}: {nbytes} bytes do not hold a {dtype.str} array of "
                          f"shape {tuple(shape)}")
     arr = np.frombuffer(blob, dtype=dtype, count=math.prod(stored), offset=start).reshape(stored)
+    if dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ValueError(f"{where}: {np.count_nonzero(~np.isfinite(arr))} of its {arr.size} "
+                         "values are not finite")
     return np.unpackbits(arr, axis=1, count=shape[1]) if packed else arr.copy()
 
 
@@ -396,13 +414,16 @@ def load_samples(directory):
     directory = Path(directory)
     index = load_json(directory / "samples.json")
     version = index.get("format")
-    if version not in ("bayesqvc-samples-v1", SAMPLES_FORMAT):
+    if version not in _FORMAT_ARRAYS:
         raise ValueError(f"{directory / 'samples.json'} has the unrecognized samples format "
                          f"{version!r}")
     blob = (directory / "samples.bin").read_bytes()
     chains = []
     for i, entry in enumerate(index["chains"]):
         where = f"{directory / 'samples.bin'} chain {i}"
+        missing = [name for name in _FORMAT_ARRAYS[version] if name not in entry["arrays"]]
+        if missing:
+            raise ValueError(f"{directory / 'samples.json'} chain {i} has no {missing[0]!r} array")
         loaded = {
             name: _read_array(blob, meta, name == "inclusion" and version == SAMPLES_FORMAT,
                               f"{where} array {name!r}")
@@ -497,7 +518,8 @@ def read_curves_csv(path) -> CurveBands:
         try:
             body = np.loadtxt(live_rows(), delimiter=",", ndmin=2)
         except ValueError as err:
-            _raise_unparsed_row(path, np.flatnonzero(live), g, err)
+            _raise_unparsed_row(path, "curves CSV", 6, err,
+                                (2 + j * g + t for j in np.flatnonzero(live) for t in range(g)))
             raise
     parsed = np.flatnonzero(live)
     if body.shape != (len(parsed) * g, 6):
@@ -520,16 +542,19 @@ def read_curves_csv(path) -> CurveBands:
     return CurveBands(body[:g, 2], *bands)
 
 
-def _raise_unparsed_row(path, curves, g: int, err: ValueError) -> None:
-    """Raise a ValueError naming the file line 2 + j g + t of the first row t of a curve j in
-    ``curves`` that does not hold six numbers; return if every row does."""
+def _raise_unparsed_row(path, name: str, width: int, err: ValueError, lines=None) -> None:
+    """Raise a ValueError naming the first file line of ``lines`` (default: every nonblank
+    line after the header) that does not hold ``width`` numbers; return if every one does."""
     with open(path) as fh:
-        lines = fh.read().split("\n")  # the lines the reader iterated over
-    for line in (2 + j * g + t for j in curves for t in range(g)):
-        row = lines[line - 1]
+        text = fh.read().split("\n")  # the lines the reader iterated over
+    if lines is None:
+        lines = (k for k in range(2, len(text) + 1) if text[k - 1].strip())
+    for line in lines:
+        row = text[line - 1]
         try:
             numbers = [float(value) for value in row.split(",")]
         except ValueError:
             numbers = []
-        if len(numbers) != 6:
-            raise ValueError(f"curves CSV line {line} is not six numbers: {row!r}") from err
+        if len(numbers) != width:
+            count = "six" if width == 6 else width  # as the curves message has always read
+            raise ValueError(f"{name} line {line} is not {count} numbers: {row!r}") from err

@@ -16,11 +16,6 @@ def classify_fit(selected, truth) -> str:
     return "O"
 
 
-def _per_curve(values):
-    """A float for one curve, else the (...) array of per-curve values."""
-    return float(values) if values.ndim == 0 else values
-
-
 def imse(est_curve, true_curve):
     """Mean squared pointwise error over the evaluation grid, the last axis.
 
@@ -30,7 +25,7 @@ def imse(est_curve, true_curve):
     tru = np.asarray(true_curve, dtype=float)
     if est.shape != tru.shape:
         raise ValueError("curves must be evaluated on the same grid")
-    return _per_curve(np.mean((est - tru) ** 2, axis=-1))
+    return np.mean((est - tru) ** 2, axis=-1)
 
 
 def timse(per_curve_imse) -> float:
@@ -51,7 +46,7 @@ def coverage(lower, upper, true_curve):
     tru = np.asarray(true_curve, dtype=float)
     if not lower.shape == upper.shape == tru.shape:
         raise ValueError("bands and truth must share the grid")
-    return _per_curve(np.mean((lower <= tru) & (tru <= upper), axis=-1))
+    return np.mean((lower <= tru) & (tru <= upper), axis=-1)
 
 
 def mean_sd_cell(values, digits: int = 2) -> str:

@@ -168,23 +168,16 @@ def covariance_factors(precisions: np.ndarray):
     return linv.transpose(2, 0, 1), 2.0 * np.sum(np.log(recip), axis=0)
 
 
-def slab_log_volume(logdet, slab, d: int):
-    """(log|Sigma| - d log g) / 2: the log Bayes factor, slab over spike, of a zero right-hand side.
-
-    The slab prior of a block is N(0, noise_scale * g I) and its conditional
-    covariance noise_scale * Sigma, so the noise scale cancels.
-    """
-    return 0.5 * (logdet - d * np.log(slab))
-
-
 def spike_thresholds(logdet, slab, d: int, energy, noise_scale: float, pi0: float) -> np.ndarray:
     """Thresholds t with a d-dimensional block at the spike iff |half|^2 < t, half = L^-1 b.
 
     With E ~ Exp(1) in ``energy``, the decision -E < log P(spike) rearranges
     exactly to |half|^2 < 2 noise_scale (log pi0 - log(1 - pi0) + log expm1(E)
-    - :func:`slab_log_volume`).  log expm1(E) is taken as E + log(-expm1(-E)),
-    finite for every E > 0 and -inf at E = 0.  t is -inf at pi0 = 0 and +inf
-    at pi0 = 1.
+    - V).  V = (log|Sigma| - d log g) / 2 is the log Bayes factor, slab over
+    spike, of a zero right-hand side; the noise scale of the slab N(0,
+    noise_scale g I) and of the covariance noise_scale Sigma cancels.
+    log expm1(E) is taken as E + log(-expm1(-E)), finite for every E > 0 and
+    -inf at E = 0.  t is -inf at pi0 = 0 and +inf at pi0 = 1.
     """
     if pi0 <= 0.0:
         return np.full_like(energy, -np.inf)
@@ -193,7 +186,7 @@ def spike_thresholds(logdet, slab, d: int, energy, noise_scale: float, pi0: floa
     with np.errstate(divide="ignore"):
         log_expm1 = energy + np.log(-np.expm1(-energy))
     log_odds = math.log(pi0) - math.log1p(-pi0)
-    return 2.0 * noise_scale * (log_odds + log_expm1 - slab_log_volume(logdet, slab, d))
+    return 2.0 * noise_scale * (log_odds + log_expm1 - 0.5 * (logdet - d * np.log(slab)))
 
 
 # ---------------------------------------------------------------------------

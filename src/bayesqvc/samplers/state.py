@@ -24,18 +24,6 @@ class _ChainState:
     inclusion: np.ndarray    # (p,) bool, True iff alpha block j != 0
     resid: np.ndarray = field(default=None, repr=False)
 
-    positive = ()  # names of a subclass's scales, which must stay strictly positive
-
-    def validate(self) -> None:
-        for name in self.positive:
-            if np.any(np.asarray(getattr(self, name)) <= 0):
-                raise ValueError(f"{name} must stay strictly positive")
-        if not 0.0 <= self.pi0 <= 1.0:
-            raise ValueError("pi0 must lie in [0, 1]")
-        nonzero = np.any(self.alpha[1:] != 0.0, axis=1)
-        if not np.array_equal(nonzero, self.inclusion):
-            raise ValueError("inclusion flags inconsistent with alpha blocks")
-
 
 @dataclass(kw_only=True)
 class SamplerState(_ChainState):
@@ -46,7 +34,6 @@ class SamplerState(_ChainState):
     theta: float
     eta_sq: float
 
-    positive = ("u_tilde", "g", "theta", "eta_sq")
     # Names the shared engine reads and writes.  The quantile slab is not
     # scaled by a noise variance, so its noise scale is an exact 1.0.
     noise_scale = 1.0
@@ -62,7 +49,6 @@ class GaussianSamplerState(_ChainState):
     zeta_sq: np.ndarray      # (p,) slab scales
     lambda_sq: float
 
-    positive = ("sigma_sq", "zeta_sq", "lambda_sq")
     # Names the shared engine reads and writes.
     noise_scale = property(lambda self: self.sigma_sq)
     slab = property(lambda self: self.zeta_sq, lambda self, value: setattr(self, "zeta_sq", value))

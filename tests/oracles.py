@@ -25,8 +25,9 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import integrate
 
-from bayesqvc.ald import ald_constants
+from bayesqvc.ald import ald_constants, validate_tau
 from bayesqvc.samplers.engine import initial_state, update_alpha_block
+from bayesqvc.samplers.state import GaussianSamplerState, SamplerState
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,42 @@ def dense_coefficient_posterior(model, weights, target, slab_cov):
     prior_var = np.concatenate([np.full(model.d, scale), np.repeat(slab_cov, model.d),
                                 np.full(model.q, scale)])
     return dense_ridge_posterior(design, weights, target, prior_var)
+
+
+# ---------------------------------------------------------------------------
+# sampler state invariants
+
+# The scales of each sampler state, which must stay strictly positive.
+POSITIVE_SCALES = {SamplerState: ("u_tilde", "g", "theta", "eta_sq"),
+                   GaussianSamplerState: ("sigma_sq", "zeta_sq", "lambda_sq")}
+
+
+def check_state(state) -> None:
+    """ValueError unless the scales of ``state`` are positive, pi0 lies in [0, 1] and the
+    inclusion flags are the nonzero blocks 1..p of alpha."""
+    for name in POSITIVE_SCALES[type(state)]:
+        if np.any(np.asarray(getattr(state, name)) <= 0):
+            raise ValueError(f"{name} must stay strictly positive")
+    if not 0.0 <= state.pi0 <= 1.0:
+        raise ValueError("pi0 must lie in [0, 1]")
+    nonzero = np.any(state.alpha[1:] != 0.0, axis=1)
+    if not np.array_equal(nonzero, state.inclusion):
+        raise ValueError("inclusion flags inconsistent with alpha blocks")
+
+
+# ---------------------------------------------------------------------------
+# asymmetric Laplace CDF
+
+def ald_cdf(residual, theta: float, tau: float):
+    """Exact CDF of the asymmetric Laplace (location 0, inverse scale theta)."""
+    tau = validate_tau(tau)
+    if theta <= 0.0:
+        raise ValueError("theta must be strictly positive")
+    eps = np.asarray(residual, dtype=float)
+    upper = 1.0 - (1.0 - tau) * np.exp(-theta * tau * eps)
+    lower = tau * np.exp(theta * (1.0 - tau) * eps)
+    out = np.where(eps >= 0.0, upper, lower)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from bayesqvc.samplers.engine import (
     full_residual,
     initial_state,
     run_chain,
-    slab_log_volume,
     spike_thresholds,
     update_alpha_block,
     update_alpha_blocks,
@@ -170,7 +169,7 @@ def test_spike_thresholds_match_log_uniform_rule(pi0, noise_scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         thresholds = spike_thresholds(logdet, slab, d, energy, noise_scale, pi0)
-        log_bf = slab_log_volume(logdet, slab, d) + 0.5 * quad / noise_scale
+        log_bf = 0.5 * (logdet - d * np.log(slab)) + 0.5 * quad / noise_scale
     with np.errstate(divide="ignore"):  # log 0 = -inf: at pi0 = 0, and where P(spike) underflows
         log_p = np.log([scalar_spike_probability(b, pi0) for b in log_bf])
     ours = quad < thresholds

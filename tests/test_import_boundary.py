@@ -73,8 +73,10 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: str(p.relative_to(PACKAGE)),
+    "path",
+    sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+    + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: str(p.relative_to(PACKAGE if PACKAGE in p.parents else ROOT)),
 )
 def test_every_module_level_import_is_used(path):
     assert not _unused_imports(path)
@@ -90,13 +92,14 @@ def test_cli_import_loads_no_process_pool_modules():
     assert out.strip() == "[]"
 
 
-# Public engine functions that nothing in the package calls, and why each is kept.  None is
-# a second form of sampler arithmetic: the first runs the block stage itself, the other two
+# Public functions that nothing in the package calls, and why each is kept.  None is a
+# second form of sampler arithmetic: the first runs the block stage itself, the other two
 # are the generative model that the Geweke tests check the composed sweep against.
-ENGINE_TEST_ENTRIES = {
-    "update_alpha_block": "the block stage on one block, which the oracle tests replay",
-    "draw_state_from_prior": "the forward draw of the hierarchical prior",
-    "draw_response": "y drawn from the working likelihood given the parameters",
+TEST_ENTRIES = {
+    "samplers.engine.update_alpha_block": "the block stage on one block, which the oracle "
+                                          "tests replay",
+    "samplers.engine.draw_state_from_prior": "the forward draw of the hierarchical prior",
+    "samplers.engine.draw_response": "y drawn from the working likelihood given the parameters",
 }
 
 
@@ -113,21 +116,29 @@ def _names_referenced(tree) -> set[str]:
     return names
 
 
-def test_every_public_engine_function_is_used_by_the_package():
-    """A public function of ``samplers/engine.py`` that only tests call is a test-only twin of
-    sampler arithmetic; the oracle tests feed the stages fixed noise instead."""
-    engine = PACKAGE / "samplers" / "engine.py"
-    referenced = set()
+def test_every_public_function_and_method_is_used_by_the_package():
+    """A public top-level function, method or property of ``src/bayesqvc`` that only tests
+    reach is a test-only twin or dead code: tests keep their own helpers in ``oracles.py``.
+
+    A name counts as used where any module of the package references it, as a name or an
+    attribute, except from the body of a definition of that name itself; an import, and so
+    a re-export in a package ``__init__.py``, counts.
+    """
+    referenced, public = set(), {}
     for path in PACKAGE.rglob("*.py"):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if path == engine and isinstance(node, ast.FunctionDef):
-                # a reference to a function from its own body does not count
-                referenced |= _names_referenced(node) - {node.name}
-            else:
-                referenced |= _names_referenced(node)
-    public = [node.name for node in ast.parse(engine.read_text()).body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
-    assert set(ENGINE_TEST_ENTRIES) <= set(public)
-    unused = [name for name in public if name not in referenced | set(ENGINE_TEST_ENTRIES)]
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            members = ast.iter_child_nodes(node) if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if isinstance(member, ast.FunctionDef):
+                    # a reference to a definition from its own body does not count
+                    referenced |= _names_referenced(member) - {member.name}
+                    if not member.name.startswith("_"):
+                        owner = f"{node.name}." if member is not node else ""
+                        public[f"{module}.{owner}{member.name}"] = member.name
+                else:
+                    referenced |= _names_referenced(member)
+    assert set(TEST_ENTRIES) <= set(public)
+    unused = [qualname for qualname, name in public.items()
+              if name not in referenced and qualname not in TEST_ENTRIES]
     assert not unused, unused

@@ -196,20 +196,6 @@ def test_sorted_lane_quantiles_match_numpy(m):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_curve_bands_of_a_nan_draw_are_nan_as_in_numpy():
-    rng = np.random.default_rng(5)
-    alpha = rng.normal(size=(41, 3, 5))
-    alpha[7, 1, 2] = np.nan
-    samples = make_samples(alpha, degree=2, knots=2)
-    bands = all_curve_estimates(samples)
-    with np.errstate(invalid="ignore"):
-        ref = reference_curve_bands(alpha, default_grid())
-    for j in range(3):
-        for got, want in zip((bands.median[j], bands.lower[j], bands.upper[j]), ref[j]):
-            assert np.array_equal(got, want, equal_nan=True)
-    assert np.isnan(bands.median[1]).any()
-
-
 def test_scalar_summaries():
     assert scalar_summary(np.full(9, 2.3))["median"] == pytest.approx(2.3)
     assert scalar_summary(np.array([1.0, 3.0]))["median"] == pytest.approx(2.0)

@@ -93,8 +93,12 @@ def test_cli_fit_rejects_nan_in_csv(tmp_path, capsys):
     [("V,X_1,X_2,Y\n0.1,1,2\n0.5,3,4\n", "header names 4 columns, but its rows have 3"),
      ("V,X_1,E_1,Y\n0.1,1,2,3\n0.5,3,4,5\n", "column 2 is X_1, expected E_1"),
      ("V,X_1,Y\n0.1,1,2,3\n0.5,3,4,5\n", "header names 3 columns, but its rows have 4"),
-     ("V,X_1,Y\n", "no data rows")],
-    ids=["short-rows", "e-after-x", "long-rows", "no-rows"],
+     ("V,X_1,Y\n", "no data rows"),
+     ("V,X_1,Y\n0.1,1,2\n0.5,abc,4\n0.9,3,4\n",
+      "dataset CSV line 3 is not 3 numbers: '0.5,abc,4'"),
+     ("V,X_1,Y\n0.1,1,2\n0.5,3,4\n0.9,3,4,5\n",
+      "dataset CSV line 4 is not 3 numbers: '0.9,3,4,5'")],
+    ids=["short-rows", "e-after-x", "long-rows", "no-rows", "not-a-number", "ragged-row"],
 )
 def test_cli_fit_rejects_malformed_csv(tmp_path, capsys, text, message):
     path = tmp_path / "d.csv"
@@ -267,7 +271,8 @@ def test_load_samples_rejects_an_unknown_format(tmp_path):
                               "format 'bayesqvc-samples-v3'")
 
 
-@pytest.mark.parametrize("damage", ["truncated", "alpha0-shape", "inclusion-shape"])
+@pytest.mark.parametrize("damage", ["truncated", "alpha0-shape", "inclusion-shape", "non-finite",
+                                    "no-beta"])
 def test_cli_diagnose_names_the_array_of_a_short_or_corrupt_samples_file(tmp_path, capsys,
                                                                          damage):
     samples, config = fit_for_samples("spike")
@@ -275,22 +280,31 @@ def test_cli_diagnose_names_the_array_of_a_short_or_corrupt_samples_file(tmp_pat
     index = json.loads((tmp_path / "samples.json").read_text())
     bin_path = tmp_path / "samples.bin"
     size = bin_path.stat().st_size
+    theta = index["chains"][1]["arrays"]["scalar:theta"]
     if damage == "truncated":  # cuts into the last array, chain 1's theta draws
         bin_path.write_bytes(bin_path.read_bytes()[:-100])
-        meta = index["chains"][1]["arrays"]["scalar:theta"]
-        where = "chain 1 array 'scalar:theta'"
-        problem = f"bytes {meta['offset']} to {size} lie outside the {size - 100}-byte file"
+        message = (f"{bin_path} chain 1 array 'scalar:theta': bytes {theta['offset']} to "
+                   f"{size} lie outside the {size - 100}-byte file")
+    elif damage == "non-finite":  # chain 1's fourth theta draw is NaN
+        blob = bytearray(bin_path.read_bytes())
+        blob[theta["offset"] + 24 : theta["offset"] + 32] = np.array(np.nan, "<f8").tobytes()
+        bin_path.write_bytes(bytes(blob))
+        message = (f"{bin_path} chain 1 array 'scalar:theta': 1 of its "
+                   f"{samples.chains[1].stored} values are not finite")
+    elif damage == "no-beta":
+        del index["chains"][0]["arrays"]["beta"]
+        (tmp_path / "samples.json").write_text(json.dumps(index))
+        message = f"{tmp_path / 'samples.json'} chain 0 has no 'beta' array"
     else:
         name = damage.split("-")[0]
         meta = index["chains"][0]["arrays"][name]
         meta["shape"][1] += 8 if name == "inclusion" else 1  # one more packed byte per draw
         (tmp_path / "samples.json").write_text(json.dumps(index))
-        where = f"chain 0 array {name!r}"
         dtype = "|u1" if name == "inclusion" else "<f8"
-        problem = (f"{meta['nbytes']} bytes do not hold a {dtype} array of shape "
-                   f"{tuple(meta['shape'])}")
+        message = (f"{bin_path} chain 0 array {name!r}: {meta['nbytes']} bytes do not hold a "
+                   f"{dtype} array of shape {tuple(meta['shape'])}")
     assert run_cli("diagnose", "--fit", tmp_path) == 1
-    assert f"{bin_path} {where}: {problem}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "psrf.json").exists()
 
 
@@ -468,12 +482,13 @@ def test_dataset_csv_matches_row_reference(tmp_path):
 
 
 def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(method="bqrvcss", iterations=10, burn_in=10).validate()
-    with pytest.raises(ValueError):
-        RunConfig(method="nope").prior_config()
-    with pytest.raises(ValueError):
-        RunConfig(priors={"zzz": 1.0}).prior_config()
+    """A RunConfig validates on construction, as every other config dataclass does."""
+    with pytest.raises(ValueError, match="burn_in"):
+        RunConfig(method="bqrvcss", iterations=10, burn_in=10)
+    with pytest.raises(ValueError, match="unknown method 'nope'"):
+        RunConfig(method="nope")
+    with pytest.raises(ValueError, match="zzz"):
+        RunConfig(priors={"zzz": 1.0})
     cfg = RunConfig(method="bvcss", priors={"s": 2.0, "prior_scale": 10.0})
     prior = cfg.prior_config()
     assert (prior.s, prior.prior_scale) == (2.0, 10.0)
@@ -697,6 +712,38 @@ def test_cli_evaluate_rejects_truth_of_other_data_by_checksum(sim_dir, fit_dir, 
     legacy = tmp_path / "legacy.json"
     legacy.write_text(json.dumps(truth))
     assert run_cli("evaluate", "--fit", fit_dir, "--truth", legacy) == 0
+
+
+def test_cli_evaluate_names_a_truth_file_without_support(sim_dir, fit_dir, tmp_path, capsys):
+    payload = json.loads((sim_dir / "truth.json").read_text())
+    del payload["support"]
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps(payload))
+    assert run_cli("evaluate", "--fit", fit_dir, "--truth", truth) == 1
+    assert capsys.readouterr().err == f"error: {truth} has no 'support' key\n"
+
+
+def test_cli_evaluate_names_a_fit_summary_that_is_not_json(sim_dir, fit_dir, tmp_path, capsys):
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    (fit / "curves.csv").write_bytes((fit_dir / "curves.csv").read_bytes())
+    (fit / "fit_summary.json").write_text("")
+    assert run_cli("evaluate", "--fit", fit, "--truth", sim_dir / "truth.json") == 1
+    assert capsys.readouterr().err == (f"error: {fit / 'fit_summary.json'} is not a JSON file: "
+                                       "Expecting value: line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "replicate-study"])
+def test_cli_names_a_config_that_is_not_json(sim_dir, tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    cfg.write_text('{"method": "bvc", }')
+    out = tmp_path / "out"
+    data = ["--data", sim_dir / "dataset.csv"] if command == "fit" else []
+    assert run_cli(command, *data, "--config", cfg, "--out", out) == 1
+    assert capsys.readouterr().err == (f"error: {cfg} is not a JSON file: Expecting property "
+                                       "name enclosed in double quotes: line 1 column 19 "
+                                       "(char 18)\n")
+    assert not out.exists()
 
 
 def test_cli_evaluate_missing_truth(fit_dir, tmp_path, capsys):

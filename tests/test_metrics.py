@@ -56,7 +56,7 @@ def test_coverage_counting():
 
 
 def test_stacked_curves_score_one_value_each():
-    """A (curves, grid) stack scores each row, bit for bit as that row alone; one curve is a float."""
+    """A (curves, grid) stack scores each row, bit for bit as that row alone."""
     rng = np.random.default_rng(6)
     truth = rng.normal(size=(3, 40))
     est = truth + rng.normal(scale=0.2, size=truth.shape)
@@ -66,8 +66,6 @@ def test_stacked_curves_score_one_value_each():
     assert per_curve.shape == covered.shape == (3,)
     assert per_curve.tolist() == [imse(est[j], truth[j]) for j in range(3)]
     assert covered.tolist() == [coverage(lower[j], upper[j], truth[j]) for j in range(3)]
-    assert type(imse(est[0], truth[0])) is float
-    assert type(coverage(lower[0], upper[0], truth[0])) is float
     with pytest.raises(ValueError):
         imse(est, truth[:2])
     with pytest.raises(ValueError):

@@ -56,9 +56,8 @@ def test_resolve_workers():
         with pytest.raises(ValueError, match="workers"):
             resolve_workers(bad, 4)
     assert RunConfig().workers is None
-    RunConfig(workers=None).validate()
     with pytest.raises(ValueError, match="workers"):
-        RunConfig(workers=0).validate()
+        RunConfig(workers=0)
 
 
 def test_study_outputs_do_not_depend_on_workers(tmp_path, capsys):

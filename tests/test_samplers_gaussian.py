@@ -29,6 +29,7 @@ from bayesqvc.simulate import ScenarioSpec, simulate_dataset
 from oracles import (
     assert_moments,
     block_slab_moments,
+    check_state,
     dense_blocks,
     dense_partial_residual,
     dense_ridge_posterior,
@@ -255,4 +256,4 @@ def test_sweep_keeps_residual_fresh(small_model):
         np.testing.assert_allclose(
             state.resid, full_residual(state, small_model), atol=1e-9
         )
-        state.validate()
+        check_state(state)

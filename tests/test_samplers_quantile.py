@@ -50,6 +50,7 @@ from oracles import (
     assert_moments,
     block_replay,
     block_slab_moments,
+    check_state,
     dense_blocks,
     dense_partial_residual,
     dense_ridge_posterior,
@@ -461,7 +462,7 @@ def test_slab_scale_draws_follow_their_stream_contract(likelihood, included):
                  "all": np.ones(p, bool)}[included]
     state.alpha[1:][inclusion] = rng.normal(size=(inclusion.sum(), model.d))
     state.inclusion[:] = inclusion
-    state.validate()
+    check_state(state)
 
     reference = RngHandle(8, 2)
     expected = np.empty(p)
@@ -688,4 +689,4 @@ def test_sweep_keeps_residual_cache_fresh(tiny_model):
         np.testing.assert_allclose(
             state.resid, full_residual(state, tiny_model), atol=1e-9
         )
-        state.validate()
+        check_state(state)
